@@ -60,6 +60,7 @@ from .ratio import (
     RatioRecord,
     all_ratios,
     annotator_mean_ratios,
+    exact_baseline,
     inconsistency_ratio,
     interpret_ratio,
     population_stats,

@@ -1,15 +1,19 @@
-"""Bootstrap majority-label simulations across annotator pools.
+"""Majority-label stress tests across annotator pools.
 
 Quantifies what annotator inconsistency does to small-sample aggregation:
-for each prompt, repeatedly sample a jury of annotators from three pools
-(everyone, the below-median-inconsistency half, the above-median half),
-binarize ratings at a harm threshold, take the majority, and count prompts
-whose modal label under a restricted pool differs from the all-annotator
-pool.
+for each prompt, a jury of annotators is drawn at random from each of three
+pools (everyone, the below-median-inconsistency half, the above-median
+half), ratings are binarized at a harm threshold and the majority is taken.
+A prompt's modal label in a pool is harmful when a harmful majority has
+probability at least 1/2 over every jury that pool can seat; the
+probability is hypergeometric and is computed exactly. Prompts whose modal
+label under a restricted pool differs from the all-annotator pool count as
+flips.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +22,6 @@ import numpy as np
 from .errors import DataFormatError, InsufficientSupportError
 from .ratio import RatioRecord, annotator_mean_ratios
 from .records import SCALE_BINARY, Dataset, common_scale_score
-from .stats import seeded_sampler
 
 POOL_ALL = "all"
 POOL_LOW = "low_inconsistency"
@@ -72,7 +75,11 @@ def majority_label(
 
 @dataclass
 class FlipReport:
-    """Modal majority labels per prompt and pool, with flip counts."""
+    """Modal majority labels per prompt and pool, with flip counts.
+
+    ``iterations`` and ``seed`` record the requested configuration; the
+    modal labels are exact and draw no juries.
+    """
 
     per_prompt: dict[str, dict[str, bool]]
     n_flips_low: int
@@ -121,20 +128,18 @@ def _prompt_ratings(dataset: Dataset) -> dict[str, dict[str, float]]:
     }
 
 
-def _modal_label(
-    values: np.ndarray,
-    iterations: int,
-    sample_size: int,
-    harm_threshold: float,
-    rng: np.random.Generator,
-) -> bool:
-    """Modal majority label over seeded jury resamples; ties resolve harmful."""
-    n = values.size
-    keys = rng.random((iterations, n))
-    idx = np.argpartition(keys, sample_size - 1, axis=1)[:, :sample_size]
-    harmful_votes = (values[idx] >= harm_threshold).sum(axis=1)
-    harmful_majorities = int((harmful_votes * 2 > sample_size).sum())
-    return harmful_majorities * 2 >= iterations
+def _modal_label(values: np.ndarray, sample_size: int, harm_threshold: float) -> bool:
+    """Modal majority label over every jury of ``sample_size``; ties resolve harmful.
+
+    With h harmful raters among n, juries with a harmful majority number
+    sum_{j > k/2} C(h, j) * C(n - h, k - j) out of C(n, k). Integer
+    arithmetic keeps an exact tie exact.
+    """
+    n = int(values.size)
+    h = int((values >= harm_threshold).sum())
+    k = sample_size
+    harmful_juries = sum(math.comb(h, j) * math.comb(n - h, k - j) for j in range(k // 2 + 1, k + 1))
+    return 2 * harmful_juries >= math.comb(n, k)
 
 
 def pool_flip_simulation(
@@ -148,9 +153,8 @@ def pool_flip_simulation(
     """Count prompts whose modal majority label flips under restricted pools.
 
     Every prompt needs at least ``sample_size`` raters in each pool;
-    prompts failing that are skipped and reported. Per-prompt, per-pool
-    draws use independent keyed substreams, so results do not depend on
-    evaluation order.
+    prompts failing that are skipped and reported. Modal labels are exact,
+    so ``iterations`` and ``seed`` only echo into the report.
     """
     if sample_size % 2 == 0:
         raise ValueError("sample_size must be odd so majorities cannot tie")
@@ -176,10 +180,9 @@ def pool_flip_simulation(
         if not eligible:
             skipped.append(item)
             continue
-        labels = {}
-        for name, values in pools.items():
-            rng = seeded_sampler(seed, f"flip|{item}|{name}")
-            labels[name] = _modal_label(values, iterations, sample_size, harm_threshold, rng)
+        labels = {
+            name: _modal_label(values, sample_size, harm_threshold) for name, values in pools.items()
+        }
         per_prompt[item] = labels
         if labels[POOL_LOW] != labels[POOL_ALL]:
             flips_low += 1

@@ -246,6 +246,7 @@ def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]
             obj = json.loads(line)
             if "#config" in obj:
                 continue
+            obj.pop("routing", None)  # derived by diagnose --route, not a profile field
             out[obj["annotator_id"]] = diagnostics.ConsistencyProfile(**obj)
     return out
 
@@ -562,6 +563,12 @@ def _add_io(sub, embeddings=False, metadata=False):
         sub.add_argument("--metadata", help="JSONL item metadata")
 
 
+# The baseline and the modal labels are exact; these flags stay accepted and
+# are echoed into the outputs (ratio records carry resamples_used and seed).
+_EXACT_BASELINE_ECHO = "recorded in the output only; the exact baseline draws nothing"
+_EXACT_MODAL_ECHO = "recorded in the output only; modal labels are exact and draw no juries"
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     """The main parser plus its subcommand parsers (config defaults reach both)."""
     children: list[argparse.ArgumentParser] = []
@@ -602,8 +609,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--pairs", help="equivalent pairs JSONL to include in framing consistency")
     p.add_argument("--reliability-mode", choices=diagnostics.RELIABILITY_MODES, default="weighted")
     p.add_argument("--weights", help="w1,w2,w3,w4 for the weighted mode")
-    p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--resamples", type=int, default=1000, help=_EXACT_BASELINE_ECHO)
+    p.add_argument("--seed", type=int, default=0, help=_EXACT_BASELINE_ECHO)
     p.add_argument("--route", action="store_true", help="add a routing column per annotator")
     p.add_argument("--t-temp", type=float, default=taxonomy.RoutingThresholds.t_temp)
     p.add_argument("--t-frame", type=float, default=taxonomy.RoutingThresholds.t_frame)
@@ -621,21 +628,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = subparsers.add_parser("ratio", help="per-(annotator, theme) inconsistency ratios")
     _add_io(p, metadata=True)
-    p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--resamples", type=int, default=1000, help=_EXACT_BASELINE_ECHO)
+    p.add_argument("--seed", type=int, default=0, help=_EXACT_BASELINE_ECHO)
     p.add_argument("--min-support", type=int, default=5)
     p.add_argument("--exclude-theme-history", action="store_true")
     p.add_argument("--stats-output", help="write population statistics here")
     p.add_argument("--format", choices=("jsonl", "csv", "report"), default="jsonl")
     p.set_defaults(func=_cmd_ratio)
 
-    p = subparsers.add_parser("simulate", help="majority-flip bootstrap across annotator pools")
+    p = subparsers.add_parser("simulate", help="majority-flip stress test across annotator pools")
     _add_io(p, metadata=True)
     p.add_argument("--ratios", required=True, help="ratio records JSONL from a ratio run")
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=int, default=1000, help=_EXACT_MODAL_ECHO)
     p.add_argument("--sample-size", type=int, default=5)
     p.add_argument("--harm-threshold", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_EXACT_MODAL_ECHO)
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_simulate)
 

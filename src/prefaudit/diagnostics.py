@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSupportError
 from .pairing import PromptPair
-from .ratio import RatioConfig
+from .ratio import RatioConfig, exact_baseline
 from .records import (
     ORDER_TAG_AB,
     ORDER_TAG_BA,
@@ -191,16 +191,7 @@ def cross_item_consistency(
         )
     ratings = np.asarray([score_value(r) for r in mine], dtype=float)
     var_within = float(ratings.var(ddof=0))
-    from .ratio import random_baseline  # local import keeps module load cheap
-
-    baseline = random_baseline(
-        dataset,
-        annotator_id,
-        k=len(mine),
-        resamples=config.resamples,
-        seed=config.seed,
-        stream_key=f"cross|{annotator_id}|{value_dimension}",
-    )
+    baseline = exact_baseline(dataset, annotator_id, k=len(mine))
     ratio = 0.0 if baseline <= 0.0 else var_within / baseline
     return 1.0 / (1.0 + ratio), len(mine)
 

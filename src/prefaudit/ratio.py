@@ -1,4 +1,4 @@
-"""Per-(annotator, theme) inconsistency ratios against resampled baselines.
+"""Per-(annotator, theme) inconsistency ratios against random-grouping baselines.
 
 The ratio compares the variance of an annotator's ratings within one theme
 to the expected variance of an equally sized random grouping drawn from the
@@ -7,13 +7,19 @@ indistinguishable from a random grouping of that annotator's ratings; well
 below 1 means structured, stable judgments; well above 1 means pronounced
 instability.
 
+The baseline is computed exactly: a k-subset drawn without replacement from
+an N-rating history has expected population variance
+sigma_N^2 * (k - 1) / k * N / (N - 1) (finite-population sampling; Cochran,
+*Sampling Techniques*, 1977). ``random_baseline`` is the seeded Monte-Carlo
+estimator of the same quantity, kept as a reference.
+
 Variance convention: population (divide by n) in both the numerator and the
 baseline, so the convention cancels in the ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +33,8 @@ _RESAMPLE_CHUNK_CELLS = 50_000_000
 
 @dataclass(frozen=True)
 class RatioConfig:
+    # resamples and seed are echoed into each RatioRecord; the exact
+    # baseline draws nothing
     resamples: int = 1000
     seed: int = 0
     min_support: int = 5
@@ -36,6 +44,12 @@ class RatioConfig:
 
 @dataclass(frozen=True)
 class RatioRecord:
+    """One scored (annotator, theme) cell.
+
+    ``resamples_used`` and ``seed`` record the requested configuration;
+    the exact baseline makes no draws.
+    """
+
     annotator_id: str
     theme: str
     n_items: int
@@ -87,6 +101,51 @@ def within_theme_variance(
     return float(np.asarray(ratings).var(ddof=0)), len(ratings)
 
 
+def _baseline_history(
+    dataset: Dataset,
+    annotator_id: str,
+    k: int,
+    exclude_item_ids: Optional[set[str]],
+) -> np.ndarray:
+    records = dataset.by_annotator.get(annotator_id, [])
+    if exclude_item_ids:
+        records = [r for r in records if r.item_id not in exclude_item_ids]
+    history = np.asarray([score_value(r) for r in records], dtype=float)
+    if history.size < k:
+        raise InsufficientSupportError(
+            f"history of {history.size} ratings is smaller than group size {k}"
+        )
+    if k < 2:
+        raise ValueError("baseline needs group size k >= 2")
+    return history
+
+
+def exact_baseline(
+    dataset: Dataset,
+    annotator_id: str,
+    k: int,
+    exclude_item_ids: Optional[set[str]] = None,
+) -> float:
+    """Expected variance of k ratings grouped at random from the annotator's history.
+
+    The expectation over every k-subset drawn without replacement, in
+    closed form: sigma_N^2 * (k - 1) / k * N / (N - 1) for a history of N
+    ratings with population variance sigma_N^2. When k equals N the only
+    subset is the full history, whose variance is returned as is, so a
+    theme covering the whole history has ratio exactly 1. A constant
+    history gives exactly 0.
+    """
+    history = _baseline_history(dataset, annotator_id, k, exclude_item_ids)
+    if history.min() == history.max():
+        # numpy's var leaves rounding residue (~1e-29) on some constant arrays
+        return 0.0
+    n = history.size
+    variance = float(history.var(ddof=0))
+    if n == k:
+        return variance
+    return variance * (k - 1) / k * n / (n - 1)
+
+
 def random_baseline(
     dataset: Dataset,
     annotator_id: str,
@@ -101,18 +160,10 @@ def random_baseline(
     Sampling is without replacement (a random regrouping of existing
     ratings), averaged over ``resamples`` seeded draws. When k equals the
     history size every draw is the full history, so the exact variance is
-    returned without sampling.
+    returned without sampling. The seeded Monte-Carlo reference for
+    ``exact_baseline``.
     """
-    records = dataset.by_annotator.get(annotator_id, [])
-    if exclude_item_ids:
-        records = [r for r in records if r.item_id not in exclude_item_ids]
-    history = np.asarray([score_value(r) for r in records], dtype=float)
-    if history.size < k:
-        raise InsufficientSupportError(
-            f"history of {history.size} ratings is smaller than group size {k}"
-        )
-    if k < 2:
-        raise ValueError("baseline needs group size k >= 2")
+    history = _baseline_history(dataset, annotator_id, k, exclude_item_ids)
     if history.size == k:
         return float(history.var(ddof=0))
     rng = seeded_sampler(seed, stream_key or f"baseline|{annotator_id}")
@@ -135,20 +186,12 @@ def inconsistency_ratio(
     theme: str,
     config: RatioConfig = RatioConfig(),
 ) -> RatioRecord:
-    """Within-theme variance over the annotator's random-grouping baseline."""
+    """Within-theme variance over the annotator's exact random-grouping baseline."""
     var_within, n = within_theme_variance(dataset, annotator_id, theme, config.min_support)
     exclude = None
     if config.exclude_theme_from_history:
         exclude = {r.item_id for r in _theme_records(dataset, annotator_id, theme)}
-    baseline = random_baseline(
-        dataset,
-        annotator_id,
-        k=n,
-        resamples=config.resamples,
-        seed=config.seed,
-        stream_key=f"ratio|{annotator_id}|{theme}",
-        exclude_item_ids=exclude,
-    )
+    baseline = exact_baseline(dataset, annotator_id, k=n, exclude_item_ids=exclude)
     if baseline <= 0.0:
         # annotator rates everything identically; report 0 rather than NaN
         return RatioRecord(annotator_id, theme, n, var_within, baseline, 0.0,
@@ -257,7 +300,3 @@ def population_stats(ratios: Sequence[RatioRecord], dataset: Dataset) -> Populat
         n_low=len(low),
         n_high=len(high),
     )
-
-
-def with_seed(config: RatioConfig, seed: int) -> RatioConfig:
-    return replace(config, seed=seed)

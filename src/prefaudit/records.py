@@ -255,12 +255,22 @@ def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
     data["scale_kind"] = kind
     if kind != SCALE_BINARY:
         try:
+            if isinstance(data["score"], bool):  # float(True) would read 1.0
+                raise TypeError
             data["score"] = float(data["score"])
         except (TypeError, ValueError):
             raise DataFormatError(f"non-numeric score {data['score']!r}") from None
     for key in _INT_FIELDS:
-        if data.get(key) is not None:
-            data[key] = int(data[key])
+        value = data.get(key)
+        if value is None:
+            continue
+        try:
+            # int() would read True as 1 and truncate 3.7 to 3
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise TypeError
+            data[key] = int(value)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{key} must be an integer, got {value!r}") from None
     for key in _RECORD_FIELDS:
         if key not in data:
             data[key] = None
@@ -460,18 +470,6 @@ def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
             else:
                 obj.pop("theme_labels", None)
             out[obj["item_id"]] = ItemMetadata(**obj)
-    return out
-
-
-def metadata_to_obj(meta: ItemMetadata) -> dict:
-    out = {}
-    for name in _METADATA_FIELDS:
-        value = getattr(meta, name)
-        if name == "theme_labels":
-            if value:
-                out[name] = sorted(value)
-        elif value is not None:
-            out[name] = value
     return out
 
 

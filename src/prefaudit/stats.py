@@ -134,12 +134,6 @@ def sample_variance(values: Sequence[float]) -> float:
     return float(arr.var(ddof=1))
 
 
-def population_variance(values: Sequence[float]) -> float:
-    """Population variance (denominator n)."""
-    arr = _as_float_array(values, "values", 1)
-    return float(arr.var(ddof=0))
-
-
 def welch_t(sample_a: Sequence[float], sample_b: Sequence[float], pooled: bool = False) -> TestResult:
     """Two-sample t-test; Welch (unequal variances) by default.
 

@@ -2,10 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import dataset_of, rec
 from prefaudit.aggregation import (
+    _modal_label,
     majority_label,
     median_split_pools,
     pool_flip_simulation,
@@ -29,6 +31,20 @@ def test_majority_label_even_sizes():
     with pytest.raises(ValueError, match="even"):
         majority_label([80.0, 80.0, 10.0, 10.0])
     assert majority_label([80.0, 80.0, 10.0, 10.0], allow_even=True) is False  # tie resolves not-harmful
+
+
+# (6, 3, 3) is an exact tie: 10 of the 20 juries have a harmful majority,
+# which must resolve harmful
+@pytest.mark.parametrize(
+    "n, h, k",
+    [(6, 3, 3), (12, 7, 5), (12, 5, 5), (9, 4, 3), (9, 5, 3), (7, 0, 5), (7, 7, 7), (10, 5, 5), (11, 6, 9)],
+)
+def test_modal_label_matches_jury_enumeration(n, h, k):
+    # raters 0..h-1 sit exactly at the (inclusive) threshold, the rest below it
+    values = np.asarray([50.0] * h + [49.0] * (n - h))
+    juries = list(combinations(range(n), k))
+    harmful = sum(1 for jury in juries if sum(1 for m in jury if m < h) * 2 > k)
+    assert _modal_label(values, k, 50.0) is (harmful * 2 >= len(juries))
 
 
 def test_median_split_partitions():

@@ -167,6 +167,21 @@ def test_diagnose_with_routing_column(dataset_path, tmp_path):
     assert rows["u0"]["routing"] == "filter_downweight"
 
 
+def test_weights_accepts_routed_profiles(dataset_path, tmp_path):
+    results = {}
+    for name, extra in (("plain", []), ("routed", ["--route"])):
+        profiles = tmp_path / f"{name}.jsonl"
+        assert run(["diagnose", "--input", str(dataset_path), "--output", str(profiles), *extra]) == 0
+        weighted = tmp_path / f"{name}-weighted.jsonl"
+        code = run([
+            "weights", "--input", str(dataset_path), "--profiles", str(profiles),
+            "--output", str(weighted), "--summary-output", str(tmp_path / f"{name}-summary.json"),
+        ])
+        assert code == 0
+        results[name] = weighted.read_text()
+    assert results["routed"] == results["plain"]
+
+
 def test_classify_empty_flags_renders_headers(dataset_path, tmp_path):
     flags = tmp_path / "flags.jsonl"
     flags.write_text(json.dumps({"#config": {}}) + "\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from prefaudit.ratio import (
     RatioConfig,
     all_ratios,
     annotator_mean_ratios,
+    exact_baseline,
     inconsistency_ratio,
     interpret_ratio,
     population_stats,
@@ -49,11 +50,13 @@ def test_within_theme_variance_insufficient_support():
 
 
 def test_baseline_constant_history_degenerate_ratio_zero():
-    dataset = _theme_dataset([70.0] * 5, [70.0] * 7)
-    record = inconsistency_ratio(dataset, "a1", "harm", RatioConfig(resamples=50, seed=0))
-    assert record.baseline == 0.0
-    assert record.ratio == 0.0
-    assert record.degenerate
+    # np.var of seven 33.3s is ~5e-29, not 0
+    for value, n_extra in ((70.0, 7), (33.3, 2)):
+        dataset = _theme_dataset([value] * 5, [value] * n_extra)
+        record = inconsistency_ratio(dataset, "a1", "harm", RatioConfig(resamples=50, seed=0))
+        assert record.baseline == 0.0
+        assert record.ratio == 0.0
+        assert record.degenerate
 
 
 def test_baseline_equals_variance_when_theme_is_whole_history():
@@ -72,8 +75,10 @@ def test_baseline_matches_exhaustive_enumeration():
     exhaustive = float(
         np.mean([np.var(subset) for subset in combinations(values, k)])
     )
+    assert exhaustive == pytest.approx(738.393939, rel=1e-9)
     sampled = random_baseline(dataset, "a1", k=k, resamples=20_000, seed=9)
     assert sampled == pytest.approx(exhaustive, rel=0.01)
+    assert exact_baseline(dataset, "a1", k=k) == pytest.approx(exhaustive, rel=1e-12)
     # second oracle: closed form for sampling without replacement
     n = len(values)
     closed_form = (k - 1) / k * n / (n - 1) * float(np.var(values))
@@ -93,6 +98,10 @@ def test_baseline_history_smaller_than_k():
     dataset = _theme_dataset([1.0, 2.0, 3.0], [])
     with pytest.raises(InsufficientSupportError):
         random_baseline(dataset, "a1", k=5, resamples=10, seed=0)
+    with pytest.raises(InsufficientSupportError):
+        exact_baseline(dataset, "a1", k=5)
+    with pytest.raises(ValueError, match="k >= 2"):
+        exact_baseline(dataset, "a1", k=1)
 
 
 def test_ratio_shift_and_scale_invariance():
@@ -137,6 +146,13 @@ def test_exclude_theme_from_history_option():
     record = inconsistency_ratio(_theme_dataset(theme_values, extra), "a1", "harm", config)
     # the remaining history is constant, so the baseline degenerates
     assert record.degenerate and record.ratio == 0.0
+
+    extra = [3.0, 10.0, 22.0, 35.0, 41.0, 58.0, 67.0, 80.0, 95.0]
+    record = inconsistency_ratio(_theme_dataset(theme_values, extra), "a1", "harm", config)
+    # oracle: enumerate every 5-subset of the reduced (theme-free) history
+    exhaustive = float(np.mean([np.var(subset) for subset in combinations(extra, 5)]))
+    assert record.baseline == pytest.approx(exhaustive, rel=1e-12)
+    assert record.ratio == pytest.approx(2400.0 / exhaustive, rel=1e-12)
 
 
 def _population_dataset(per_annotator):

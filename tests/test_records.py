@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import dataset_of, rec
+from prefaudit.cli import run
 from prefaudit.errors import DataFormatError
 from prefaudit.records import (
     Dataset,
@@ -61,6 +62,27 @@ def test_strict_mode_aborts_on_malformed_row(tmp_path):
     _write_jsonl(path, [_row(0), _row(1, score=150.0)])
     with pytest.raises(DataFormatError, match="line 2"):
         load_records(path, strict=True)
+
+
+@pytest.mark.parametrize(
+    "over, reason",
+    [
+        ({"timestamp": "abc"}, "timestamp must be an integer"),
+        ({"timestamp": 3.7}, "timestamp must be an integer"),
+        ({"position_index": True}, "position_index must be an integer"),
+        ({"score": True}, "non-numeric score"),
+    ],
+)
+def test_mistyped_field_rejects_the_row(tmp_path, over, reason):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(0, timestamp=3.0), _row(1, **over)])
+    dataset = load_records(path)
+    assert [r.timestamp for r in dataset.records] == [3]
+    assert [(r.line_no, reason in r.reason) for r in dataset.rejected] == [(2, True)]
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_records(path, strict=True)
+    assert run(["validate", "--input", str(path), "--output", str(tmp_path / "v.json")]) == 0
+    assert run(["validate", "--input", str(path), "--strict", "--output", str(tmp_path / "v.json")]) == 2
 
 
 def test_zero_valid_rows_is_an_error(tmp_path):
