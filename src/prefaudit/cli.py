@@ -6,7 +6,7 @@ Every output artifact embeds the effective run configuration in its header,
 and every seeded run is byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 data validation failure, 3 runtime
-failure.
+failure (any other exception a subcommand raises, reported on one line).
 """
 
 from __future__ import annotations
@@ -749,6 +749,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an unreadable --config file
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
     if not getattr(args, "cmd", None):
         parser.print_usage(sys.stderr)
         return 1
@@ -762,6 +765,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2
     except (PrefauditError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # Any other failure is a defect; its traceback goes to the log only.
+        # Imported here because loading logging costs every run about 0.4 MB.
+        import logging
+
+        logging.getLogger("prefaudit").debug("uncaught exception in %s", args.cmd, exc_info=True)
+        print(f"runtime error: {exc!r}", file=sys.stderr)
         return 3
 
 

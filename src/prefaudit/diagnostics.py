@@ -180,9 +180,7 @@ def cross_item_consistency(
     constant ratings give 1.0, ratings indistinguishable from the
     annotator's own random grouping give ~0.5.
     """
-    dim_items = {
-        iid for iid, meta in dataset.metadata.items() if meta.value_dimension == value_dimension
-    }
+    dim_items = dataset.items_by_value_dimension.get(value_dimension, frozenset())
     mine = [r for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in dim_items]
     if len(mine) < config.min_support:
         raise InsufficientSupportError(

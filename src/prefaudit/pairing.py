@@ -179,8 +179,10 @@ def _make_pair(a: str, b: str, sim: float) -> PromptPair:
 
 def repeat_pairs(dataset: Dataset) -> list[PromptPair]:
     """Self-pairs for every item some annotator rated at least twice."""
-    items = sorted({iid for (_, iid, _), _ in dataset.repeat_groups.items()})
-    return [PromptPair(f"{iid}|{iid}", iid, iid, 1.0, "identical") for iid in items]
+    return [
+        PromptPair(f"{iid}|{iid}", iid, iid, 1.0, "identical")
+        for iid in sorted(dataset.repeat_groups_by_item)
+    ]
 
 
 def flag_inconsistencies(

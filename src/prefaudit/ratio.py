@@ -74,9 +74,7 @@ def interpret_ratio(ratio: float, low: float = 0.75, high: float = 1.25) -> str:
 
 
 def _theme_records(dataset: Dataset, annotator_id: str, theme: str):
-    themed_items = {
-        iid for iid, meta in dataset.metadata.items() if theme in meta.theme_labels
-    }
+    themed_items = dataset.items_by_theme.get(theme, frozenset())
     return [r for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in themed_items]
 
 
@@ -201,10 +199,7 @@ def inconsistency_ratio(
 
 
 def dataset_themes(dataset: Dataset) -> list[str]:
-    themes: set[str] = set()
-    for meta in dataset.metadata.values():
-        themes.update(meta.theme_labels)
-    return sorted(themes)
+    return sorted(dataset.items_by_theme)
 
 
 def all_ratios(dataset: Dataset, config: RatioConfig = RatioConfig()) -> list[RatioRecord]:

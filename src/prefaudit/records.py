@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -42,7 +43,7 @@ ORDER_TAG_BA = "order:BA"
 Score = Union[float, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     """One (annotator, item, condition, score) observation."""
 
@@ -75,7 +76,7 @@ def _check_score(score: Score, scale_kind: str) -> None:
         return
     if isinstance(score, str):
         raise DataFormatError(f"{scale_kind} score must be numeric, got {score!r}")
-    if not np.isfinite(score):
+    if not math.isfinite(score):
         raise DataFormatError(f"score must be finite, got {score!r}")
     lo, hi = (0.0, 100.0) if scale_kind == SCALE_CONTINUOUS else (1.0, 5.0)
     if not lo <= float(score) <= hi:
@@ -173,12 +174,15 @@ class RejectedRow:
     raw: str
 
 
+RepeatKey = tuple[str, str, Optional[str]]
+
+
 @dataclass(eq=False)
 class Dataset:
     """Immutable-by-convention bundle of records, embeddings, and metadata.
 
-    Indexes are computed lazily and cached; do not mutate ``records`` after
-    construction.
+    Indexes are computed lazily and cached; do not mutate ``records`` or
+    ``metadata`` after construction.
     """
 
     records: list[AnnotationRecord]
@@ -213,12 +217,38 @@ class Dataset:
         return [r for r in self.by_annotator.get(annotator_id, []) if r.item_id == item_id]
 
     @cached_property
-    def repeat_groups(self) -> dict[tuple[str, str, Optional[str]], list[AnnotationRecord]]:
+    def repeat_groups(self) -> dict[RepeatKey, list[AnnotationRecord]]:
         """(annotator, item, framing) groups holding two or more ratings."""
-        groups: dict[tuple[str, str, Optional[str]], list[AnnotationRecord]] = {}
+        groups: dict[RepeatKey, list[AnnotationRecord]] = {}
         for rec in self.records:
             groups.setdefault((rec.annotator_id, rec.item_id, rec.framing_id), []).append(rec)
         return {key: recs for key, recs in groups.items() if len(recs) >= 2}
+
+    @cached_property
+    def repeat_groups_by_item(self) -> dict[str, dict[RepeatKey, list[AnnotationRecord]]]:
+        """``repeat_groups`` split by item, each in ``repeat_groups`` order."""
+        out: dict[str, dict[RepeatKey, list[AnnotationRecord]]] = {}
+        for key, recs in self.repeat_groups.items():
+            out.setdefault(key[1], {})[key] = recs
+        return out
+
+    @cached_property
+    def items_by_theme(self) -> dict[str, frozenset[str]]:
+        """Theme label -> ids of the items whose metadata carries it."""
+        out: dict[str, set[str]] = {}
+        for item_id, meta in self.metadata.items():
+            for theme in meta.theme_labels:
+                out.setdefault(theme, set()).add(item_id)
+        return {theme: frozenset(items) for theme, items in out.items()}
+
+    @cached_property
+    def items_by_value_dimension(self) -> dict[str, frozenset[str]]:
+        """Value dimension -> ids of the items whose metadata names it."""
+        out: dict[str, set[str]] = {}
+        for item_id, meta in self.metadata.items():
+            if meta.value_dimension is not None:
+                out.setdefault(meta.value_dimension, set()).add(item_id)
+        return {dim: frozenset(items) for dim, items in out.items()}
 
     def item_text(self, item_id: str, attr: str) -> Optional[str]:
         recs = self.by_item.get(item_id)
@@ -228,7 +258,13 @@ class Dataset:
 
 
 _RECORD_FIELDS = [f.name for f in fields(AnnotationRecord)]
-_INT_FIELDS = {"timestamp", "position_index"}
+_RECORD_FIELD_SET = frozenset(_RECORD_FIELDS)
+_REQUIRED_FIELDS = ("record_id", "annotator_id", "item_id", "prompt_text", "score")
+_STR_FIELDS = (
+    "record_id", "annotator_id", "item_id", "prompt_text",
+    "response_text", "model_id", "session_id", "framing_id", "condition_tag",
+)
+_INT_FIELDS = ("timestamp", "position_index")
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -242,39 +278,41 @@ def record_to_obj(record: AnnotationRecord) -> dict:
 
 
 def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
-    data = dict(obj)
-    unknown = set(data) - set(_RECORD_FIELDS)
-    if unknown:
-        raise DataFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("record_id", "annotator_id", "item_id", "prompt_text", "score"):
-        if key not in data or data[key] is None:
+    """Validate one decoded row and build its record; ``obj`` is left as given."""
+    if not obj.keys() <= _RECORD_FIELD_SET:
+        raise DataFormatError(f"unknown fields: {sorted(obj.keys() - _RECORD_FIELD_SET)}")
+    for key in _REQUIRED_FIELDS:
+        if obj.get(key) is None:
             raise DataFormatError(f"missing required field {key!r}")
-    kind = data.get("scale_kind") or scale_kind
+    for key in _STR_FIELDS:
+        value = obj.get(key)
+        # ids are sorted and joined as strings downstream
+        if value is not None and not isinstance(value, str):
+            raise DataFormatError(f"{key} must be a string, got {value!r}")
+    kind = obj.get("scale_kind") or scale_kind
     if kind is None:
         raise DataFormatError("record carries no scale_kind and no dataset-level default given")
-    data["scale_kind"] = kind
+    normalised = {"scale_kind": kind}
     if kind != SCALE_BINARY:
+        score = obj["score"]
         try:
-            if isinstance(data["score"], bool):  # float(True) would read 1.0
+            if isinstance(score, bool):  # float(True) would read 1.0
                 raise TypeError
-            data["score"] = float(data["score"])
+            normalised["score"] = float(score)
         except (TypeError, ValueError):
-            raise DataFormatError(f"non-numeric score {data['score']!r}") from None
+            raise DataFormatError(f"non-numeric score {score!r}") from None
     for key in _INT_FIELDS:
-        value = data.get(key)
+        value = obj.get(key)
         if value is None:
             continue
         try:
             # int() would read True as 1 and truncate 3.7 to 3
             if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
                 raise TypeError
-            data[key] = int(value)
+            normalised[key] = int(value)
         except (TypeError, ValueError):
             raise DataFormatError(f"{key} must be an integer, got {value!r}") from None
-    for key in _RECORD_FIELDS:
-        if key not in data:
-            data[key] = None
-    return AnnotationRecord(**{k: data[k] for k in _RECORD_FIELDS})
+    return AnnotationRecord(**{**obj, **normalised})
 
 
 def _csv_cell_to_value(name: str, cell: str):
@@ -360,6 +398,8 @@ def load_records(
                 raise DataFormatError(f"unknown CSV columns: {sorted(unknown)}")
             for line_no, row in enumerate(reader, start=2):
                 try:
+                    if None in row:  # DictReader files surplus cells under the key None
+                        raise ValueError(f"row has {len(row[None])} more cells than the header")
                     obj = {k: _csv_cell_to_value(k, v) for k, v in row.items() if v is not None}
                 except ValueError as exc:
                     if strict:
@@ -445,7 +485,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable.from_rows(rows)
 
 
-_METADATA_FIELDS = [f.name for f in fields(ItemMetadata)]
+_METADATA_FIELD_SET = frozenset(f.name for f in fields(ItemMetadata))
 
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
@@ -460,15 +500,26 @@ def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            unknown = set(obj) - set(_METADATA_FIELDS)
-            if unknown:
-                raise DataFormatError(f"line {line_no}: unknown fields {sorted(unknown)}")
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"line {line_no}: row is not an object")
+            if not obj.keys() <= _METADATA_FIELD_SET:
+                unknown = sorted(obj.keys() - _METADATA_FIELD_SET)
+                raise DataFormatError(f"line {line_no}: unknown fields {unknown}")
             if "item_id" not in obj:
                 raise DataFormatError(f"line {line_no}: missing item_id")
-            if "theme_labels" in obj and obj["theme_labels"] is not None:
-                obj["theme_labels"] = frozenset(obj["theme_labels"])
-            else:
-                obj.pop("theme_labels", None)
+            labels = obj.pop("theme_labels", None)
+            if labels is not None:
+                # a bare string would become one theme per character
+                if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+                    raise DataFormatError(
+                        f"line {line_no}: theme_labels must be a list of strings, got {labels!r}"
+                    )
+                obj["theme_labels"] = frozenset(labels)
+            dimension = obj.get("value_dimension")
+            if dimension is not None and not isinstance(dimension, str):
+                raise DataFormatError(
+                    f"line {line_no}: value_dimension must be a string, got {dimension!r}"
+                )
             out[obj["item_id"]] = ItemMetadata(**obj)
     return out
 

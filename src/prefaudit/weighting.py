@@ -27,9 +27,7 @@ EXPORT_POLICIES = ("weight", "filter", "both")
 
 def _repeat_pair_deltas_by_annotator(dataset: Dataset, item_id: str) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
-    for (annotator, item, _framing), recs in dataset.repeat_groups.items():
-        if item != item_id:
-            continue
+    for (annotator, _item, _framing), recs in dataset.repeat_groups_by_item.get(item_id, {}).items():
         deltas = [
             abs(score_value(recs[i]) - score_value(recs[j]))
             for i in range(len(recs))
@@ -53,13 +51,10 @@ def item_reliability(dataset: Dataset, item_id: str, tau: Optional[float] = None
 
 def item_reliability_table(dataset: Dataset, tau: Optional[float] = None) -> dict[str, float]:
     """Item reliability for every item with at least one repeat; others are excluded."""
-    out = {}
-    for item_id in dataset.item_ids:
-        try:
-            out[item_id] = item_reliability(dataset, item_id, tau)
-        except InsufficientSupportError:
-            continue
-    return out
+    return {
+        item_id: item_reliability(dataset, item_id, tau)
+        for item_id in sorted(dataset.repeat_groups_by_item)
+    }
 
 
 @dataclass

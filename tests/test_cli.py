@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from prefaudit.cli import run
+from prefaudit.cli import load_profiles, run
+from prefaudit.errors import DataFormatError
+from prefaudit.records import load_metadata, load_records
 
 
 def _write_jsonl(path, rows):
@@ -96,6 +98,60 @@ def test_no_subcommand_usage_error():
 
 def test_missing_file_runtime_error(tmp_path):
     assert run(["validate", "--input", str(tmp_path / "absent.jsonl")]) == 3
+
+
+def test_missing_config_file_runtime_error(tmp_path, capsys):
+    assert run(["validate", "--config", str(tmp_path / "absent.cfg"), "--input", "x.jsonl"]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+def test_unexpected_exception_is_a_one_line_runtime_error(dataset_path, monkeypatch, capsys, caplog):
+    def broken(args):
+        raise KeyError("annotator_id")
+
+    monkeypatch.setattr("prefaudit.cli._cmd_validate", broken)
+    caplog.set_level("DEBUG", logger="prefaudit")
+    assert run(["validate", "--input", str(dataset_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: KeyError('annotator_id')\n"
+    assert [r.exc_info[0] for r in caplog.records] == [KeyError]  # the traceback is logged
+
+
+def test_non_string_ids_rejected_at_load(tmp_path):
+    rows = [
+        {"record_id": f"r{i}", "annotator_id": 7 if i % 2 else "a1", "item_id": f"i{i // 2}",
+         "prompt_text": "p", "score": 10.0 * i, "scale_kind": "continuous_0_100"}
+        for i in range(6)
+    ]
+    path = tmp_path / "ids.jsonl"
+    _write_jsonl(path, rows)
+    dataset = load_records(path)
+    assert [r.line_no for r in dataset.rejected] == [2, 4, 6]
+    assert all("annotator_id must be a string" in r.reason for r in dataset.rejected)
+    out = tmp_path / "profiles.jsonl"
+    assert run(["diagnose", "--input", str(path), "--output", str(out)]) == 0
+    assert list(load_profiles(out)) == ["a1"]
+    assert run(["diagnose", "--input", str(path), "--strict", "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("theme_labels", "harm", "theme_labels must be a list of strings"),
+        ("theme_labels", ["harm", 3], "theme_labels must be a list of strings"),
+        ("value_dimension", 3, "value_dimension must be a string"),
+    ],
+)
+def test_mistyped_metadata_is_a_data_error(dataset_path, tmp_path, capsys, field, value, reason):
+    meta = tmp_path / "meta.jsonl"
+    _write_jsonl(meta, [{"item_id": "i1", "theme_labels": ["harm"], "value_dimension": "care"},
+                        {"item_id": "i2", field: value}])
+    with pytest.raises(DataFormatError, match=f"line 2: {reason}"):
+        load_metadata(meta)
+    code = run(["ratio", "--input", str(dataset_path), "--metadata", str(meta),
+                "--output", str(tmp_path / "ratios.jsonl")])
+    assert code == 2
+    assert f"line 2: {reason}" in capsys.readouterr().err
 
 
 def test_invalid_data_exit_code(tmp_path):

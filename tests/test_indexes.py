@@ -1,0 +1,111 @@
+"""Dataset indexes and the consumers that read them, against brute-force scans."""
+
+import numpy as np
+import pytest
+
+from prefaudit.diagnostics import cross_item_consistency
+from prefaudit.errors import InsufficientSupportError
+from prefaudit.planner import plan_tier
+from prefaudit.ratio import RatioConfig, dataset_themes, exact_baseline, theme_ratings
+from prefaudit.records import Dataset, ItemMetadata, default_tau, score_value
+from prefaudit.synth import generate
+from prefaudit.weighting import item_reliability, item_reliability_table
+
+THEMES = ("harm", "honesty", "privacy", "fairness", "unused")
+DIMENSIONS = ("justice", "care", "liberty")
+
+
+@pytest.fixture(scope="module")
+def corpus() -> Dataset:
+    """A synth corpus with seeded themes and value dimensions on most items."""
+    plan = plan_tier(1, 80 * 8, 8, 0.0, repeat_rate=4 / 80, min_repeats=4)
+    dataset = generate(2, plan.n_items, plan, seed=17, n_framing_pairs=6, n_anchors=6).dataset
+    rng = np.random.default_rng(17)
+    metadata = {}
+    for item_id in dataset.item_ids:
+        if rng.random() < 0.1:
+            continue  # some items carry no metadata at all
+        themes = rng.choice(THEMES[:-1], size=rng.integers(0, 3), replace=False)
+        dim = rng.integers(0, len(DIMENSIONS) + 1)
+        metadata[item_id] = ItemMetadata(
+            item_id=item_id,
+            theme_labels=frozenset(str(t) for t in themes),
+            value_dimension=DIMENSIONS[dim] if dim < len(DIMENSIONS) else None,
+        )
+    return Dataset(records=dataset.records, scale_kind=dataset.scale_kind, metadata=metadata)
+
+
+def test_theme_and_dimension_indexes_match_metadata(corpus):
+    for theme in THEMES:
+        expected = {iid for iid, meta in corpus.metadata.items() if theme in meta.theme_labels}
+        assert corpus.items_by_theme.get(theme, frozenset()) == expected
+    for dim in DIMENSIONS:
+        expected = {iid for iid, meta in corpus.metadata.items() if meta.value_dimension == dim}
+        assert corpus.items_by_value_dimension[dim] == expected
+    assert dataset_themes(corpus) == sorted(THEMES[:-1])
+
+
+def test_repeat_groups_by_item_keeps_repeat_group_order(corpus):
+    for item_id, groups in corpus.repeat_groups_by_item.items():
+        assert list(groups) == [key for key in corpus.repeat_groups if key[1] == item_id]
+        assert all(groups[key] is corpus.repeat_groups[key] for key in groups)
+    assert sum(map(len, corpus.repeat_groups_by_item.values())) == len(corpus.repeat_groups)
+
+
+def test_theme_ratings_match_a_metadata_scan(corpus):
+    for annotator_id in corpus.annotator_ids:
+        for theme in THEMES:
+            expected = [
+                score_value(r)
+                for r in corpus.by_annotator[annotator_id]
+                if r.item_id in corpus.metadata and theme in corpus.metadata[r.item_id].theme_labels
+            ]
+            assert theme_ratings(corpus, annotator_id, theme) == expected
+
+
+def test_cross_item_consistency_matches_a_metadata_scan(corpus):
+    config = RatioConfig()
+    scored = 0
+    for annotator_id in corpus.annotator_ids:
+        for dim in DIMENSIONS:
+            ratings = [
+                score_value(r)
+                for r in corpus.by_annotator[annotator_id]
+                if r.item_id in corpus.metadata and corpus.metadata[r.item_id].value_dimension == dim
+            ]
+            if len(ratings) < config.min_support:
+                with pytest.raises(InsufficientSupportError):
+                    cross_item_consistency(corpus, annotator_id, dim, config)
+                continue
+            baseline = exact_baseline(corpus, annotator_id, k=len(ratings))
+            ratio = 0.0 if baseline <= 0.0 else float(np.var(ratings)) / baseline
+            assert cross_item_consistency(corpus, annotator_id, dim, config) == (
+                1.0 / (1.0 + ratio), len(ratings)
+            )
+            scored += 1
+    assert scored > 0
+
+
+def test_item_reliability_table_matches_a_repeat_group_scan(corpus):
+    tau = default_tau(corpus.scale_kind)
+    expected = {}
+    for item_id in corpus.item_ids:
+        per_annotator = {}
+        for (annotator_id, item, _framing), recs in corpus.repeat_groups.items():
+            if item != item_id:
+                continue
+            per_annotator.setdefault(annotator_id, []).extend(
+                abs(score_value(recs[i]) - score_value(recs[j]))
+                for i in range(len(recs))
+                for j in range(i + 1, len(recs))
+            )
+        if per_annotator:
+            expected[item_id] = float(np.mean(
+                [sum(d <= tau for d in deltas) / len(deltas) for deltas in per_annotator.values()]
+            ))
+    table = item_reliability_table(corpus)
+    assert table == expected
+    assert table == {item_id: item_reliability(corpus, item_id) for item_id in expected}
+    unrepeated = next(iid for iid in corpus.item_ids if iid not in expected)
+    with pytest.raises(InsufficientSupportError):
+        item_reliability(corpus, unrepeated)

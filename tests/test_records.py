@@ -1,6 +1,8 @@
 """Ingest: loaders, validation report, round-trip, conservation."""
 
 import json
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import dataset_of, rec
 from prefaudit.cli import run
 from prefaudit.errors import DataFormatError
 from prefaudit.records import (
+    AnnotationRecord,
     Dataset,
     EmbeddingTable,
     common_scale_score,
@@ -64,6 +67,9 @@ def test_strict_mode_aborts_on_malformed_row(tmp_path):
         load_records(path, strict=True)
 
 
+_DROP = object()  # an ``over`` value that removes the field from the row
+
+
 @pytest.mark.parametrize(
     "over, reason",
     [
@@ -71,16 +77,31 @@ def test_strict_mode_aborts_on_malformed_row(tmp_path):
         ({"timestamp": 3.7}, "timestamp must be an integer"),
         ({"position_index": True}, "position_index must be an integer"),
         ({"score": True}, "non-numeric score"),
+        ({"weight": 0.5}, "unknown fields: ['weight']"),
+        ({"annotator_id": None}, "missing required field 'annotator_id'"),
+        ({"scale_kind": _DROP}, "no scale_kind and no dataset-level default"),
+        ({"score": float("nan")}, "score must be finite, got nan"),
+        ({"score": float("inf")}, "score must be finite, got inf"),
+        ({"position_index": -1}, "position_index must be >= 0, got -1"),
+        ({"annotator_id": 7}, "annotator_id must be a string, got 7"),
+        ({"session_id": ["s1"]}, "session_id must be a string, got ['s1']"),
     ],
 )
 def test_mistyped_field_rejects_the_row(tmp_path, over, reason):
     path = tmp_path / "d.jsonl"
-    _write_jsonl(path, [_row(0, timestamp=3.0), _row(1, **over)])
+    good = _row(0, timestamp=3.0)
+    bad = {k: v for k, v in _row(1, **over).items() if v is not _DROP}
+    # a row without scale_kind takes the dataset's from an earlier valid row,
+    # so it can only fail ahead of one
+    rows, line_no = ([good, bad], 2) if "scale_kind" in bad else ([bad, good], 1)
+    _write_jsonl(path, rows)
     dataset = load_records(path)
     assert [r.timestamp for r in dataset.records] == [3]
-    assert [(r.line_no, reason in r.reason) for r in dataset.rejected] == [(2, True)]
-    with pytest.raises(DataFormatError, match="line 2"):
+    assert [(r.line_no, reason in r.reason) for r in dataset.rejected] == [(line_no, True)]
+    assert dataset.rejected[0].raw == json.dumps(bad, sort_keys=True)  # the row as given
+    with pytest.raises(DataFormatError, match=f"line {line_no}") as excinfo:
         load_records(path, strict=True)
+    assert reason in str(excinfo.value)
     assert run(["validate", "--input", str(path), "--output", str(tmp_path / "v.json")]) == 0
     assert run(["validate", "--input", str(path), "--strict", "--output", str(tmp_path / "v.json")]) == 2
 
@@ -121,6 +142,17 @@ def test_csv_round_trip_value_identical(tmp_path):
             assert load_records(out2, fmt=fmt).records == loaded.records
 
 
+def test_csv_row_with_surplus_cells_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    header = "record_id,annotator_id,item_id,prompt_text,score,scale_kind"
+    path.write_text(f"{header}\nr1,a1,i1,p,50,continuous_0_100\nr2,a1,i2,p,50,continuous_0_100,x\n")
+    dataset = load_records(path, fmt="csv")
+    assert [r.record_id for r in dataset.records] == ["r1"]
+    assert [(r.line_no, r.reason) for r in dataset.rejected] == [(3, "row has 1 more cells than the header")]
+    with pytest.raises(DataFormatError, match="line 3: row has 1 more cells"):
+        load_records(path, fmt="csv", strict=True)
+
+
 def test_binary_and_likert_score_validation():
     with pytest.raises(DataFormatError):
         rec("a", "i", "C", scale="binary_pair")
@@ -138,6 +170,21 @@ def test_mixed_scale_rows_rejected(tmp_path):
     dataset = load_records(path)
     assert len(dataset.records) == 1
     assert "scale" in dataset.rejected[0].reason
+
+
+def test_annotation_record_is_a_slotted_frozen_value():
+    record = rec("a1", "i1", 50.0, session="s1", timestamp=4)
+    with pytest.raises(FrozenInstanceError):
+        record.score = 60.0
+    twin = AnnotationRecord(**{f.name: getattr(record, f.name) for f in fields(record)})
+    assert twin == record and hash(twin) == hash(record) and len({record, twin}) == 1
+    assert pickle.loads(pickle.dumps(record)) == record
+    moved = replace(record, score=60.0)
+    assert (moved.score, record.score, moved.session_id) == (60.0, 50.0, "s1")
+    with pytest.raises(DataFormatError):
+        replace(record, score=500.0)
+    # a per-instance __dict__ adds about 100 bytes to every loaded record (CPython 3.11)
+    assert not hasattr(record, "__dict__")
 
 
 def test_common_scale_and_default_tau():
@@ -274,6 +321,14 @@ def test_load_metadata(tmp_path):
     assert metadata["i1"].content_type == "A1_generic"
     assert metadata["i1"].theme_labels == frozenset({"x", "y"})
     assert metadata["i2"].plausible_pref == "E3_plausible"
+
+
+@pytest.mark.parametrize("line", ['["i1", "i2"]', '"i1"', "7"])
+def test_load_metadata_rejects_a_non_object_line(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"item_id": "i0"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 2: row is not an object"):
+        load_metadata(path)
 
 
 def test_metadata_rejects_unknown_codes():
