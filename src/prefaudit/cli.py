@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -48,6 +49,10 @@ def _write_jsonl(path: str, config: dict, rows: list[dict]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_report(path: str, config: dict, text: str) -> None:
+    _write_text(path, "# config: " + _dump(config) + "\n" + text)
+
+
 def _write_json(path: str, config: dict, result) -> None:
     _write_text(path, _dump({"config": config, "result": result}) + "\n")
 
@@ -77,6 +82,21 @@ def _render_table(title: str, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
+    """``build`` each row of a CLI artifact; a bad row is a data error naming its line."""
+    out = []
+    try:
+        for line_no, obj in records.iter_jsonl(path):
+            try:
+                out.append(build(obj))
+            except (DataFormatError, KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise DataFormatError(f"line {line_no}: {reason}") from exc
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return out
+
+
 def _load_dataset(args: argparse.Namespace) -> records.Dataset:
     embeddings = records.load_embeddings(args.embeddings) if getattr(args, "embeddings", None) else None
     metadata = records.load_metadata(args.metadata) if getattr(args, "metadata", None) else None
@@ -100,7 +120,7 @@ def _cmd_validate(args) -> int:
         text = _render_table("Dataset validation", ["field", "value"], rows)
         for warning in report.warnings:
             text += f"warning: {warning}\n"
-        _write_text(args.output, "# config: " + _dump(config) + "\n" + text)
+        _write_report(args.output, config, text)
     else:
         _write_json(args.output, config, report.as_dict())
     return 0
@@ -108,95 +128,52 @@ def _cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- pairs
 
-def _pair_row(pair: pairing.PromptPair) -> dict:
-    return {
-        "pair_id": pair.pair_id,
-        "item_a": pair.item_a,
-        "item_b": pair.item_b,
-        "similarity": pair.similarity,
-        "kind": pair.kind,
-        "expected_direction": pair.expected_direction,
-        "rationale_tag": pair.rationale_tag,
-    }
+_PAIR_FIELDS = frozenset(f.name for f in fields(pairing.PromptPair))
+
+
+def _pair_from_row(obj: dict) -> pairing.PromptPair:
+    """Analyst-coded files may leave out pair_id, similarity and kind."""
+    if not obj.keys() <= _PAIR_FIELDS:
+        raise DataFormatError(f"unknown fields {sorted(obj.keys() - _PAIR_FIELDS)}")
+    return pairing.PromptPair(
+        pair_id=obj.get("pair_id") or f"{obj['item_a']}|{obj['item_b']}",
+        item_a=obj["item_a"],
+        item_b=obj["item_b"],
+        similarity=float(obj.get("similarity", 1.0)),
+        kind=obj.get("kind", "equivalent"),
+        expected_direction=obj.get("expected_direction"),
+        rationale_tag=obj.get("rationale_tag"),
+    )
 
 
 def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
-    pairs = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "#config" in obj:
-                continue
-            pairs.append(
-                pairing.PromptPair(
-                    pair_id=obj.get("pair_id") or f"{obj['item_a']}|{obj['item_b']}",
-                    item_a=obj["item_a"],
-                    item_b=obj["item_b"],
-                    similarity=float(obj.get("similarity", 1.0)),
-                    kind=obj.get("kind", "equivalent"),
-                    expected_direction=obj.get("expected_direction"),
-                    rationale_tag=obj.get("rationale_tag"),
-                )
-            )
-    return pairs
+    return _read_jsonl(path, _pair_from_row)
 
 
 def _cmd_pairs(args) -> int:
     dataset = _load_dataset(args)
     pairs = pairing.find_similar_pairs(dataset, args.sim_threshold, args.same_annotator)
-    _write_jsonl(args.output, _config_echo(args), [_pair_row(p) for p in pairs])
+    _write_jsonl(args.output, _config_echo(args), [vars(p) for p in pairs])
     return 0
 
 
 # ---------------------------------------------------------------- repeats
 
 def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
-    row = _pair_row(flag.pair)
-    row.update(
-        {
-            "annotator_id": flag.annotator_id,
-            "score_a": flag.score_a,
-            "score_b": flag.score_b,
-            "delta": flag.delta,
-            "threshold_used": flag.threshold_used,
-        }
-    )
+    row = {**vars(flag), **vars(flag.pair)}
+    del row["pair"]
     return row
 
 
+def _flag_from_row(obj: dict) -> pairing.InconsistencyFlag:
+    # the flag's own fields leave the row first, so the pair sees only its own
+    annotator_id = obj.pop("annotator_id")
+    values = [float(obj.pop(name)) for name in ("score_a", "score_b", "delta", "threshold_used")]
+    return pairing.InconsistencyFlag(annotator_id, _pair_from_row(obj), *values)
+
+
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
-    flags = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "#config" in obj:
-                continue
-            pair = pairing.PromptPair(
-                pair_id=obj.get("pair_id") or f"{obj['item_a']}|{obj['item_b']}",
-                item_a=obj["item_a"],
-                item_b=obj["item_b"],
-                similarity=float(obj.get("similarity", 1.0)),
-                kind=obj.get("kind", "equivalent"),
-                expected_direction=obj.get("expected_direction"),
-                rationale_tag=obj.get("rationale_tag"),
-            )
-            flags.append(
-                pairing.InconsistencyFlag(
-                    annotator_id=obj["annotator_id"],
-                    pair=pair,
-                    score_a=float(obj["score_a"]),
-                    score_b=float(obj["score_b"]),
-                    delta=float(obj["delta"]),
-                    threshold_used=float(obj["threshold_used"]),
-                )
-            )
-    return flags
+    return _read_jsonl(path, _flag_from_row)
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:
@@ -224,7 +201,7 @@ def _cmd_repeats(args) -> int:
     if args.flags_output:
         _write_jsonl(args.flags_output, config, [_flag_row(f) for f in flags])
     if args.format == "report":
-        _write_text(args.output, "# config: " + _dump(config) + "\n" + render_prevalence(summary) + render_ladder(ladder))
+        _write_report(args.output, config, render_prevalence(summary) + render_ladder(ladder))
     else:
         _write_json(args.output, config, {"summary": summary.as_dict(), "ladder": ladder.as_dict()})
     return 0
@@ -232,23 +209,13 @@ def _cmd_repeats(args) -> int:
 
 # ---------------------------------------------------------------- diagnose
 
-def _profile_row(profile: diagnostics.ConsistencyProfile) -> dict:
-    return profile.as_dict()
+def _profile_from_row(obj: dict) -> diagnostics.ConsistencyProfile:
+    obj.pop("routing", None)  # derived by diagnose --route, not a profile field
+    return diagnostics.ConsistencyProfile(**obj)
 
 
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
-    out = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "#config" in obj:
-                continue
-            obj.pop("routing", None)  # derived by diagnose --route, not a profile field
-            out[obj["annotator_id"]] = diagnostics.ConsistencyProfile(**obj)
-    return out
+    return {p.annotator_id: p for p in _read_jsonl(path, _profile_from_row)}
 
 
 def _cmd_diagnose(args) -> int:
@@ -263,7 +230,7 @@ def _cmd_diagnose(args) -> int:
         reliability_mode=args.reliability_mode,
         weights=weights,
     )
-    rows = [_profile_row(profiles[a]) for a in sorted(profiles)]
+    rows = [profiles[a].as_dict() for a in sorted(profiles)]
     if args.route:
         thresholds = taxonomy.RoutingThresholds(
             t_temp=args.t_temp, t_frame=args.t_frame, t_order=args.t_order
@@ -314,7 +281,7 @@ def _cmd_classify(args) -> int:
         ]
         _write_jsonl(args.labels_output, config, rows)
     if args.format == "report":
-        _write_text(args.output, "# config: " + _dump(config) + "\n" + render_classification(summary))
+        _write_report(args.output, config, render_classification(summary))
     else:
         _write_json(args.output, config, summary.as_dict())
     return 0
@@ -323,17 +290,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- ratio
 
 def load_ratio_records(path: str | Path) -> list[ratio.RatioRecord]:
-    out = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "#config" in obj:
-                continue
-            out.append(ratio.RatioRecord(**obj))
-    return out
+    return _read_jsonl(path, lambda obj: ratio.RatioRecord(**obj))
 
 
 def render_population(report: ratio.PopulationReport) -> str:
@@ -367,15 +324,13 @@ def _cmd_ratio(args) -> int:
     rows = [r.as_dict() for r in ratios]
     config = _config_echo(args)
     if args.format == "csv":
-        header = ["annotator_id", "theme", "n_items", "var_within", "baseline", "ratio",
-                  "resamples_used", "seed", "degenerate"]
-        _write_csv(args.output, config, header, rows)
+        _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], rows)
     else:
         _write_jsonl(args.output, config, rows)
     if args.stats_output:
         report = ratio.population_stats(ratios, dataset)
         if args.format == "report":
-            _write_text(args.stats_output, "# config: " + _dump(config) + "\n" + render_population(report))
+            _write_report(args.stats_output, config, render_population(report))
         else:
             _write_json(args.stats_output, config, report.as_dict())
     return 0
@@ -407,7 +362,7 @@ def _cmd_simulate(args) -> int:
     )
     config = _config_echo(args)
     if args.format == "report":
-        _write_text(args.output, "# config: " + _dump(config) + "\n" + render_flips(report))
+        _write_report(args.output, config, render_flips(report))
     else:
         _write_json(args.output, config, report.as_dict())
     return 0
@@ -468,7 +423,12 @@ def _cmd_calibrate(args) -> int:
     if args.method == "empirical":
         if not args.diffs:
             raise ValueError("empirical calibration needs --diffs")
-        diffs = [float(line) for line in Path(args.diffs).read_text().split()]
+        diffs = []
+        for n, entry in enumerate(Path(args.diffs).read_text().split(), start=1):
+            try:
+                diffs.append(float(entry))
+            except ValueError:
+                raise DataFormatError(f"{args.diffs}: entry {n} is not a number: {entry!r}") from None
         calibration = planner.calibrate_empirical(diffs, k=args.k, scale_kind=args.scale)
     elif args.method == "scale":
         calibration = planner.calibrate_scale(args.scale)

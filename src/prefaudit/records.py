@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -356,6 +356,57 @@ def records_from_rows(
     return records, rejects, effective_scale or SCALE_CONTINUOUS
 
 
+def iter_jsonl(
+    path: str | Path, rejects: Optional[list[RejectedRow]] = None
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
+
+    A ``{"#config": ...}`` header line, as the CLI writes one, is skipped. A
+    line that is not JSON or not an object raises DataFormatError naming the
+    line, or, when ``rejects`` is given, is appended there instead.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                reason = f"invalid JSON: {exc}"
+            else:
+                if isinstance(obj, dict):
+                    if obj.keys() != {"#config"}:
+                        yield line_no, obj
+                    continue
+                reason = "row is not an object"
+            if rejects is None:
+                raise DataFormatError(f"line {line_no}: {reason}")
+            rejects.append(RejectedRow(line_no, reason, line))
+
+
+def _iter_csv(path: Path, rejects: Optional[list[RejectedRow]]) -> Iterator[tuple[int, dict]]:
+    """``iter_jsonl`` for a CSV export: a header row, then one record per row."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataFormatError("empty CSV file")
+        unknown = set(reader.fieldnames) - set(_RECORD_FIELDS)
+        if unknown:
+            raise DataFormatError(f"unknown CSV columns: {sorted(unknown)}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                if None in row:  # DictReader files surplus cells under the key None
+                    raise ValueError(f"row has {len(row[None])} more cells than the header")
+                obj = {k: _csv_cell_to_value(k, v) for k, v in row.items() if v is not None}
+            except ValueError as exc:
+                if rejects is None:
+                    raise DataFormatError(f"line {line_no}: {exc}") from exc
+                rejects.append(RejectedRow(line_no, str(exc), json.dumps(row)))
+                continue
+            yield line_no, {k: v for k, v in obj.items() if v is not None}
+
+
 def load_records(
     path: str | Path,
     fmt: str = "jsonl",
@@ -368,45 +419,9 @@ def load_records(
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    rows: list[tuple[int, dict]] = []
     pre_rejects: list[RejectedRow] = []
-    with path.open(newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
-        if fmt == "jsonl":
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if strict:
-                        raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-                    pre_rejects.append(RejectedRow(line_no, f"invalid JSON: {exc}", line))
-                    continue
-                if not isinstance(obj, dict):
-                    if strict:
-                        raise DataFormatError(f"line {line_no}: row is not an object")
-                    pre_rejects.append(RejectedRow(line_no, "row is not an object", line))
-                    continue
-                rows.append((line_no, obj))
-        else:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataFormatError("empty CSV file")
-            unknown = set(reader.fieldnames) - set(_RECORD_FIELDS)
-            if unknown:
-                raise DataFormatError(f"unknown CSV columns: {sorted(unknown)}")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    if None in row:  # DictReader files surplus cells under the key None
-                        raise ValueError(f"row has {len(row[None])} more cells than the header")
-                    obj = {k: _csv_cell_to_value(k, v) for k, v in row.items() if v is not None}
-                except ValueError as exc:
-                    if strict:
-                        raise DataFormatError(f"line {line_no}: {exc}") from exc
-                    pre_rejects.append(RejectedRow(line_no, str(exc), json.dumps(row)))
-                    continue
-                rows.append((line_no, {k: v for k, v in obj.items() if v is not None}))
+    read = iter_jsonl if fmt == "jsonl" else _iter_csv
+    rows = read(path, None if strict else pre_rejects)
     records, rejects, effective_scale = records_from_rows(rows, scale_kind, strict)
     if strict:
         _check_timestamp_order(records, raise_on_violation=True)
@@ -470,18 +485,10 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line."""
     rows = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if "item_id" not in obj or "vector" not in obj:
-                raise DataFormatError(f"line {line_no}: row needs item_id and vector")
-            rows.append((obj["item_id"], obj["vector"]))
+    for line_no, obj in iter_jsonl(path):
+        if "item_id" not in obj or "vector" not in obj:
+            raise DataFormatError(f"line {line_no}: row needs item_id and vector")
+        rows.append((obj["item_id"], obj["vector"]))
     return EmbeddingTable.from_rows(rows)
 
 
@@ -491,36 +498,24 @@ _METADATA_FIELD_SET = frozenset(f.name for f in fields(ItemMetadata))
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
     """Load item metadata codes from JSONL keyed by item_id."""
     out: dict[str, ItemMetadata] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"line {line_no}: row is not an object")
+    for line_no, obj in iter_jsonl(path):
+        try:
             if not obj.keys() <= _METADATA_FIELD_SET:
-                unknown = sorted(obj.keys() - _METADATA_FIELD_SET)
-                raise DataFormatError(f"line {line_no}: unknown fields {unknown}")
+                raise DataFormatError(f"unknown fields {sorted(obj.keys() - _METADATA_FIELD_SET)}")
             if "item_id" not in obj:
-                raise DataFormatError(f"line {line_no}: missing item_id")
+                raise DataFormatError("missing item_id")
             labels = obj.pop("theme_labels", None)
             if labels is not None:
                 # a bare string would become one theme per character
                 if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-                    raise DataFormatError(
-                        f"line {line_no}: theme_labels must be a list of strings, got {labels!r}"
-                    )
-                obj["theme_labels"] = frozenset(labels)
+                    raise DataFormatError(f"theme_labels must be a list of strings, got {labels!r}")
+                obj["theme_labels"] = labels
             dimension = obj.get("value_dimension")
             if dimension is not None and not isinstance(dimension, str):
-                raise DataFormatError(
-                    f"line {line_no}: value_dimension must be a string, got {dimension!r}"
-                )
+                raise DataFormatError(f"value_dimension must be a string, got {dimension!r}")
             out[obj["item_id"]] = ItemMetadata(**obj)
+        except DataFormatError as exc:
+            raise DataFormatError(f"line {line_no}: {exc}") from None
     return out
 
 

@@ -161,6 +161,38 @@ def test_invalid_data_exit_code(tmp_path):
     assert run(["validate", "--input", str(bad)]) == 2
 
 
+_ARTIFACT_ROWS = {
+    # flag: (subcommand reading it, a valid row, a required field of that row)
+    "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a"),
+    "--flags": ("classify", {"item_a": "i1", "item_b": "i2", "annotator_id": "u0", "score_a": 5.0,
+                             "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id"),
+    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id"),
+    "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
+                              "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme"),
+}
+
+
+@pytest.mark.parametrize("defect", ["invalid JSON", "non-object line", "unknown field", "missing field"])
+@pytest.mark.parametrize("flag", list(_ARTIFACT_ROWS))
+def test_bad_intermediate_row_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys, flag, defect):
+    cmd, row, required = _ARTIFACT_ROWS[flag]
+    line, reason = {
+        "invalid JSON": ('{"item_a": ', "invalid JSON"),
+        "non-object line": (json.dumps([row]), "row is not an object"),
+        "unknown field": (json.dumps({**row, "bogus": 1}), "bogus"),
+        "missing field": (json.dumps({k: v for k, v in row.items() if k != required}), required),
+    }[defect]
+    artifact = tmp_path / "artifact.jsonl"
+    artifact.write_text(json.dumps({"#config": {}}) + "\n" + line + "\n", encoding="utf-8")
+    argv = [cmd, "--input", str(dataset_path), flag, str(artifact), "--output", str(tmp_path / "out")]
+    if cmd == "weights":
+        argv += ["--summary-output", str(tmp_path / "summary.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "line 2: " in err[0] and reason in err[0]
+
+
 def test_repeats_then_classify_pipeline(dataset_path, metadata_path, tmp_path):
     flags = tmp_path / "flags.jsonl"
     report = tmp_path / "repeats.json"
@@ -321,6 +353,13 @@ def test_calibrate_subcommand(tmp_path):
     assert payload["consistent_max"] == 1.0 and payload["marginal_max"] == 2.0
 
 
+def test_calibrate_non_numeric_diff_is_a_data_error(tmp_path, capsys):
+    diffs = tmp_path / "diffs.txt"
+    diffs.write_text("1.0\nabc\n", encoding="utf-8")
+    assert run(["calibrate", "--method", "empirical", "--diffs", str(diffs)]) == 2
+    assert "entry 2 is not a number: 'abc'" in capsys.readouterr().err
+
+
 def test_synth_subcommand_writes_dataset_and_truth(tmp_path):
     outdir = tmp_path / "synth"
     code = run([
@@ -358,6 +397,9 @@ def test_themes_subcommand_fixture_transport(dataset_path, tmp_path):
     rows = [json.loads(line) for line in out.read_text().splitlines()][1:]
     assert all(row["theme_labels"] == ["Privacy"] for row in rows)
     assert {row["item_id"] for row in rows} == {"i1", "i2", "i3", "i4"}
+    # the patch, header included, reads back as item metadata
+    assert run(["validate", "--input", str(dataset_path), "--metadata", str(out),
+                "--output", str(tmp_path / "validate.json")]) == 0
 
 
 def test_config_file_supplies_defaults(dataset_path, tmp_path):

@@ -229,6 +229,13 @@ def test_load_embeddings_nonfinite_names_item(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_a_non_object_line(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_text("7\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 1: row is not an object"):
+        load_embeddings(path)
+
+
 def test_missing_embedding_reference_fails(tmp_path):
     emb = EmbeddingTable.from_rows([("i1", [1.0, 0.0])])
     path = tmp_path / "d.jsonl"
@@ -323,11 +330,20 @@ def test_load_metadata(tmp_path):
     assert metadata["i2"].plausible_pref == "E3_plausible"
 
 
-@pytest.mark.parametrize("line", ['["i1", "i2"]', '"i1"', "7"])
-def test_load_metadata_rejects_a_non_object_line(tmp_path, line):
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        pytest.param('["i1", "i2"]', "row is not an object", id='["i1", "i2"]'),
+        pytest.param('"i1"', "row is not an object", id='"i1"'),
+        pytest.param("7", "row is not an object", id="7"),
+        pytest.param('{"item_id": "i1", "content_type": "A9_bogus"}',
+                     "unknown content_type code 'A9_bogus'", id="unknown-code"),
+    ],
+)
+def test_load_metadata_rejects_a_non_object_line(tmp_path, line, reason):
     path = tmp_path / "m.jsonl"
     path.write_text('{"item_id": "i0"}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="line 2: row is not an object"):
+    with pytest.raises(DataFormatError, match=f"line 2: {reason}"):
         load_metadata(path)
 
 
