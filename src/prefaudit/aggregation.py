@@ -117,14 +117,11 @@ def _prompt_ratings(dataset: Dataset) -> dict[str, dict[str, float]]:
     """item -> annotator -> that annotator's mean rating of the item (0-100)."""
     if dataset.scale_kind == SCALE_BINARY:
         raise DataFormatError("majority-flip simulation needs magnitude ratings, not binary choices")
-    table: dict[str, dict[str, list[float]]] = {}
-    for rec in dataset.records:
-        table.setdefault(rec.item_id, {}).setdefault(rec.annotator_id, []).append(
-            common_scale_score(rec)
-        )
     return {
-        item: {ann: float(np.mean(vals)) for ann, vals in raters.items()}
-        for item, raters in table.items()
+        item: {
+            ann: float(np.mean([common_scale_score(r) for r in recs])) for ann, recs in raters.items()
+        }
+        for item, raters in dataset.by_item_annotator.items()
     }
 
 

@@ -97,6 +97,22 @@ def _read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     return out
 
 
+# The JSON types a row value may take, keyed by its dataclass field's annotation.
+# type() is matched exactly, so a bool is neither an int nor a float here.
+_JSON_TYPES = {
+    "str": (str,), "int": (int,), "bool": (bool,),
+    "float": (int, float), "Optional[float]": (int, float, type(None)),
+}
+
+
+def _typed_row(cls: type, obj: dict):
+    """``cls(**obj)``; a value of a JSON type its field does not admit is a data error."""
+    for f in fields(cls):
+        if f.name in obj and type(obj[f.name]) not in _JSON_TYPES[f.type]:
+            raise DataFormatError(f"{f.name} must be {f.type}, got {obj[f.name]!r}")
+    return cls(**obj)
+
+
 def _load_dataset(args: argparse.Namespace) -> records.Dataset:
     embeddings = records.load_embeddings(args.embeddings) if getattr(args, "embeddings", None) else None
     metadata = records.load_metadata(args.metadata) if getattr(args, "metadata", None) else None
@@ -211,7 +227,7 @@ def _cmd_repeats(args) -> int:
 
 def _profile_from_row(obj: dict) -> diagnostics.ConsistencyProfile:
     obj.pop("routing", None)  # derived by diagnose --route, not a profile field
-    return diagnostics.ConsistencyProfile(**obj)
+    return _typed_row(diagnostics.ConsistencyProfile, obj)
 
 
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
@@ -290,7 +306,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- ratio
 
 def load_ratio_records(path: str | Path) -> list[ratio.RatioRecord]:
-    return _read_jsonl(path, lambda obj: ratio.RatioRecord(**obj))
+    return _read_jsonl(path, lambda obj: _typed_row(ratio.RatioRecord, obj))
 
 
 def render_population(report: ratio.PopulationReport) -> str:
@@ -531,18 +547,9 @@ _EXACT_MODAL_ECHO = "recorded in the output only; modal labels are exact and dra
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     """The main parser plus its subcommand parsers (config defaults reach both)."""
-    children: list[argparse.ArgumentParser] = []
     parser = argparse.ArgumentParser(prog="prefaudit", description=__doc__)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    raw_subparsers = parser.add_subparsers(dest="cmd")
-
-    class _Registering:
-        def add_parser(self, *args, **kwargs):
-            child = raw_subparsers.add_parser(*args, **kwargs)
-            children.append(child)
-            return child
-
-    subparsers = _Registering()
+    subparsers = parser.add_subparsers(dest="cmd")
 
     p = subparsers.add_parser("validate", help="structural audit of a dataset")
     _add_io(p, embeddings=True, metadata=True)
@@ -662,7 +669,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--concurrency", type=int, default=4)
     p.set_defaults(func=_cmd_themes)
 
-    return parser, children
+    return parser, list(subparsers.choices.values())
 
 
 def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) -> list[str]:

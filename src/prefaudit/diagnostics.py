@@ -16,7 +16,8 @@ absent (None), never zero, when no qualifying pairs exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .ratio import RatioConfig, exact_baseline
 from .records import (
     ORDER_TAG_AB,
     ORDER_TAG_BA,
+    SCALE_BINARY,
     AnnotationRecord,
     Dataset,
     default_tau,
@@ -76,6 +78,14 @@ def _different_times(r1: AnnotationRecord, r2: AnnotationRecord, min_gap: int = 
     return False
 
 
+def _cell_pairs(
+    dataset: Dataset, annotator_id: str
+) -> Iterator[tuple[AnnotationRecord, AnnotationRecord]]:
+    """Every pair of ratings the annotator gave one item, in record order."""
+    for recs in dataset.by_annotator_item.get(annotator_id, {}).values():
+        yield from combinations(recs, 2)
+
+
 def _pair_fraction(deltas: list[float], tau: float) -> tuple[Optional[float], int]:
     if not deltas:
         return None, 0
@@ -97,17 +107,11 @@ def temporal_consistency(
     qualifying repeat pairs.
     """
     tau = default_tau(dataset.scale_kind) if tau is None else tau
-    groups: dict[tuple[str, Optional[str]], list[AnnotationRecord]] = {}
-    for rec in dataset.by_annotator.get(annotator_id, []):
-        groups.setdefault((rec.item_id, rec.framing_id), []).append(rec)
-    deltas: list[float] = []
-    for recs in groups.values():
-        if len(recs) < 2:
-            continue
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                if _different_times(recs[i], recs[j], min_gap):
-                    deltas.append(abs(score_value(recs[i]) - score_value(recs[j])))
+    deltas = [
+        abs(score_value(r1) - score_value(r2))
+        for r1, r2 in _cell_pairs(dataset, annotator_id)
+        if r1.framing_id == r2.framing_id and _different_times(r1, r2, min_gap)
+    ]
     return _pair_fraction(deltas, tau)
 
 
@@ -123,20 +127,13 @@ def framing_consistency(
     ``pairs`` adds cross-item equivalent pairs discovered elsewhere.
     """
     tau = default_tau(dataset.scale_kind) if tau is None else tau
-    deltas: list[float] = []
-    by_item: dict[str, list[AnnotationRecord]] = {}
-    for rec in dataset.by_annotator.get(annotator_id, []):
-        if rec.framing_id is not None:
-            by_item.setdefault(rec.item_id, []).append(rec)
-    for recs in by_item.values():
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                if recs[i].framing_id != recs[j].framing_id:
-                    deltas.append(abs(score_value(recs[i]) - score_value(recs[j])))
+    deltas = [
+        abs(score_value(r1) - score_value(r2))
+        for r1, r2 in _cell_pairs(dataset, annotator_id)
+        if None not in (r1.framing_id, r2.framing_id) and r1.framing_id != r2.framing_id
+    ]
     if pairs:
-        mine = {r.item_id: [] for r in dataset.by_annotator.get(annotator_id, [])}
-        for rec in dataset.by_annotator.get(annotator_id, []):
-            mine[rec.item_id].append(rec)
+        mine = dataset.by_annotator_item.get(annotator_id, {})
         for pair in pairs:
             if pair.kind != "equivalent" or pair.is_self_pair:
                 continue
@@ -153,16 +150,12 @@ def order_consistency(dataset: Dataset, annotator_id: str) -> tuple[Optional[flo
     "order:BA" on binary_pair records; the recorded choice names the
     response itself, not its screen position.
     """
-    groups: dict[str, dict[str, list[AnnotationRecord]]] = {}
-    for rec in dataset.by_annotator.get(annotator_id, []):
-        if rec.scale_kind != "binary_pair" or rec.condition_tag not in (ORDER_TAG_AB, ORDER_TAG_BA):
-            continue
-        groups.setdefault(rec.item_id, {}).setdefault(rec.condition_tag, []).append(rec)
-    indicators: list[float] = []
-    for tags in groups.values():
-        for r_ab in tags.get(ORDER_TAG_AB, []):
-            for r_ba in tags.get(ORDER_TAG_BA, []):
-                indicators.append(0.0 if r_ab.score == r_ba.score else 1.0)
+    indicators = [
+        0.0 if r1.score == r2.score else 1.0
+        for r1, r2 in _cell_pairs(dataset, annotator_id)
+        if r1.scale_kind == r2.scale_kind == SCALE_BINARY
+        and {r1.condition_tag, r2.condition_tag} == {ORDER_TAG_AB, ORDER_TAG_BA}
+    ]
     return _pair_fraction(indicators, 0.0)
 
 
@@ -333,19 +326,15 @@ def framing_effect_stats(dataset: Dataset, pair: PromptPair) -> FramingEffect:
     uniformly zero difference vector the shift is reported as t = 0, d = 0
     with a degeneracy flag rather than an error.
     """
-    grouped_a: dict[str, list[float]] = {}
-    grouped_b: dict[str, list[float]] = {}
-    for rec in dataset.by_item.get(pair.item_a, []):
-        grouped_a.setdefault(rec.annotator_id, []).append(score_value(rec))
-    for rec in dataset.by_item.get(pair.item_b, []):
-        grouped_b.setdefault(rec.annotator_id, []).append(score_value(rec))
-    shared = sorted(set(grouped_a) & set(grouped_b))
+    raters_a = dataset.by_item_annotator.get(pair.item_a, {})
+    raters_b = dataset.by_item_annotator.get(pair.item_b, {})
+    shared = sorted(raters_a.keys() & raters_b.keys())
     if len(shared) < 2:
         raise InsufficientSupportError(
             f"pair {pair.pair_id!r} has {len(shared)} annotators rating both sides, needs 2"
         )
-    side_a = np.asarray([float(np.mean(grouped_a[a])) for a in shared])
-    side_b = np.asarray([float(np.mean(grouped_b[a])) for a in shared])
+    side_a = np.asarray([float(np.mean([score_value(r) for r in raters_a[a]])) for a in shared])
+    side_b = np.asarray([float(np.mean([score_value(r) for r in raters_b[a]])) for a in shared])
     diffs = side_a - side_b
     deviations = {a: float(abs(d)) for a, d in zip(shared, diffs)}
     shift = float(abs(side_a.mean() - side_b.mean()))

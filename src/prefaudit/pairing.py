@@ -11,6 +11,7 @@ cases (identical prompt, identical response, same model).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -120,10 +121,10 @@ def find_similar_pairs(
     table = dataset.embeddings
     item_ids = [iid for iid in dataset.item_ids if iid in table]
 
-    raters = {iid: {r.annotator_id for r in recs} for iid, recs in dataset.by_item.items()}
+    raters = dataset.by_item_annotator
 
     def keep(a: str, b: str) -> bool:
-        return not same_annotator or bool(raters.get(a, set()) & raters.get(b, set()))
+        return not same_annotator or bool(raters.get(a, {}).keys() & raters.get(b, {}).keys())
 
     pairs: list[PromptPair] = []
     if candidate_pairs is not None:
@@ -203,18 +204,12 @@ def flag_inconsistencies(
     annotators_flagged: set[str] = set()
 
     for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
-        recs_a = dataset.by_item.get(pair.item_a, [])
-        recs_b = dataset.by_item.get(pair.item_b, [])
-        if not recs_a or not recs_b:
+        by_ann_a = dataset.by_item_annotator.get(pair.item_a)
+        by_ann_b = dataset.by_item_annotator.get(pair.item_b)
+        if not by_ann_a or not by_ann_b:
             raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
-        by_ann_a: dict[str, list[AnnotationRecord]] = {}
-        for rec in recs_a:
-            by_ann_a.setdefault(rec.annotator_id, []).append(rec)
-        by_ann_b: dict[str, list[AnnotationRecord]] = {}
-        for rec in recs_b:
-            by_ann_b.setdefault(rec.annotator_id, []).append(rec)
 
-        for annotator in sorted(set(by_ann_a) & set(by_ann_b)):
+        for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
             if pair.is_self_pair:
                 # repeats live within one framing variant; cross-variant
                 # divergence is the framing diagnostic's business
@@ -223,12 +218,7 @@ def flag_inconsistencies(
                     by_framing.setdefault(rec.framing_id, []).append(rec)
                 combos = []
                 for group in by_framing.values():
-                    ratings = _sorted_ratings(group)
-                    combos.extend(
-                        (ratings[i], ratings[j])
-                        for i in range(len(ratings))
-                        for j in range(i + 1, len(ratings))
-                    )
+                    combos.extend(combinations(_sorted_ratings(group), 2))
                 if not combos:
                     continue
             else:

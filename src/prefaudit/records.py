@@ -213,8 +213,21 @@ class Dataset:
     def item_ids(self) -> list[str]:
         return sorted(self.by_item)
 
-    def ratings(self, annotator_id: str, item_id: str) -> list[AnnotationRecord]:
-        return [r for r in self.by_annotator.get(annotator_id, []) if r.item_id == item_id]
+    @cached_property
+    def by_annotator_item(self) -> dict[str, dict[str, list[AnnotationRecord]]]:
+        """annotator -> item -> that annotator's ratings of the item, in record order."""
+        out: dict[str, dict[str, list[AnnotationRecord]]] = {}
+        for rec in self.records:
+            out.setdefault(rec.annotator_id, {}).setdefault(rec.item_id, []).append(rec)
+        return out
+
+    @cached_property
+    def by_item_annotator(self) -> dict[str, dict[str, list[AnnotationRecord]]]:
+        """item -> annotator -> that annotator's ratings of the item, in record order."""
+        out: dict[str, dict[str, list[AnnotationRecord]]] = {}
+        for rec in self.records:
+            out.setdefault(rec.item_id, {}).setdefault(rec.annotator_id, []).append(rec)
+        return out
 
     @cached_property
     def repeat_groups(self) -> dict[RepeatKey, list[AnnotationRecord]]:
@@ -557,13 +570,12 @@ def validate(dataset: Dataset) -> ValidationReport:
     n_repeat_groups = len(dataset.repeat_groups)
     sessions = {r.session_id for r in dataset.records if r.session_id is not None}
 
-    framed_items = {r.item_id for r in dataset.records if r.framing_id is not None}
     variants: dict[str, set[str]] = {}
     for rec in dataset.records:
         if rec.framing_id is not None:
             variants.setdefault(rec.item_id, set()).add(rec.framing_id)
     n_framing_pairs = sum(1 for ids in variants.values() if len(ids) >= 2)
-    coverage = 100.0 * len(framed_items) / n_items if n_items else 0.0
+    coverage = 100.0 * len(variants) / n_items if n_items else 0.0
 
     if n_records == 0:
         warnings.append("empty dataset")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import exp
 from pathlib import Path
 from typing import Optional
@@ -28,11 +29,7 @@ EXPORT_POLICIES = ("weight", "filter", "both")
 def _repeat_pair_deltas_by_annotator(dataset: Dataset, item_id: str) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
     for (annotator, _item, _framing), recs in dataset.repeat_groups_by_item.get(item_id, {}).items():
-        deltas = [
-            abs(score_value(recs[i]) - score_value(recs[j]))
-            for i in range(len(recs))
-            for j in range(i + 1, len(recs))
-        ]
+        deltas = [abs(score_value(r1) - score_value(r2)) for r1, r2 in combinations(recs, 2)]
         out.setdefault(annotator, []).extend(deltas)
     return out
 
@@ -170,12 +167,11 @@ def variance_decomposition(dataset: Dataset, tau: Optional[float] = None) -> Var
     squared: list[float] = []
     inconsistent = 0
     for recs in dataset.repeat_groups.values():
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                delta = score_value(recs[i]) - score_value(recs[j])
-                squared.append(delta * delta)
-                if abs(delta) > tau:
-                    inconsistent += 1
+        for r1, r2 in combinations(recs, 2):
+            delta = score_value(r1) - score_value(r2)
+            squared.append(delta * delta)
+            if abs(delta) > tau:
+                inconsistent += 1
     if not squared:
         raise InsufficientSupportError("variance decomposition needs at least one repeat pair")
     var_artifact = 0.5 * float(np.mean(squared))

@@ -162,25 +162,31 @@ def test_invalid_data_exit_code(tmp_path):
 
 
 _ARTIFACT_ROWS = {
-    # flag: (subcommand reading it, a valid row, a required field of that row)
-    "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a"),
+    # flag: (subcommand reading it, a valid row, a required field of that row,
+    #        a field of that row and a value of the wrong type for it)
+    "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a", ("similarity", "high")),
     "--flags": ("classify", {"item_a": "i1", "item_b": "i2", "annotator_id": "u0", "score_a": 5.0,
-                             "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id"),
-    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id"),
+                             "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id",
+                ("delta", "wide")),
+    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id", ("n_temp_pairs", "7")),
     "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
-                              "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme"),
+                              "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme",
+                 ("ratio", "x")),
 }
 
 
-@pytest.mark.parametrize("defect", ["invalid JSON", "non-object line", "unknown field", "missing field"])
+@pytest.mark.parametrize(
+    "defect", ["invalid JSON", "non-object line", "unknown field", "missing field", "mistyped field"]
+)
 @pytest.mark.parametrize("flag", list(_ARTIFACT_ROWS))
 def test_bad_intermediate_row_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys, flag, defect):
-    cmd, row, required = _ARTIFACT_ROWS[flag]
+    cmd, row, required, (bad_field, bad_value) = _ARTIFACT_ROWS[flag]
     line, reason = {
         "invalid JSON": ('{"item_a": ', "invalid JSON"),
         "non-object line": (json.dumps([row]), "row is not an object"),
         "unknown field": (json.dumps({**row, "bogus": 1}), "bogus"),
         "missing field": (json.dumps({k: v for k, v in row.items() if k != required}), required),
+        "mistyped field": (json.dumps({**row, bad_field: bad_value}), repr(bad_value)),
     }[defect]
     artifact = tmp_path / "artifact.jsonl"
     artifact.write_text(json.dumps({"#config": {}}) + "\n" + line + "\n", encoding="utf-8")

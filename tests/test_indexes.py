@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from prefaudit.diagnostics import cross_item_consistency
+from conftest import dataset_of, rec
+from prefaudit.diagnostics import build_profile, cross_item_consistency
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.planner import plan_tier
 from prefaudit.ratio import RatioConfig, dataset_themes, exact_baseline, theme_ratings
-from prefaudit.records import Dataset, ItemMetadata, default_tau, score_value
+from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA, Dataset, ItemMetadata, default_tau, score_value
 from prefaudit.synth import generate
 from prefaudit.weighting import item_reliability, item_reliability_table
 
@@ -33,6 +34,73 @@ def corpus() -> Dataset:
             value_dimension=DIMENSIONS[dim] if dim < len(DIMENSIONS) else None,
         )
     return Dataset(records=dataset.records, scale_kind=dataset.scale_kind, metadata=metadata)
+
+
+@pytest.fixture(scope="module")
+def order_corpus() -> Dataset:
+    """Binary choices shown in both orders, some repeated in one order or under two framings."""
+    rng = np.random.default_rng(5)
+    records = []
+    for annotator in ("a0", "a1", "a2"):
+        for item in (f"i{i}" for i in range(8)):
+            for _ in range(rng.integers(1, 5)):
+                records.append(rec(
+                    annotator, item, str(rng.choice(["A", "B"])), scale="binary_pair",
+                    session=f"s{rng.integers(0, 3)}", framing=("f0", "f1", None)[rng.integers(3)],
+                    condition_tag=str(rng.choice([ORDER_TAG_AB, ORDER_TAG_BA])),
+                ))
+    rng.shuffle(records)
+    return dataset_of(records, scale="binary_pair")
+
+
+def test_cell_indexes_match_a_brute_force_grouping(corpus, order_corpus):
+    for dataset in (corpus, order_corpus):
+        annotators = list(dict.fromkeys(r.annotator_id for r in dataset.records))
+        items = list(dict.fromkeys(r.item_id for r in dataset.records))
+        assert list(dataset.by_annotator_item) == annotators
+        assert list(dataset.by_item_annotator) == items
+        for annotator in annotators:
+            cells = dataset.by_annotator_item[annotator]
+            assert list(cells) == list(dict.fromkeys(
+                r.item_id for r in dataset.records if r.annotator_id == annotator
+            ))
+            for item, recs in cells.items():
+                expected = [r for r in dataset.records if (r.annotator_id, r.item_id) == (annotator, item)]
+                assert recs == expected
+                assert dataset.by_item_annotator[item][annotator] == expected
+        for item in items:
+            assert list(dataset.by_item_annotator[item]) == list(dict.fromkeys(
+                r.annotator_id for r in dataset.records if r.item_id == item
+            ))
+
+
+def _different_times(r1, r2) -> bool:
+    if r1.session_id is not None and r2.session_id is not None and r1.session_id != r2.session_id:
+        return True
+    return r1.timestamp is not None and r2.timestamp is not None and r1.timestamp != r2.timestamp
+
+
+def test_profile_pair_counts_match_every_pair_of_an_annotators_records(corpus, order_corpus):
+    for dataset in (corpus, order_corpus):
+        counts = {"temp": 0, "frame": 0, "order": 0}
+        for annotator in dataset.annotator_ids:
+            recs = [r for r in dataset.records if r.annotator_id == annotator]
+            expected = {"temp": 0, "frame": 0, "order": 0}
+            for i, r1 in enumerate(recs):
+                for r2 in recs[i + 1:]:
+                    if r1.item_id != r2.item_id:
+                        continue
+                    framings = {r1.framing_id, r2.framing_id}
+                    expected["temp"] += len(framings) == 1 and _different_times(r1, r2)
+                    expected["frame"] += len(framings) == 2 and None not in framings
+                    expected["order"] += {r1.condition_tag, r2.condition_tag} == {ORDER_TAG_AB, ORDER_TAG_BA}
+            profile = build_profile(dataset, annotator)
+            assert (profile.n_temp_pairs, profile.n_frame_pairs, profile.n_order_pairs) == (
+                expected["temp"], expected["frame"], expected["order"]
+            )
+            counts = {k: counts[k] + expected[k] for k in counts}
+        assert counts["temp"] > 0 and counts["frame"] > 0
+        assert (counts["order"] > 0) == (dataset is order_corpus)
 
 
 def test_theme_and_dimension_indexes_match_metadata(corpus):
