@@ -12,11 +12,12 @@ failure (any other exception a subcommand raises, reported on one line).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -50,7 +51,7 @@ def _write_jsonl(path: str, config: dict, rows: list[dict]) -> None:
 
 
 def _write_report(path: str, config: dict, text: str) -> None:
-    _write_text(path, "# config: " + _dump(config) + "\n" + text)
+    _write_text(path, records.CONFIG_PREFIX + _dump(config) + "\n" + text)
 
 
 def _write_json(path: str, config: dict, result) -> None:
@@ -58,15 +59,9 @@ def _write_json(path: str, config: dict, result) -> None:
 
 
 def _write_csv(path: str, config: dict, header: list[str], rows: list[dict]) -> None:
-    import csv
-    import io
-
     buffer = io.StringIO()
-    buffer.write("# config: " + _dump(config) + "\r\n")
-    writer = csv.DictWriter(buffer, fieldnames=header, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in header})
+    buffer.write(records.CONFIG_PREFIX + _dump(config) + "\r\n")
+    records.write_csv(buffer, header, rows)
     _write_text(path, buffer.getvalue())
 
 
@@ -80,37 +75,6 @@ def _render_table(title: str, header: list[str], rows: list[list[str]]) -> str:
     lines = [title, fmt(header), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _read_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
-    """``build`` each row of a CLI artifact; a bad row is a data error naming its line."""
-    out = []
-    try:
-        for line_no, obj in records.iter_jsonl(path):
-            try:
-                out.append(build(obj))
-            except (DataFormatError, KeyError, TypeError, ValueError) as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise DataFormatError(f"line {line_no}: {reason}") from exc
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    return out
-
-
-# The JSON types a row value may take, keyed by its dataclass field's annotation.
-# type() is matched exactly, so a bool is neither an int nor a float here.
-_JSON_TYPES = {
-    "str": (str,), "int": (int,), "bool": (bool,),
-    "float": (int, float), "Optional[float]": (int, float, type(None)),
-}
-
-
-def _typed_row(cls: type, obj: dict):
-    """``cls(**obj)``; a value of a JSON type its field does not admit is a data error."""
-    for f in fields(cls):
-        if f.name in obj and type(obj[f.name]) not in _JSON_TYPES[f.type]:
-            raise DataFormatError(f"{f.name} must be {f.type}, got {obj[f.name]!r}")
-    return cls(**obj)
 
 
 def _load_dataset(args: argparse.Namespace) -> records.Dataset:
@@ -144,26 +108,15 @@ def _cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- pairs
 
-_PAIR_FIELDS = frozenset(f.name for f in fields(pairing.PromptPair))
-
-
-def _pair_from_row(obj: dict) -> pairing.PromptPair:
-    """Analyst-coded files may leave out pair_id, similarity and kind."""
-    if not obj.keys() <= _PAIR_FIELDS:
-        raise DataFormatError(f"unknown fields {sorted(obj.keys() - _PAIR_FIELDS)}")
-    return pairing.PromptPair(
-        pair_id=obj.get("pair_id") or f"{obj['item_a']}|{obj['item_b']}",
-        item_a=obj["item_a"],
-        item_b=obj["item_b"],
-        similarity=float(obj.get("similarity", 1.0)),
-        kind=obj.get("kind", "equivalent"),
-        expected_direction=obj.get("expected_direction"),
-        rationale_tag=obj.get("rationale_tag"),
-    )
+def _pair_from_row(row: dict) -> pairing.PromptPair:
+    """Analyst-coded files may leave out pair_id; similarity and kind have defaults."""
+    if not row.get("pair_id"):
+        row["pair_id"] = f"{row.get('item_a')}|{row.get('item_b')}"
+    return records.from_row(pairing.PromptPair, row)
 
 
 def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
-    return _read_jsonl(path, _pair_from_row)
+    return records.read_rows(path, pairing.PromptPair, _pair_from_row)
 
 
 def _cmd_pairs(args) -> int:
@@ -181,15 +134,15 @@ def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
     return row
 
 
-def _flag_from_row(obj: dict) -> pairing.InconsistencyFlag:
+def _flag_from_row(row: dict) -> pairing.InconsistencyFlag:
     # the flag's own fields leave the row first, so the pair sees only its own
-    annotator_id = obj.pop("annotator_id")
-    values = [float(obj.pop(name)) for name in ("score_a", "score_b", "delta", "threshold_used")]
-    return pairing.InconsistencyFlag(annotator_id, _pair_from_row(obj), *values)
+    own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
+    own["pair"] = _pair_from_row(row)
+    return records.from_row(pairing.InconsistencyFlag, own)
 
 
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
-    return _read_jsonl(path, _flag_from_row)
+    return records.read_rows(path, pairing.InconsistencyFlag, _flag_from_row)
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:
@@ -225,13 +178,14 @@ def _cmd_repeats(args) -> int:
 
 # ---------------------------------------------------------------- diagnose
 
-def _profile_from_row(obj: dict) -> diagnostics.ConsistencyProfile:
-    obj.pop("routing", None)  # derived by diagnose --route, not a profile field
-    return _typed_row(diagnostics.ConsistencyProfile, obj)
+def _profile_from_row(row: dict) -> diagnostics.ConsistencyProfile:
+    row.pop("routing", None)  # derived by diagnose --route, not a profile field
+    return records.from_row(diagnostics.ConsistencyProfile, row)
 
 
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
-    return {p.annotator_id: p for p in _read_jsonl(path, _profile_from_row)}
+    profiles = records.read_rows(path, diagnostics.ConsistencyProfile, _profile_from_row)
+    return {p.annotator_id: p for p in profiles}
 
 
 def _cmd_diagnose(args) -> int:
@@ -306,7 +260,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- ratio
 
 def load_ratio_records(path: str | Path) -> list[ratio.RatioRecord]:
-    return _read_jsonl(path, lambda obj: _typed_row(ratio.RatioRecord, obj))
+    return records.read_rows(path, ratio.RatioRecord)
 
 
 def render_population(report: ratio.PopulationReport) -> str:
@@ -605,7 +559,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = subparsers.add_parser("simulate", help="majority-flip stress test across annotator pools")
     _add_io(p, metadata=True)
-    p.add_argument("--ratios", required=True, help="ratio records JSONL from a ratio run")
+    p.add_argument("--ratios", required=True, help="ratio records (JSONL or CSV) from a ratio run")
     p.add_argument("--iterations", type=int, default=1000, help=_EXACT_MODAL_ECHO)
     p.add_argument("--sample-size", type=int, default=5)
     p.add_argument("--harm-threshold", type=float, default=50.0)
@@ -615,7 +569,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = subparsers.add_parser("weights", help="reliability weights and weighted export")
     _add_io(p, metadata=True)
-    p.add_argument("--profiles", help="profiles JSONL from a diagnose run (else recomputed)")
+    p.add_argument("--profiles", help="profiles (JSONL or CSV) from a diagnose run (else recomputed)")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--weight-mode", choices=weighting.WEIGHT_MODES, default="linear")
     p.add_argument("--threshold", type=float, default=0.5)

@@ -32,8 +32,8 @@ class PromptPair:
     pair_id: str
     item_a: str
     item_b: str
-    similarity: float
-    kind: str
+    similarity: float = 1.0
+    kind: str = "equivalent"
     expected_direction: Optional[str] = None
     rationale_tag: Optional[str] = None
 

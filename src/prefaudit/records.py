@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from collections import Counter
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, cached_property, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,7 +46,11 @@ Score = Union[float, str]
 
 @dataclass(frozen=True, slots=True)
 class AnnotationRecord:
-    """One (annotator, item, condition, score) observation."""
+    """One (annotator, item, condition, score) observation.
+
+    ``weight`` is the reliability weight a weighted export carries, so such an
+    export can be audited again.
+    """
 
     record_id: str
     annotator_id: str
@@ -60,6 +65,7 @@ class AnnotationRecord:
     position_index: Optional[int] = None
     framing_id: Optional[str] = None
     condition_tag: Optional[str] = None
+    weight: Optional[float] = None
 
     def __post_init__(self):
         if self.scale_kind not in SCALE_KINDS:
@@ -67,6 +73,8 @@ class AnnotationRecord:
         _check_score(self.score, self.scale_kind)
         if self.position_index is not None and self.position_index < 0:
             raise DataFormatError(f"position_index must be >= 0, got {self.position_index}")
+        if self.weight is not None and not 0.0 <= self.weight < math.inf:
+            raise DataFormatError(f"weight must be finite and >= 0, got {self.weight!r}")
 
 
 def _check_score(score: Score, scale_kind: str) -> None:
@@ -271,13 +279,65 @@ class Dataset:
 
 
 _RECORD_FIELDS = [f.name for f in fields(AnnotationRecord)]
-_RECORD_FIELD_SET = frozenset(_RECORD_FIELDS)
-_REQUIRED_FIELDS = ("record_id", "annotator_id", "item_id", "prompt_text", "score")
-_STR_FIELDS = (
-    "record_id", "annotator_id", "item_id", "prompt_text",
-    "response_text", "model_id", "session_id", "framing_id", "condition_tag",
-)
-_INT_FIELDS = ("timestamp", "position_index")
+
+CONFIG_PREFIX = "# config: "  # the first line of every CSV file and report the CLI writes
+
+# How a value whose type its field does not admit is reported, by the field's first type.
+_MISTYPED = {
+    str: "{} must be a string, got {!r}",
+    int: "{} must be an integer, got {!r}",
+    float: "non-numeric {} {!r}",
+    bool: "{} must be a boolean, got {!r}",
+    frozenset[str]: "{} must be a list of strings, got {!r}",
+    list[float]: "{} must be a list of numbers, got {!r}",
+}
+
+
+@cache
+def _row_schema(cls: type) -> tuple[dict[str, tuple], tuple[str, ...]]:
+    """The types each field of ``cls`` admits in a row, and the fields a row must give.
+    This is the one place a field annotation becomes row types: ``X`` admits
+    ``X``, ``Optional[X]`` adds None, and ``Union[X, Y]`` admits either."""
+    hints = get_type_hints(cls)
+    admitted = {name: get_args(h) if get_origin(h) is Union else (h,) for name, h in hints.items()}
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    return admitted, required
+
+
+def _cast(name: str, value, admitted: tuple):
+    """``value``, whose own type ``admitted`` lacks, as a type it holds: an int as
+    a float, an integral float as an int, a list as a ``frozenset[X]`` or
+    ``list[X]`` whose entries read as ``X``. A bool or a string is never a number."""
+    kind = type(value)
+    try:
+        if kind is int and float in admitted:
+            return float(value)
+        if kind is float and int in admitted and value.is_integer():
+            return int(value)
+        container = next((t for t in admitted if get_origin(t)), None)
+        if kind is list and container is not None:
+            inner = get_args(container)
+            return get_origin(container)(v if type(v) in inner else _cast(name, v, inner) for v in value)
+    except (DataFormatError, OverflowError):  # float() of an int past 1e308 overflows
+        pass
+    raise DataFormatError(_MISTYPED[admitted[0]].format(name, value))
+
+
+def from_row(cls: type, row: dict):
+    """``cls(**row)`` once each value's type is one its field admits: matched exactly,
+    cast only on a miss. An unknown field, a missing or null required field and a
+    value that cannot be cast raise DataFormatError; ``row`` is left as given."""
+    admitted, required = _row_schema(cls)
+    if not row.keys() <= admitted.keys():
+        raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
+    for name in required:
+        if row.get(name) is None:
+            raise DataFormatError(f"missing required field {name!r}")
+    cast = {}
+    for key, value in row.items():  # a plain loop: cheaper than a comprehension, per row read
+        if type(value) not in admitted[key]:
+            cast[key] = _cast(key, value, admitted[key])
+    return cls(**{**row, **cast}) if cast else cls(**row)
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -292,48 +352,11 @@ def record_to_obj(record: AnnotationRecord) -> dict:
 
 def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
     """Validate one decoded row and build its record; ``obj`` is left as given."""
-    if not obj.keys() <= _RECORD_FIELD_SET:
-        raise DataFormatError(f"unknown fields: {sorted(obj.keys() - _RECORD_FIELD_SET)}")
-    for key in _REQUIRED_FIELDS:
-        if obj.get(key) is None:
-            raise DataFormatError(f"missing required field {key!r}")
-    for key in _STR_FIELDS:
-        value = obj.get(key)
-        # ids are sorted and joined as strings downstream
-        if value is not None and not isinstance(value, str):
-            raise DataFormatError(f"{key} must be a string, got {value!r}")
-    kind = obj.get("scale_kind") or scale_kind
-    if kind is None:
-        raise DataFormatError("record carries no scale_kind and no dataset-level default given")
-    normalised = {"scale_kind": kind}
-    if kind != SCALE_BINARY:
-        score = obj["score"]
-        try:
-            if isinstance(score, bool):  # float(True) would read 1.0
-                raise TypeError
-            normalised["score"] = float(score)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"non-numeric score {score!r}") from None
-    for key in _INT_FIELDS:
-        value = obj.get(key)
-        if value is None:
-            continue
-        try:
-            # int() would read True as 1 and truncate 3.7 to 3
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise TypeError
-            normalised[key] = int(value)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{key} must be an integer, got {value!r}") from None
-    return AnnotationRecord(**{**obj, **normalised})
-
-
-def _csv_cell_to_value(name: str, cell: str):
-    if cell == "":
-        return None
-    if name in _INT_FIELDS:
-        return int(cell)
-    return cell
+    if not obj.get("scale_kind"):
+        if scale_kind is None:
+            raise DataFormatError("record carries no scale_kind and no dataset-level default given")
+        obj = {**obj, "scale_kind": scale_kind}
+    return from_row(AnnotationRecord, obj)
 
 
 def records_from_rows(
@@ -347,8 +370,16 @@ def records_from_rows(
     The dataset scale is ``scale_kind`` if given, else the first valid row's.
     Rows on a different scale than the dataset's are malformed.
     """
-    records: list[AnnotationRecord] = []
     rejects: list[RejectedRow] = []
+    records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
+    return records, rejects, effective_scale
+
+
+def _build_records(
+    rows: Iterable[tuple[int, dict]], scale_kind: Optional[str], strict: bool, rejects: list[RejectedRow]
+) -> tuple[list[AnnotationRecord], str]:
+    """``records_from_rows``, appending to ``rejects``, which may already hold the reader's."""
+    records: list[AnnotationRecord] = []
     effective_scale = scale_kind
     for line_no, obj in rows:
         try:
@@ -365,8 +396,10 @@ def records_from_rows(
                 raise DataFormatError(f"line {line_no}: {exc}") from exc
             rejects.append(RejectedRow(line_no, str(exc), json.dumps(obj, sort_keys=True)))
     if not records:
-        raise DataFormatError("zero valid rows")
-    return records, rejects, effective_scale or SCALE_CONTINUOUS
+        common = Counter(r.reason for r in rejects).most_common(1)
+        why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
+        raise DataFormatError(f"zero valid rows{why}")
+    return records, effective_scale or SCALE_CONTINUOUS
 
 
 def iter_jsonl(
@@ -398,26 +431,68 @@ def iter_jsonl(
             rejects.append(RejectedRow(line_no, reason, line))
 
 
-def _iter_csv(path: Path, rejects: Optional[list[RejectedRow]]) -> Iterator[tuple[int, dict]]:
-    """``iter_jsonl`` for a CSV export: a header row, then one record per row."""
-    with path.open(newline="", encoding="utf-8") as fh:
+def _from_cell(cell: str, admitted: tuple):
+    """The JSON value a CSV cell stands for, given its field's types; ``from_row`` checks it."""
+    if bool in admitted and cell in ("True", "False"):
+        return cell == "True"
+    if int in admitted or float in admitted:
+        for parse in (int, float):
+            try:
+                return parse(cell)
+            except ValueError:
+                pass
+    return cell
+
+
+def _iter_csv(
+    path: str | Path, cls: type, rejects: Optional[list[RejectedRow]] = None
+) -> Iterator[tuple[int, dict]]:
+    """``iter_jsonl`` for CSV: an optional ``CONFIG_PREFIX`` line, a header row,
+    then one row per line. Cells are read as ``cls``'s field types; an empty
+    cell is an absent field."""
+    admitted = _row_schema(cls)[0]
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        skipped = fh.readline().startswith(CONFIG_PREFIX)
+        if not skipped:
+            fh.seek(0)
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataFormatError("empty CSV file")
-        unknown = set(reader.fieldnames) - set(_RECORD_FIELDS)
-        if unknown:
-            raise DataFormatError(f"unknown CSV columns: {sorted(unknown)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                if None in row:  # DictReader files surplus cells under the key None
-                    raise ValueError(f"row has {len(row[None])} more cells than the header")
-                obj = {k: _csv_cell_to_value(k, v) for k, v in row.items() if v is not None}
-            except ValueError as exc:
+        for row in reader:
+            line_no = reader.line_num + skipped
+            if None in row:  # DictReader files surplus cells under the key None
+                reason = f"row has {len(row[None])} more cells than the header"
                 if rejects is None:
-                    raise DataFormatError(f"line {line_no}: {exc}") from exc
-                rejects.append(RejectedRow(line_no, str(exc), json.dumps(row)))
+                    raise DataFormatError(f"line {line_no}: {reason}")
+                rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
                 continue
-            yield line_no, {k: v for k, v in obj.items() if v is not None}
+            yield line_no, {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
+
+
+def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None) -> list:
+    """``build`` (by default ``from_row`` for ``cls``) of each row of a JSONL file, or
+    of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
+    outputs do. A bad row raises one DataFormatError naming the file and the line."""
+    build = build or partial(from_row, cls)
+    with Path(path).open(encoding="utf-8") as fh:
+        is_csv = fh.readline().startswith(CONFIG_PREFIX)
+    out = []
+    try:
+        for line_no, row in _iter_csv(path, cls) if is_csv else iter_jsonl(path):
+            try:
+                out.append(build(row))
+            except DataFormatError as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return out
+
+
+def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
+    """A header row, then each row's values under it; an absent or None value is an empty cell."""
+    writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def load_records(
@@ -432,10 +507,11 @@ def load_records(
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    pre_rejects: list[RejectedRow] = []
-    read = iter_jsonl if fmt == "jsonl" else _iter_csv
-    rows = read(path, None if strict else pre_rejects)
-    records, rejects, effective_scale = records_from_rows(rows, scale_kind, strict)
+    # the reader's rejects and the record builder's land in one list, in line order
+    rejects: list[RejectedRow] = []
+    lenient = None if strict else rejects
+    rows = iter_jsonl(path, lenient) if fmt == "jsonl" else _iter_csv(path, AnnotationRecord, lenient)
+    records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
     if strict:
         _check_timestamp_order(records, raise_on_violation=True)
     dataset = Dataset(
@@ -443,7 +519,7 @@ def load_records(
         scale_kind=effective_scale,
         embeddings=embeddings,
         metadata=metadata or {},
-        rejected=sorted(pre_rejects + rejects, key=lambda r: r.line_no),
+        rejected=rejects,
     )
     _check_embedding_references(dataset)
     return dataset
@@ -478,58 +554,32 @@ def _check_timestamp_order(records: list[AnnotationRecord], raise_on_violation: 
 
 def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
     """Write records back out in the canonical schema. Returns the row count."""
-    path = Path(path)
-    if fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
+    if fmt not in ("jsonl", "csv"):
+        raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
+    with Path(path).open("w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
+        if fmt == "csv":
+            write_csv(fh, _RECORD_FIELDS, map(record_to_obj, dataset.records))
+        else:
             for rec in dataset.records:
                 fh.write(json.dumps(record_to_obj(rec), sort_keys=True) + "\n")
-    elif fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_RECORD_FIELDS)
-            writer.writeheader()
-            for rec in dataset.records:
-                row = {name: getattr(rec, name) for name in _RECORD_FIELDS}
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    else:
-        raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
     return len(dataset.records)
+
+
+@dataclass(frozen=True)
+class _EmbeddingRow:
+    item_id: str
+    vector: list[float]
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line."""
-    rows = []
-    for line_no, obj in iter_jsonl(path):
-        if "item_id" not in obj or "vector" not in obj:
-            raise DataFormatError(f"line {line_no}: row needs item_id and vector")
-        rows.append((obj["item_id"], obj["vector"]))
-    return EmbeddingTable.from_rows(rows)
-
-
-_METADATA_FIELD_SET = frozenset(f.name for f in fields(ItemMetadata))
+    rows = read_rows(path, _EmbeddingRow)
+    return EmbeddingTable.from_rows((row.item_id, row.vector) for row in rows)
 
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
     """Load item metadata codes from JSONL keyed by item_id."""
-    out: dict[str, ItemMetadata] = {}
-    for line_no, obj in iter_jsonl(path):
-        try:
-            if not obj.keys() <= _METADATA_FIELD_SET:
-                raise DataFormatError(f"unknown fields {sorted(obj.keys() - _METADATA_FIELD_SET)}")
-            if "item_id" not in obj:
-                raise DataFormatError("missing item_id")
-            labels = obj.pop("theme_labels", None)
-            if labels is not None:
-                # a bare string would become one theme per character
-                if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-                    raise DataFormatError(f"theme_labels must be a list of strings, got {labels!r}")
-                obj["theme_labels"] = labels
-            dimension = obj.get("value_dimension")
-            if dimension is not None and not isinstance(dimension, str):
-                raise DataFormatError(f"value_dimension must be a string, got {dimension!r}")
-            out[obj["item_id"]] = ItemMetadata(**obj)
-        except DataFormatError as exc:
-            raise DataFormatError(f"line {line_no}: {exc}") from None
-    return out
+    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata)}
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
 from .errors import AllEndpointsFailedError, ProtocolError, TransportError
-from .records import Dataset, ItemMetadata
+from .records import Dataset, ItemMetadata, from_row
 
 PROMPT_TEMPLATE = """You are an expert researcher annotating prompts using a predefined harmfulness framework.
 
@@ -45,8 +45,8 @@ Return ONLY valid JSON with exactly these keys:
 class EndpointConfig:
     endpoint_id: str
     base_url: str
-    auth_env_var: str
-    model_name: str
+    auth_env_var: str = ""
+    model_name: str = ""
 
 
 @dataclass(frozen=True)
@@ -403,12 +403,4 @@ class HttpTransport:
 def load_endpoints(path: str | Path) -> list[EndpointConfig]:
     """Endpoint configuration file: a JSON list of endpoint objects."""
     rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        EndpointConfig(
-            endpoint_id=row["endpoint_id"],
-            base_url=row["base_url"],
-            auth_env_var=row.get("auth_env_var", ""),
-            model_name=row.get("model_name", ""),
-        )
-        for row in rows
-    ]
+    return [from_row(EndpointConfig, row) for row in rows]

@@ -205,8 +205,9 @@ def export_weighted(
     policy: str,
     path: str | Path,
 ) -> ExportSummary:
-    """Write the dataset with a weight column, dropping zero-weight records
-    under the filter policies."""
+    """Write the dataset with a weight field, dropping zero-weight records
+    under the filter policies. A weight the input records carry is
+    overwritten, or dropped under the plain filter policy."""
     if policy not in EXPORT_POLICIES:
         raise ValueError(f"unknown export policy {policy!r}")
     path = Path(path)
@@ -219,7 +220,9 @@ def export_weighted(
                 dropped += 1
                 continue
             obj = record_to_obj(rec)
-            if policy in ("weight", "both"):
+            if policy == "filter":
+                obj.pop("weight", None)
+            else:
                 obj["weight"] = w
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
             retained += 1

@@ -1,13 +1,21 @@
-"""CLI intermediate files: every object the CLI writes reads back equal."""
+"""CLI files: every object the CLI writes reads back equal, through each
+(writer, reader) pair the CLI exposes."""
+
+import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefaudit.cli import _flag_row, _write_jsonl, load_flags, load_pairs, load_profiles, load_ratio_records
+from prefaudit import diagnostics, pairing, ratio
+from prefaudit.cli import (
+    _flag_row, _write_csv, _write_jsonl, load_flags, load_pairs, load_profiles, load_ratio_records, run,
+)
 from prefaudit.diagnostics import ConsistencyProfile
 from prefaudit.pairing import PAIR_KINDS, InconsistencyFlag, PromptPair
 from prefaudit.ratio import RatioRecord
+from prefaudit.records import ItemMetadata, load_metadata, load_records, save_records
 
 ids = st.text(min_size=1, max_size=8)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -85,3 +93,144 @@ def test_profiles_round_trip(artifact, written):
 @given(st.lists(ratio_records, max_size=5))
 def test_ratio_records_round_trip(artifact, written):
     assert load_ratio_records(_write(artifact, [r.as_dict() for r in written])) == written
+
+
+def _write_either(path, fmt, header, rows):
+    if fmt == "csv":
+        _write_csv(str(path), {"cmd": "round-trip"}, header, rows)
+    else:
+        _write_jsonl(str(path), {"cmd": "round-trip"}, rows)
+    return path
+
+
+@round_trip
+@given(
+    st.lists(profiles, max_size=5, unique_by=lambda p: p.annotator_id),
+    st.sampled_from(["jsonl", "csv"]),
+    st.none() | st.sampled_from(["use_as_signal", "filter_downweight"]),
+)
+def test_profiles_round_trip_in_either_format_with_or_without_routing(artifact, written, fmt, routing):
+    rows = [{**p.as_dict(), **({"routing": routing} if routing else {})} for p in written]
+    header = list(rows[0]) if rows else ["annotator_id"]  # as diagnose builds it
+    read = load_profiles(_write_either(artifact, fmt, header, rows))
+    assert read == {p.annotator_id: p for p in written}
+
+
+@round_trip
+@given(st.lists(ratio_records, max_size=5), st.sampled_from(["jsonl", "csv"]))
+def test_ratio_records_round_trip_in_either_format(artifact, written, fmt):
+    header = [f.name for f in fields(RatioRecord)]  # as ratio writes it
+    assert load_ratio_records(_write_either(artifact, fmt, header, [r.as_dict() for r in written])) == written
+
+
+# ------------------------------------------------------- through the subcommands
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A synth dataset, with two themes split by item, in a fresh directory."""
+    root = tmp_path_factory.mktemp("corpus")
+    assert run(["synth", "--per-type", "2", "--items-per-annotator", "30", "--repeats", "6",
+                "--framing-pairs", "2", "--anchors", "6", "--seed", "3", "--output-dir", str(root)]) == 0
+    dataset = load_records(root / "dataset.jsonl")
+    meta = root / "meta.jsonl"
+    meta.write_text("".join(
+        json.dumps({"item_id": item, "theme_labels": ["harm" if i % 2 else "care"]}) + "\n"
+        for i, item in enumerate(dataset.item_ids)
+    ), encoding="utf-8")
+    return root
+
+
+def _cli(corpus, *argv):
+    args = [str(corpus / a) if a.endswith((".json", ".jsonl", ".csv")) else a for a in argv]
+    assert run(args) == 0, args
+    return corpus / argv[argv.index("--output") + 1] if "--output" in argv else None
+
+
+def _dataset(corpus, metadata=False):
+    return load_records(corpus / "dataset.jsonl",
+                        metadata=load_metadata(corpus / "meta.jsonl") if metadata else None)
+
+
+def _rewritten(path, tmp_path):
+    """The bytes ``save_records`` writes for what ``load_records`` read from ``path``."""
+    save_records(load_records(path), tmp_path / "again.jsonl")
+    return (tmp_path / "again.jsonl").read_bytes()
+
+
+def test_synth_output_reads_back_as_input(corpus, tmp_path):
+    assert _rewritten(corpus / "dataset.jsonl", tmp_path) == (corpus / "dataset.jsonl").read_bytes()
+    _cli(corpus, "validate", "--input", "dataset.jsonl", "--strict", "--output", "validate.json")
+
+
+def test_themes_output_reads_back_as_metadata(corpus, tmp_path):
+    labels, endpoints, fixtures = tmp_path / "labels.txt", tmp_path / "endpoints.json", tmp_path / "fx.json"
+    labels.write_text("Privacy\nChild Harm\n", encoding="utf-8")
+    endpoints.write_text(json.dumps([
+        {"endpoint_id": f"ep{i}", "base_url": "http://x", "auth_env_var": "K", "model_name": "m"}
+        for i in range(3)
+    ]), encoding="utf-8")
+    # the empty marker matches every prompt
+    fixtures.write_text(json.dumps({f"ep{i}": {"": json.dumps({"labels": ["Privacy"]})} for i in range(3)}))
+    patch = tmp_path / "patch.jsonl"
+    assert run(["themes", "--input", str(corpus / "dataset.jsonl"), "--labels", str(labels),
+                "--endpoints", str(endpoints), "--transport", "fixture", "--fixtures", str(fixtures),
+                "--output", str(patch)]) == 0
+    written = [json.loads(line) for line in patch.read_text().splitlines()[1:]]
+    assert len(written) == len(_dataset(corpus).item_ids)
+    assert load_metadata(patch) == {
+        row["item_id"]: ItemMetadata(row["item_id"], theme_labels=row["theme_labels"]) for row in written
+    }
+
+
+def test_flags_read_back_equal(corpus):
+    flags_path = corpus / "flags.jsonl"
+    _cli(corpus, "repeats", "--input", "dataset.jsonl", "--flags-output", "flags.jsonl", "--output", "r.json")
+    flags, _summary, _ladder = pairing.repeat_audit(_dataset(corpus))
+    assert flags and load_flags(flags_path) == flags
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("route", [False, True])
+def test_profiles_read_back_equal_and_weight_alike(corpus, fmt, route):
+    name = f"profiles-{int(route)}.{fmt}"
+    profiles = _cli(corpus, "diagnose", "--input", "dataset.jsonl", "--format", fmt,
+                    *(["--route"] if route else []), "--output", name)
+    assert load_profiles(profiles) == diagnostics.build_profiles(_dataset(corpus))
+    weighted = _cli(corpus, "weights", "--input", "dataset.jsonl", "--profiles", name,
+                    "--output", f"weighted-{name}.jsonl", "--summary-output", "summary.json")
+    reference = _cli(corpus, "weights", "--input", "dataset.jsonl", "--output", "weighted.jsonl",
+                     "--summary-output", "summary.json")
+    assert weighted.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ratio_records_read_back_equal_and_simulate_alike(corpus, fmt):
+    ratios = _cli(corpus, "ratio", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--format", fmt,
+                  "--output", f"ratios.{fmt}")
+    written = ratio.all_ratios(_dataset(corpus, metadata=True))
+    assert written and load_ratio_records(ratios) == written
+    results = []
+    for source in (f"ratios.{fmt}", "reference-ratios.jsonl"):
+        if source.startswith("reference"):
+            _cli(corpus, "ratio", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--output", source)
+        out = _cli(corpus, "simulate", "--input", "dataset.jsonl", "--ratios", source, "--sample-size", "3",
+                   "--output", "sim.json")
+        results.append(json.loads(out.read_text())["result"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("policy", ["weight", "filter", "both"])
+def test_weighted_export_reads_back_as_input(corpus, tmp_path, policy):
+    weighted = _cli(corpus, "weights", "--input", "dataset.jsonl", "--weight-mode", "binary",
+                    "--policy", policy, "--output", f"w-{policy}.jsonl", "--summary-output", "summary.json")
+    assert _rewritten(weighted, tmp_path) == weighted.read_bytes()
+    read = load_records(weighted).records
+    kept = {r.record_id: r for r in _dataset(corpus).records}
+    assert [replace(r, weight=None) for r in read] == [kept[r.record_id] for r in read]
+    assert all((r.weight is None) == (policy == "filter") for r in read)
+    assert (len(read) < len(kept)) == (policy != "weight")  # binary weights zero some records
+    _cli(corpus, "validate", "--input", f"w-{policy}.jsonl", "--output", "validate.json")
+    # weighting the export again overwrites its weights, or drops them under filter
+    again = _cli(corpus, "weights", "--input", f"w-{policy}.jsonl", "--weight-mode", "binary",
+                 "--policy", policy, "--output", f"w2-{policy}.jsonl", "--summary-output", "summary.json")
+    assert again.read_bytes() == weighted.read_bytes()

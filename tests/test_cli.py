@@ -163,15 +163,16 @@ def test_invalid_data_exit_code(tmp_path):
 
 _ARTIFACT_ROWS = {
     # flag: (subcommand reading it, a valid row, a required field of that row,
-    #        a field of that row and a value of the wrong type for it)
-    "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a", ("similarity", "high")),
+    #        fields of that row, each with a value of the wrong type for it)
+    "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a",
+                [("similarity", "high"), ("similarity", "0.5"), ("similarity", True)]),
     "--flags": ("classify", {"item_a": "i1", "item_b": "i2", "annotator_id": "u0", "score_a": 5.0,
                              "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id",
-                ("delta", "wide")),
-    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id", ("n_temp_pairs", "7")),
+                [("delta", "wide"), ("score_a", "0.5"), ("score_a", True)]),
+    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id", [("n_temp_pairs", "7")]),
     "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
                               "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme",
-                 ("ratio", "x")),
+                 [("ratio", "x")]),
 }
 
 
@@ -180,23 +181,33 @@ _ARTIFACT_ROWS = {
 )
 @pytest.mark.parametrize("flag", list(_ARTIFACT_ROWS))
 def test_bad_intermediate_row_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys, flag, defect):
-    cmd, row, required, (bad_field, bad_value) = _ARTIFACT_ROWS[flag]
-    line, reason = {
-        "invalid JSON": ('{"item_a": ', "invalid JSON"),
-        "non-object line": (json.dumps([row]), "row is not an object"),
-        "unknown field": (json.dumps({**row, "bogus": 1}), "bogus"),
-        "missing field": (json.dumps({k: v for k, v in row.items() if k != required}), required),
-        "mistyped field": (json.dumps({**row, bad_field: bad_value}), repr(bad_value)),
+    cmd, row, required, mistyped = _ARTIFACT_ROWS[flag]
+    cases = {
+        "invalid JSON": [('{"item_a": ', "invalid JSON")],
+        "non-object line": [(json.dumps([row]), "row is not an object")],
+        "unknown field": [(json.dumps({**row, "bogus": 1}), "bogus")],
+        "missing field": [(json.dumps({k: v for k, v in row.items() if k != required}), required)],
+        "mistyped field": [(json.dumps({**row, field: value}), repr(value)) for field, value in mistyped],
     }[defect]
-    artifact = tmp_path / "artifact.jsonl"
-    artifact.write_text(json.dumps({"#config": {}}) + "\n" + line + "\n", encoding="utf-8")
-    argv = [cmd, "--input", str(dataset_path), flag, str(artifact), "--output", str(tmp_path / "out")]
-    if cmd == "weights":
-        argv += ["--summary-output", str(tmp_path / "summary.json")]
-    assert run(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "line 2: " in err[0] and reason in err[0]
+    for line, reason in cases:
+        artifact = tmp_path / "artifact.jsonl"
+        artifact.write_text(json.dumps({"#config": {}}) + "\n" + line + "\n", encoding="utf-8")
+        argv = [cmd, "--input", str(dataset_path), flag, str(artifact), "--output", str(tmp_path / "out")]
+        if cmd == "weights":
+            argv += ["--summary-output", str(tmp_path / "summary.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "line 2: " in err[0] and reason in err[0]
+
+
+def test_bad_csv_profile_cell_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text("# config: {}\r\nannotator_id,temp,n_temp_pairs\r\ns0,abc,4\r\n", encoding="utf-8")
+    code = run(["weights", "--input", str(dataset_path), "--profiles", str(profiles),
+                "--output", str(tmp_path / "w.jsonl"), "--summary-output", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {profiles}: line 3: non-numeric temp 'abc'\n"
 
 
 def test_repeats_then_classify_pipeline(dataset_path, metadata_path, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -77,7 +78,7 @@ _DROP = object()  # an ``over`` value that removes the field from the row
         ({"timestamp": 3.7}, "timestamp must be an integer"),
         ({"position_index": True}, "position_index must be an integer"),
         ({"score": True}, "non-numeric score"),
-        ({"weight": 0.5}, "unknown fields: ['weight']"),
+        ({"wieght": 0.5}, "unknown fields: ['wieght']"),
         ({"annotator_id": None}, "missing required field 'annotator_id'"),
         ({"scale_kind": _DROP}, "no scale_kind and no dataset-level default"),
         ({"score": float("nan")}, "score must be finite, got nan"),
@@ -85,6 +86,9 @@ _DROP = object()  # an ``over`` value that removes the field from the row
         ({"position_index": -1}, "position_index must be >= 0, got -1"),
         ({"annotator_id": 7}, "annotator_id must be a string, got 7"),
         ({"session_id": ["s1"]}, "session_id must be a string, got ['s1']"),
+        ({"weight": -0.5}, "weight must be finite and >= 0, got -0.5"),
+        ({"weight": "0.5"}, "non-numeric weight '0.5'"),
+        ({"weight": float("inf")}, "weight must be finite and >= 0, got inf"),
     ],
 )
 def test_mistyped_field_rejects_the_row(tmp_path, over, reason):
@@ -111,6 +115,18 @@ def test_zero_valid_rows_is_an_error(tmp_path):
     _write_jsonl(path, [_row(0, score=-3.0)])
     with pytest.raises(DataFormatError, match="zero valid rows"):
         load_records(path)
+
+
+def test_zero_valid_rows_names_the_most_common_reason(tmp_path, capsys):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(0, wieght=0.5), _row(1, annotator_id=7), _row(2, wieght=0.5)])
+    path.write_text(path.read_text() + "not json\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as excinfo:
+        load_records(path)
+    reason = "zero valid rows; 2 of 4 rejected rows: unknown fields: ['wieght']"
+    assert str(excinfo.value) == reason
+    assert run(["validate", "--input", str(path), "--output", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr().err == f"data error: {reason}\n"
 
 
 def test_conservation_rows_in_equals_records_plus_rejects(tmp_path):
@@ -234,6 +250,28 @@ def test_load_embeddings_rejects_a_non_object_line(tmp_path):
     path.write_text("7\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 1: row is not an object"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ({"item_id": "i1", "vector": 5}, "vector must be a list of numbers, got 5"),
+        ({"item_id": "i1", "vector": None}, "missing required field 'vector'"),
+        ({"item_id": "i1", "vector": ["a", "b"]}, "vector must be a list of numbers, got ['a', 'b']"),
+        ({"item_id": "i1", "vector": [1.0, True]}, "vector must be a list of numbers, got [1.0, True]"),
+        ({"item_id": 7, "vector": [1.0, 0.0]}, "item_id must be a string, got 7"),
+    ],
+)
+def test_mistyped_embedding_row_is_a_data_error_naming_its_line(tmp_path, capsys, row, reason):
+    path = tmp_path / "e.jsonl"
+    _write_jsonl(path, [{"item_id": "i0", "vector": [0.0, 1.0]}, row])
+    with pytest.raises(DataFormatError, match=re.escape(f"line 2: {reason}")):
+        load_embeddings(path)
+    data = tmp_path / "d.jsonl"
+    _write_jsonl(data, [_row(0, item_id="i0"), _row(1, item_id="i1")])
+    assert run(["pairs", "--input", str(data), "--embeddings", str(path), "--output", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"line 2: {reason}" in err[0]
 
 
 def test_missing_embedding_reference_fails(tmp_path):
