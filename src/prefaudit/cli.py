@@ -12,12 +12,11 @@ failure (any other exception a subcommand raises, reported on one line).
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -28,15 +27,19 @@ from .errors import (
     PrefauditError,
 )
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+@contextmanager
+def _output(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Standard output for ``-``, else the file ``path``, opened for writing."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -44,25 +47,26 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_jsonl(path: str, config: dict, rows: list[dict]) -> None:
-    lines = [_dump({"#config": config})]
-    lines.extend(_dump(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_jsonl(path: str, config: dict, rows: Iterable[dict]) -> None:
+    """The ``#config`` header line, then each row, written as soon as it is encoded."""
+    with _output(path) as fh:
+        fh.write(records.to_json({"#config": config}) + "\n")
+        for row in rows:
+            fh.write(records.to_json(row) + "\n")
 
 
 def _write_report(path: str, config: dict, text: str) -> None:
-    _write_text(path, records.CONFIG_PREFIX + _dump(config) + "\n" + text)
+    _write_text(path, records.CONFIG_PREFIX + records.to_json(config) + "\n" + text)
 
 
 def _write_json(path: str, config: dict, result) -> None:
-    _write_text(path, _dump({"config": config, "result": result}) + "\n")
+    _write_text(path, records.to_json({"config": config, "result": result}) + "\n")
 
 
-def _write_csv(path: str, config: dict, header: list[str], rows: list[dict]) -> None:
-    buffer = io.StringIO()
-    buffer.write(records.CONFIG_PREFIX + _dump(config) + "\r\n")
-    records.write_csv(buffer, header, rows)
-    _write_text(path, buffer.getvalue())
+def _write_csv(path: str, config: dict, header: list[str], rows: Iterable[dict]) -> None:
+    with _output(path, newline="") as fh:
+        fh.write(records.CONFIG_PREFIX + records.to_json(config) + "\r\n")
+        records.write_csv(fh, header, rows)
 
 
 def _render_table(title: str, header: list[str], rows: list[list[str]]) -> str:
@@ -122,7 +126,7 @@ def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
 def _cmd_pairs(args) -> int:
     dataset = _load_dataset(args)
     pairs = pairing.find_similar_pairs(dataset, args.sim_threshold, args.same_annotator)
-    _write_jsonl(args.output, _config_echo(args), [vars(p) for p in pairs])
+    _write_jsonl(args.output, _config_echo(args), (vars(p) for p in pairs))
     return 0
 
 
@@ -168,7 +172,7 @@ def _cmd_repeats(args) -> int:
     flags, summary, ladder = pairing.repeat_audit(dataset, args.sim_threshold, args.delta_threshold)
     config = _config_echo(args)
     if args.flags_output:
-        _write_jsonl(args.flags_output, config, [_flag_row(f) for f in flags])
+        _write_jsonl(args.flags_output, config, map(_flag_row, flags))
     if args.format == "report":
         _write_report(args.output, config, render_prevalence(summary) + render_ladder(ladder))
     else:
@@ -240,7 +244,7 @@ def _cmd_classify(args) -> int:
     summary = taxonomy.classification_summary(labels) if labels else taxonomy.ClassificationSummary([], 0)
     config = _config_echo(args)
     if args.labels_output:
-        rows = [
+        rows = (
             {
                 "annotator_id": lab.flag.annotator_id if lab.flag else None,
                 "pair_id": lab.flag.pair.pair_id if lab.flag else None,
@@ -248,7 +252,7 @@ def _cmd_classify(args) -> int:
                 "rule_trace": list(lab.rule_trace),
             }
             for lab in labels
-        ]
+        )
         _write_jsonl(args.labels_output, config, rows)
     if args.format == "report":
         _write_report(args.output, config, render_classification(summary))
@@ -291,7 +295,7 @@ def _cmd_ratio(args) -> int:
         exclude_theme_from_history=args.exclude_theme_history,
     )
     ratios = ratio.all_ratios(dataset, config_obj)
-    rows = [r.as_dict() for r in ratios]
+    rows = (r.as_dict() for r in ratios)
     config = _config_echo(args)
     if args.format == "csv":
         _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], rows)
@@ -444,7 +448,7 @@ def _cmd_synth(args) -> int:
         "anchor_scores": dict(sorted(synthetic.anchor_scores.items())),
         "clamp_count": synthetic.clamp_count,
     }
-    (outdir / "truth.json").write_text(_dump({"config": _config_echo(args), "result": sidecar}) + "\n", encoding="utf-8")
+    _write_json(str(outdir / "truth.json"), _config_echo(args), sidecar)
     return 0
 
 
@@ -470,10 +474,10 @@ def _cmd_themes(args) -> int:
         cache=cache,
     )
     config = _config_echo(args)
-    rows = [
+    rows = (
         {"item_id": item_id, "theme_labels": sorted(labels)}
         for item_id, labels in sorted(report.patch.items())
-    ]
+    )
     _write_jsonl(args.output, config, rows)
     if report.n_failed:
         print(f"{report.n_failed} prompts failed", file=sys.stderr)

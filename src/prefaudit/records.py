@@ -282,6 +282,11 @@ _RECORD_FIELDS = [f.name for f in fields(AnnotationRecord)]
 
 CONFIG_PREFIX = "# config: "  # the first line of every CSV file and report the CLI writes
 
+# One encoder and one scanner for every row: json.dumps and json.loads add
+# per-call work (dumps builds a new encoder) that a row need not pay.
+to_json = json.JSONEncoder(sort_keys=True).encode
+_scan = json.JSONDecoder().scan_once
+
 # How a value whose type its field does not admit is reported, by the field's first type.
 _MISTYPED = {
     str: "{} must be a string, got {!r}",
@@ -394,7 +399,7 @@ def _build_records(
         except DataFormatError as exc:
             if strict:
                 raise DataFormatError(f"line {line_no}: {exc}") from exc
-            rejects.append(RejectedRow(line_no, str(exc), json.dumps(obj, sort_keys=True)))
+            rejects.append(RejectedRow(line_no, str(exc), to_json(obj)))
     if not records:
         common = Counter(r.reason for r in rejects).most_common(1)
         why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
@@ -409,26 +414,48 @@ def iter_jsonl(
 
     A ``{"#config": ...}`` header line, as the CLI writes one, is skipped. A
     line that is not JSON or not an object raises DataFormatError naming the
-    line, or, when ``rejects`` is given, is appended there instead.
+    line, or, when ``rejects`` is given, is appended there instead. Equal
+    string values of the file's rows are one shared object.
     """
+    strings: dict[str, str] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as exc:
                 reason = f"invalid JSON: {exc}"
             else:
                 if isinstance(obj, dict):
                     if obj.keys() != {"#config"}:
-                        yield line_no, obj
+                        yield line_no, _shared(obj, strings)
                     continue
                 reason = "row is not an object"
             if rejects is None:
                 raise DataFormatError(f"line {line_no}: {reason}")
             rejects.append(RejectedRow(line_no, reason, line))
+
+
+def _decode(line: str):
+    """``json.loads(line)`` for a stripped line, in one scan when the line is one
+    JSON value; any other line goes to ``json.loads``, which raises its own error."""
+    try:
+        obj, end = _scan(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
+def _shared(row: dict, strings: dict[str, str]) -> dict:
+    """``row`` with each string value replaced by the first equal one in ``strings``."""
+    for key, value in row.items():
+        if type(value) is str:
+            row[key] = strings.setdefault(value, value)
+    return row
 
 
 def _from_cell(cell: str, admitted: tuple):
@@ -449,8 +476,9 @@ def _iter_csv(
 ) -> Iterator[tuple[int, dict]]:
     """``iter_jsonl`` for CSV: an optional ``CONFIG_PREFIX`` line, a header row,
     then one row per line. Cells are read as ``cls``'s field types; an empty
-    cell is an absent field."""
+    cell is an absent field. Equal string values are shared, as there."""
     admitted = _row_schema(cls)[0]
+    strings: dict[str, str] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
         skipped = fh.readline().startswith(CONFIG_PREFIX)
         if not skipped:
@@ -466,7 +494,8 @@ def _iter_csv(
                     raise DataFormatError(f"line {line_no}: {reason}")
                 rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
                 continue
-            yield line_no, {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
+            row = {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
+            yield line_no, _shared(row, strings)
 
 
 def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None) -> list:
@@ -561,7 +590,7 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
             write_csv(fh, _RECORD_FIELDS, map(record_to_obj, dataset.records))
         else:
             for rec in dataset.records:
-                fh.write(json.dumps(record_to_obj(rec), sort_keys=True) + "\n")
+                fh.write(to_json(record_to_obj(rec)) + "\n")
     return len(dataset.records)
 
 

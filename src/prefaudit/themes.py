@@ -12,9 +12,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence, get_args, get_origin
 
-from .errors import AllEndpointsFailedError, ProtocolError, TransportError
+from .errors import AllEndpointsFailedError, DataFormatError, ProtocolError, TransportError
 from .records import Dataset, ItemMetadata, from_row
 
 PROMPT_TEMPLATE = """You are an expert researcher annotating prompts using a predefined harmfulness framework.
@@ -191,7 +191,7 @@ class LabelCache:
         path = Path(path)
         entries = {}
         if path.exists():
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = _read_json(path, dict[str, list[str]])
             entries = {prompt: frozenset(labels) for prompt, labels in obj.items()}
         return cls(entries, path)
 
@@ -351,7 +351,7 @@ class FixtureTransport:
 
     @classmethod
     def load(cls, path: str | Path) -> "FixtureTransport":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(_read_json(path, dict[str, dict[str, str]]))
 
     def send(self, endpoint: EndpointConfig, prompt: str) -> str:
         self.calls.append((endpoint.endpoint_id, prompt))
@@ -400,7 +400,31 @@ class HttpTransport:
             raise TransportError(f"endpoint {endpoint.endpoint_id}: unexpected response shape") from exc
 
 
+def _has_shape(doc, shape) -> bool:
+    """Whether a decoded JSON document is a ``shape``: a type, ``list[X]`` or ``dict[str, X]``."""
+    origin = get_origin(shape)
+    if origin is None:
+        return isinstance(doc, shape)
+    values = doc.values() if isinstance(doc, dict) else doc
+    return isinstance(doc, origin) and all(_has_shape(v, get_args(shape)[-1]) for v in values)
+
+
+def _read_json(path: str | Path, shape):
+    """The JSON document in ``path``, which must be a ``shape``; a DataFormatError
+    naming the file when it is not JSON or not that shape."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    if not _has_shape(doc, shape):
+        raise DataFormatError(f"{path}: expected JSON of shape {shape}")
+    return doc
+
+
 def load_endpoints(path: str | Path) -> list[EndpointConfig]:
     """Endpoint configuration file: a JSON list of endpoint objects."""
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [from_row(EndpointConfig, row) for row in rows]
+    rows = _read_json(path, list[dict])
+    try:
+        return [from_row(EndpointConfig, row) for row in rows]
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

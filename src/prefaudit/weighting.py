@@ -9,7 +9,6 @@ variance, and a weighted/filtered dataset export.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import exp
@@ -20,7 +19,7 @@ import numpy as np
 
 from .diagnostics import ConsistencyProfile
 from .errors import InsufficientSupportError
-from .records import Dataset, default_tau, record_to_obj, score_value
+from .records import Dataset, default_tau, record_to_obj, score_value, to_json
 
 WEIGHT_MODES = ("binary", "linear", "sigmoid")
 EXPORT_POLICIES = ("weight", "filter", "both")
@@ -224,7 +223,7 @@ def export_weighted(
                 obj.pop("weight", None)
             else:
                 obj["weight"] = w
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(to_json(obj) + "\n")
             retained += 1
     return ExportSummary(
         policy=policy,

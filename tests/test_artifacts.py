@@ -2,6 +2,7 @@
 (writer, reader) pair the CLI exposes."""
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -121,6 +122,20 @@ def test_profiles_round_trip_in_either_format_with_or_without_routing(artifact, 
 def test_ratio_records_round_trip_in_either_format(artifact, written, fmt):
     header = [f.name for f in fields(RatioRecord)]  # as ratio writes it
     assert load_ratio_records(_write_either(artifact, fmt, header, [r.as_dict() for r in written])) == written
+
+
+def test_jsonl_artifact_is_written_row_by_row(tmp_path):
+    """The writer holds one encoded row at a time, never the whole file."""
+    rows = ({"annotator_id": f"a{i % 32}", "pair_id": f"item-{i:06d}|item-{i + 1:06d}",
+             "label": "measurement_artifact", "rule_trace": ["repeat", "delta"]} for i in range(20_000))
+    path = tmp_path / "labels.jsonl"
+    tracemalloc.start()
+    try:
+        _write_jsonl(str(path), {"cmd": "stream"}, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 # ------------------------------------------------------- through the subcommands

@@ -419,6 +419,72 @@ def test_themes_subcommand_fixture_transport(dataset_path, tmp_path):
                 "--output", str(tmp_path / "validate.json")]) == 0
 
 
+def _themes_argv(dataset_path, tmp_path, endpoints, fixtures, cache=None):
+    """A themes run over three fixture endpoints; any of its files may be replaced."""
+    files = {
+        "labels.txt": "Privacy\n",
+        "endpoints.json": endpoints or json.dumps([
+            {"endpoint_id": f"ep{i}", "base_url": "http://x"} for i in range(3)
+        ]),
+        "fixtures.json": fixtures or json.dumps({
+            f"ep{i}": {"prompt": json.dumps({"labels": ["Privacy"]})} for i in range(3)
+        }),
+    }
+    if cache is not None:
+        files["cache.json"] = cache
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["themes", "--input", str(dataset_path), "--labels", str(tmp_path / "labels.txt"),
+            "--endpoints", str(tmp_path / "endpoints.json"), "--transport", "fixture",
+            "--fixtures", str(tmp_path / "fixtures.json"), "--output", str(tmp_path / "patch.jsonl")]
+    return argv + (["--cache", str(tmp_path / "cache.json")] if cache is not None else [])
+
+
+@pytest.mark.parametrize(
+    "endpoints, fixtures, cache, bad_file",
+    [
+        ('{"endpoint_id": "ep0", "base_url": "http://x"}', None, None, "endpoints.json"),
+        ('[{"endpoint_id": "ep0"}]', None, None, "endpoints.json"),
+        (None, None, '["prompt"]', "cache.json"),
+        (None, None, '{"prompt": "Privacy"}', "cache.json"),
+        (None, '{"ep0": ', None, "fixtures.json"),
+        (None, '{"ep0": "payload"}', None, "fixtures.json"),
+    ],
+    ids=["endpoints object", "endpoint missing field", "cache list", "cache labels not a list",
+         "fixtures invalid JSON", "fixtures flat"],
+)
+def test_malformed_themes_inputs_are_data_errors_naming_the_file(
+    dataset_path, tmp_path, capsys, endpoints, fixtures, cache, bad_file
+):
+    assert run(_themes_argv(dataset_path, tmp_path, endpoints, fixtures, cache)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"data error: {tmp_path / bad_file}: ")
+
+
+def _without_output_paths(text):
+    """Artifact text with the output paths its ``#config`` header echoes left out."""
+    header, _, body = text.partition("\n")
+    config = json.loads(header)["#config"]
+    return {k: v for k, v in config.items() if not k.endswith("output")}, body
+
+
+@pytest.mark.parametrize("cmd, flag", [("pairs", "--output"), ("repeats", "--flags-output")])
+def test_artifact_written_to_stdout_matches_the_file(dataset_path, tmp_path, capsys, cmd, flag):
+    embeddings = tmp_path / "emb.jsonl"
+    vectors = {"i1": [1.0, 0.0], "i2": [0.99, 0.1], "i3": [0.0, 1.0], "i4": [0.1, 0.99]}
+    _write_jsonl(embeddings, [{"item_id": k, "vector": v} for k, v in vectors.items()])
+    argv = [cmd, "--input", str(dataset_path), "--embeddings", str(embeddings)]
+    if cmd == "repeats":
+        argv += ["--output", str(tmp_path / "report.json")]
+    artifact = tmp_path / "artifact.jsonl"
+    assert run(argv + [flag, str(artifact)]) == 0
+    assert run(argv + [flag, "-"]) == 0
+    written = artifact.read_text(encoding="utf-8")
+    assert written.count("\n") > 2
+    assert _without_output_paths(capsys.readouterr().out) == _without_output_paths(written)
+
+
 def test_config_file_supplies_defaults(dataset_path, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("tau = 5\nseed = 3\n", encoding="utf-8")
