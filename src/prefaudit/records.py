@@ -282,10 +282,8 @@ _RECORD_FIELDS = [f.name for f in fields(AnnotationRecord)]
 
 CONFIG_PREFIX = "# config: "  # the first line of every CSV file and report the CLI writes
 
-# One encoder and one scanner for every row: json.dumps and json.loads add
-# per-call work (dumps builds a new encoder) that a row need not pay.
+# One encoder for every row: json.dumps builds a new encoder on each call.
 to_json = json.JSONEncoder(sort_keys=True).encode
-_scan = json.JSONDecoder().scan_once
 
 # How a value whose type its field does not admit is reported, by the field's first type.
 _MISTYPED = {
@@ -424,7 +422,7 @@ def iter_jsonl(
             if not line:
                 continue
             try:
-                obj = _decode(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 reason = f"invalid JSON: {exc}"
             else:
@@ -436,18 +434,6 @@ def iter_jsonl(
             if rejects is None:
                 raise DataFormatError(f"line {line_no}: {reason}")
             rejects.append(RejectedRow(line_no, reason, line))
-
-
-def _decode(line: str):
-    """``json.loads(line)`` for a stripped line, in one scan when the line is one
-    JSON value; any other line goes to ``json.loads``, which raises its own error."""
-    try:
-        obj, end = _scan(line, 0)
-        if end == len(line):
-            return obj
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)
 
 
 def _shared(row: dict, strings: dict[str, str]) -> dict:

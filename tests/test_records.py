@@ -6,8 +6,6 @@ import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
 from conftest import dataset_of, rec
 from prefaudit.cli import run
@@ -18,7 +16,6 @@ from prefaudit.records import (
     EmbeddingTable,
     common_scale_score,
     default_tau,
-    iter_jsonl,
     load_embeddings,
     load_metadata,
     load_records,
@@ -413,58 +410,3 @@ def test_loaded_records_share_repeated_strings(tmp_path, fmt):
     assert len({id(r.annotator_id) for r in ds.records}) == len(ds.by_annotator)
     assert len({id(r.scale_kind) for r in ds.records}) == 1
 
-
-def _reference_rows(path):
-    """What ``iter_jsonl`` yields and rejects, by a plain ``json.loads`` loop."""
-    rows, rejects = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rejects.append((line_no, f"invalid JSON: {exc}", line))
-                continue
-            if not isinstance(obj, dict):
-                rejects.append((line_no, "row is not an object", line))
-            elif obj.keys() != {"#config"}:
-                rows.append((line_no, obj))
-    return rows, rejects
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=4,
-)
-_line_parts = st.one_of(
-    _json_values.map(json.dumps),
-    st.dictionaries(st.sampled_from(["record_id", "score", "#config"]), _json_values, max_size=2).map(json.dumps),
-    st.sampled_from(['{"#config": {"seed": 7}}', '{"#config": 1, "x": 2}', "NaN", "-Infinity", "{", "]", ",", "1 2"]),
-    st.sampled_from(["\ufeff", " ", "\t", "\u3000", "\u00a0", "\x1c", "\u2028", "\x85", "\r"]),
-    st.text(max_size=6),
-)
-
-
-@pytest.fixture(scope="module")
-def lines_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("decode") / "lines.jsonl"
-
-
-@seed(20240611)
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(st.lists(_line_parts, max_size=3).map("".join), max_size=6))
-def test_iter_jsonl_decodes_as_json_loads(lines_path, lines):
-    path = lines_path
-    path.write_text("\n".join(lines), encoding="utf-8")
-    rows, rejects = _reference_rows(path)
-    rejected = []
-    # repr tells NaN, -0.0, 1 and 1.0 apart, as == on the rows would not
-    assert repr(list(iter_jsonl(path, rejected))) == repr(rows)
-    assert [(r.line_no, r.reason, r.raw) for r in rejected] == rejects
-    if rejects:
-        line_no, reason, _raw = rejects[0]
-        with pytest.raises(DataFormatError, match=re.escape(f"line {line_no}: {reason}")):
-            list(iter_jsonl(path))
