@@ -119,12 +119,13 @@ def framing_consistency(
     dataset: Dataset,
     annotator_id: str,
     tau: Optional[float] = None,
-    pairs: Optional[Sequence[PromptPair]] = None,
+    pairs: Optional[Sequence[PromptPair] | dict[str, list[str]]] = None,
 ) -> tuple[Optional[float], int]:
     """Fraction of equivalent-content rating pairs agreeing within tau.
 
     Equivalent content is the same item under two distinct framing variants;
-    ``pairs`` adds cross-item equivalent pairs discovered elsewhere.
+    ``pairs`` adds cross-item equivalent pairs discovered elsewhere, given as
+    PromptPairs or as the map ``equivalent_partners`` builds from them.
     """
     tau = default_tau(dataset.scale_kind) if tau is None else tau
     deltas = [
@@ -133,14 +134,27 @@ def framing_consistency(
         if None not in (r1.framing_id, r2.framing_id) and r1.framing_id != r2.framing_id
     ]
     if pairs:
+        partners = pairs if isinstance(pairs, dict) else equivalent_partners(pairs)
         mine = dataset.by_annotator_item.get(annotator_id, {})
-        for pair in pairs:
-            if pair.kind != "equivalent" or pair.is_self_pair:
-                continue
-            for ra in mine.get(pair.item_a, []):
-                for rb in mine.get(pair.item_b, []):
-                    deltas.append(abs(score_value(ra) - score_value(rb)))
+        for item_a, ras in mine.items():
+            for item_b in partners.get(item_a, ()):
+                for ra in ras:
+                    for rb in mine.get(item_b, ()):
+                        deltas.append(abs(score_value(ra) - score_value(rb)))
     return _pair_fraction(deltas, tau)
+
+
+def equivalent_partners(pairs: Sequence[PromptPair]) -> dict[str, list[str]]:
+    """item_a -> the item_b of each cross-item equivalent pair, in pair order.
+
+    ``framing_consistency`` takes this map in place of ``pairs``, so that
+    ``build_profiles`` indexes the pairs once rather than once per annotator.
+    """
+    partners: dict[str, list[str]] = {}
+    for pair in pairs:
+        if pair.kind == "equivalent" and not pair.is_self_pair:
+            partners.setdefault(pair.item_a, []).append(pair.item_b)
+    return partners
 
 
 def order_consistency(dataset: Dataset, annotator_id: str) -> tuple[Optional[float], int]:
@@ -240,7 +254,7 @@ def build_profile(
     dataset: Dataset,
     annotator_id: str,
     tau: Optional[float] = None,
-    pairs: Optional[Sequence[PromptPair]] = None,
+    pairs: Optional[Sequence[PromptPair] | dict[str, list[str]]] = None,
     ratio_config: RatioConfig = RatioConfig(),
     reliability_mode: str = "weighted",
     weights: Optional[Sequence[float]] = None,
@@ -285,9 +299,10 @@ def build_profiles(
     weights: Optional[Sequence[float]] = None,
 ) -> dict[str, ConsistencyProfile]:
     """Profiles for every annotator, keyed by annotator id."""
+    partners = equivalent_partners(pairs) if pairs else None
     return {
         annotator_id: build_profile(
-            dataset, annotator_id, tau, pairs, ratio_config, reliability_mode, weights
+            dataset, annotator_id, tau, partners, ratio_config, reliability_mode, weights
         )
         for annotator_id in dataset.annotator_ids
     }

@@ -15,11 +15,20 @@ common 0-100 scale happens only inside consumers that need it.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import marshal
 import math
+import os
+import re
+import sys
+import tempfile
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property, partial
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -296,31 +305,38 @@ _MISTYPED = {
 }
 
 
+_Container = tuple[type, tuple]  # (frozenset, (str,)) for frozenset[str]
+
+
 @cache
-def _row_schema(cls: type) -> tuple[dict[str, tuple], tuple[str, ...]]:
-    """The types each field of ``cls`` admits in a row, and the fields a row must give.
+def _row_schema(cls: type) -> tuple[dict[str, tuple], tuple[str, ...], dict[str, Optional[_Container]]]:
+    """The types each field of ``cls`` admits in a row, the fields a row must give,
+    and the container type (``frozenset[X]``, ``list[X]``) each field admits, if any.
     This is the one place a field annotation becomes row types: ``X`` admits
     ``X``, ``Optional[X]`` adds None, and ``Union[X, Y]`` admits either."""
     hints = get_type_hints(cls)
     admitted = {name: get_args(h) if get_origin(h) is Union else (h,) for name, h in hints.items()}
     required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
-    return admitted, required
+    containers = {
+        name: next(((get_origin(t), get_args(t)) for t in types if get_origin(t)), None)
+        for name, types in admitted.items()
+    }
+    return admitted, required, containers
 
 
-def _cast(name: str, value, admitted: tuple):
+def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = None):
     """``value``, whose own type ``admitted`` lacks, as a type it holds: an int as
-    a float, an integral float as an int, a list as a ``frozenset[X]`` or
-    ``list[X]`` whose entries read as ``X``. A bool or a string is never a number."""
+    a float, an integral float as an int, a list as ``container`` (a ``frozenset[X]``
+    or ``list[X]``) whose entries read as ``X``. A bool or a string is never a number."""
     kind = type(value)
     try:
         if kind is int and float in admitted:
             return float(value)
         if kind is float and int in admitted and value.is_integer():
             return int(value)
-        container = next((t for t in admitted if get_origin(t)), None)
         if kind is list and container is not None:
-            inner = get_args(container)
-            return get_origin(container)(v if type(v) in inner else _cast(name, v, inner) for v in value)
+            make, inner = container
+            return make(v if type(v) in inner else _cast(name, v, inner) for v in value)
     except (DataFormatError, OverflowError):  # float() of an int past 1e308 overflows
         pass
     raise DataFormatError(_MISTYPED[admitted[0]].format(name, value))
@@ -330,7 +346,7 @@ def from_row(cls: type, row: dict):
     """``cls(**row)`` once each value's type is one its field admits: matched exactly,
     cast only on a miss. An unknown field, a missing or null required field and a
     value that cannot be cast raise DataFormatError; ``row`` is left as given."""
-    admitted, required = _row_schema(cls)
+    admitted, required, containers = _row_schema(cls)
     if not row.keys() <= admitted.keys():
         raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
     for name in required:
@@ -339,7 +355,7 @@ def from_row(cls: type, row: dict):
     cast = {}
     for key, value in row.items():  # a plain loop: cheaper than a comprehension, per row read
         if type(value) not in admitted[key]:
-            cast[key] = _cast(key, value, admitted[key])
+            cast[key] = _cast(key, value, admitted[key], containers[key])
     return cls(**{**row, **cast}) if cast else cls(**row)
 
 
@@ -405,32 +421,76 @@ def _build_records(
     return records, effective_scale or SCALE_CONTINUOUS
 
 
+class _Hashed(io.RawIOBase):
+    """A binary file whose every block read is fed to ``digest``, a hashlib object."""
+
+    def __init__(self, path: str | Path, digest):
+        self._file = io.FileIO(path)
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _open_text(path: str | Path, newline: Optional[str] = None, digest=None) -> io.TextIOBase:
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a byte that
+    is not UTF-8 reads as a lone surrogate (see ``_undecodable``). ``digest``, when
+    given, is fed every byte read."""
+    if digest is None:
+        return Path(path).open(encoding="utf-8-sig", errors="surrogateescape", newline=newline)
+    raw = io.BufferedReader(_Hashed(path, digest), 1 << 16)
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
+
+
+_SURROGATE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(text: str) -> Optional[str]:
+    """Why ``text``, read by ``_open_text``, was not UTF-8; None when it was."""
+    found = None if text.isascii() else _SURROGATE.search(text)
+    return None if found is None else f"invalid UTF-8: byte {ord(found.group()) - 0xDC00:#04x}"
+
+
 def iter_jsonl(
-    path: str | Path, rejects: Optional[list[RejectedRow]] = None
+    path: str | Path, rejects: Optional[list[RejectedRow]] = None, digest=None
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
 
     A ``{"#config": ...}`` header line, as the CLI writes one, is skipped. A
-    line that is not JSON or not an object raises DataFormatError naming the
-    line, or, when ``rejects`` is given, is appended there instead. Equal
-    string values of the file's rows are one shared object.
+    line that is not UTF-8, not JSON or not an object raises DataFormatError
+    naming the line, or, when ``rejects`` is given, is appended there instead.
+    Equal string values of the file's rows are one shared object. ``digest``
+    is fed the bytes read, as in ``_open_text``.
     """
     strings: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8") as fh:
+    with _open_text(path, digest=digest) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                reason = f"invalid JSON: {exc}"
+            reason = _undecodable(line)
+            if reason is not None:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
             else:
-                if isinstance(obj, dict):
-                    if obj.keys() != {"#config"}:
-                        yield line_no, _shared(obj, strings)
-                    continue
-                reason = "row is not an object"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    reason = f"invalid JSON: {exc}"
+                else:
+                    if isinstance(obj, dict):
+                        if obj.keys() != {"#config"}:
+                            yield line_no, _shared(obj, strings)
+                        continue
+                    reason = "row is not an object"
             if rejects is None:
                 raise DataFormatError(f"line {line_no}: {reason}")
             rejects.append(RejectedRow(line_no, reason, line))
@@ -458,30 +518,36 @@ def _from_cell(cell: str, admitted: tuple):
 
 
 def _iter_csv(
-    path: str | Path, cls: type, rejects: Optional[list[RejectedRow]] = None
+    path: str | Path, cls: type, rejects: Optional[list[RejectedRow]] = None, digest=None
 ) -> Iterator[tuple[int, dict]]:
     """``iter_jsonl`` for CSV: an optional ``CONFIG_PREFIX`` line, a header row,
     then one row per line. Cells are read as ``cls``'s field types; an empty
-    cell is an absent field. Equal string values are shared, as there."""
+    cell is an absent field. Equal string values are shared, and a row that is
+    not UTF-8 is rejected, as there."""
     admitted = _row_schema(cls)[0]
     strings: dict[str, str] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        skipped = fh.readline().startswith(CONFIG_PREFIX)
-        if not skipped:
-            fh.seek(0)
-        reader = csv.DictReader(fh)
+    with _open_text(path, newline="", digest=digest) as fh:
+        first = fh.readline()
+        skipped = first.startswith(CONFIG_PREFIX)
+        reader = csv.DictReader(fh if skipped else chain([first], fh))  # no seek: ``digest`` sees each byte once
         if reader.fieldnames is None:
             raise DataFormatError("empty CSV file")
+        reason = _undecodable("".join(reader.fieldnames))
+        if reason is not None:
+            raise DataFormatError(f"line {reader.line_num + skipped}: header {reason}")
         for row in reader:
             line_no = reader.line_num + skipped
             if None in row:  # DictReader files surplus cells under the key None
                 reason = f"row has {len(row[None])} more cells than the header"
-                if rejects is None:
-                    raise DataFormatError(f"line {line_no}: {reason}")
-                rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
-                continue
-            row = {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
-            yield line_no, _shared(row, strings)
+            else:
+                reason = next(filter(None, map(_undecodable, filter(None, row.values()))), None)
+                if reason is None:
+                    row = {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
+                    yield line_no, _shared(row, strings)
+                    continue
+            if rejects is None:
+                raise DataFormatError(f"line {line_no}: {reason}")
+            rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
 
 
 def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None) -> list:
@@ -489,7 +555,7 @@ def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], obje
     of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
     outputs do. A bad row raises one DataFormatError naming the file and the line."""
     build = build or partial(from_row, cls)
-    with Path(path).open(encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         is_csv = fh.readline().startswith(CONFIG_PREFIX)
     out = []
     try:
@@ -518,15 +584,38 @@ def load_records(
     embeddings: Optional[EmbeddingTable] = None,
     metadata: Optional[dict[str, ItemMetadata]] = None,
 ) -> Dataset:
-    """Load a dataset from a JSONL or CSV export."""
+    """Load a dataset from a JSONL or CSV export.
+
+    A regular file's load is kept in a sidecar next to it (see ``_read_sidecar``),
+    which a later load of the same bytes with the same arguments reads instead of
+    parsing the file again. Under ``strict``, a bad row raises naming the file
+    and the line.
+    """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    # the reader's rejects and the record builder's land in one list, in line order
-    rejects: list[RejectedRow] = []
-    lenient = None if strict else rejects
-    rows = iter_jsonl(path, lenient) if fmt == "jsonl" else _iter_csv(path, AnnotationRecord, lenient)
-    records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
+    key = (fmt, scale_kind, strict)
+    cacheable = path.is_file()  # hashing a pipe would consume what the parse must read
+    loaded = _read_sidecar(path, key) if cacheable else None
+    if loaded is None:
+        digest = hashlib.sha256()
+        # the reader's rejects and the record builder's land in one list, in line order
+        rejects: list[RejectedRow] = []
+        lenient = None if strict else rejects
+        if fmt == "jsonl":
+            rows = iter_jsonl(path, lenient, digest)
+        else:
+            rows = _iter_csv(path, AnnotationRecord, lenient, digest)
+        try:
+            records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
+        except DataFormatError as exc:
+            if strict:
+                raise DataFormatError(f"{path}: {exc}") from None
+            raise
+        if cacheable:
+            _write_sidecar(path, key, digest.digest(), records, rejects, effective_scale)
+    else:
+        records, rejects, effective_scale = loaded
     if strict:
         _check_timestamp_order(records, raise_on_violation=True)
     dataset = Dataset(
@@ -538,6 +627,99 @@ def load_records(
     )
     _check_embedding_references(dataset)
     return dataset
+
+
+# The load sidecar: a cache of one load of one file, never a second source of truth.
+_RECORD_GETTERS = [attrgetter(name) for name in _RECORD_FIELDS]
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.prefaudit")
+
+
+@cache
+def _source_digest() -> bytes:
+    """This module's source: a change to how rows become records retires every sidecar."""
+    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+
+
+def _sidecar_header(key: tuple, digest: bytes) -> bytes:
+    """What a sidecar must match to be used: the interpreter and marshal format,
+    this module's source, ``load_records``' arguments ``(fmt, scale_kind, strict)``
+    and the SHA-256 of the input's bytes. Marshal format 2 writes no
+    back-references, so equal headers are equal bytes."""
+    return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
+
+
+def _write_sidecar(
+    path: Path, key: tuple, digest: bytes, records: list[AnnotationRecord], rejects: list[RejectedRow], scale: str
+) -> None:
+    """Keep a load of the bytes ``digest`` names in ``path``'s sidecar: the header,
+    then one marshal blob of one tuple per record field (None for a field no
+    record sets), the rejects as ``(line_no, reason, raw)`` and the effective
+    scale. Marshal keeps the records' shared strings shared. A sidecar that
+    cannot be written is skipped."""
+    columns = tuple(tuple(map(get, records)) for get in _RECORD_GETTERS)
+    columns = tuple(None if col[0] is None and col.count(None) == len(col) else col for col in columns)
+    body = marshal.dumps((columns, tuple((r.line_no, r.reason, r.raw) for r in rejects), scale))
+    sidecar = _sidecar_path(path)
+    try:
+        header = _sidecar_header(key, digest)
+        fd, tmp = tempfile.mkstemp(prefix=sidecar.name, suffix=".tmp", dir=sidecar.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header)
+                fh.write(body)
+            os.replace(tmp, sidecar)  # readers see the old sidecar or the whole new one
+        except OSError:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
+
+
+def _read_sidecar(
+    path: Path, key: tuple
+) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
+    """The load ``path``'s sidecar keeps for its current bytes and ``key``, checked
+    as a parse checks each row: the field types, the required fields, one scale,
+    and ``AnnotationRecord.__post_init__``. None, for a full parse, when the
+    sidecar is missing, unreadable, stale or fails a check."""
+    try:
+        blob = _sidecar_path(path).read_bytes()
+        with path.open("rb") as fh:
+            header = _sidecar_header(key, hashlib.file_digest(fh, "sha256").digest())
+        if not blob.startswith(header):
+            return None
+        columns, rejected, scale = marshal.loads(memoryview(blob)[len(header):])
+        records = _records_from_columns(columns, scale, key[1])
+        rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
+    except (OSError, EOFError, ValueError, TypeError, DataFormatError):  # unreadable, truncated or garbled
+        return None
+    if records is None or len(rejects) != len(rejected) or (rejects and key[2]):
+        return None  # a strict load raises on its first reject
+    return records, rejects, scale
+
+
+def _records_from_columns(
+    columns: tuple, scale: str, scale_kind: Optional[str]
+) -> Optional[list[AnnotationRecord]]:
+    """The records whose fields ``columns`` holds, once every value has a type its
+    field admits and every record is on ``scale``; None when one does not."""
+    admitted, required, _ = _row_schema(AnnotationRecord)
+    if type(columns) is not tuple or len(columns) != len(_RECORD_FIELDS) or scale_kind not in (None, scale):
+        return None
+    n = len(columns[0])
+    args = []
+    for name, col in zip(_RECORD_FIELDS, columns):
+        if col is None and name not in required:
+            col = repeat(None, n)
+        elif type(col) is not tuple or len(col) != n or not set(map(type, col)) <= set(admitted[name]):
+            return None
+        args.append(col)
+    if n == 0 or columns[_RECORD_FIELDS.index("scale_kind")].count(scale) != n:
+        return None
+    return list(map(AnnotationRecord, *args))
 
 
 def _check_embedding_references(dataset: Dataset) -> None:

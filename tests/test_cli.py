@@ -510,3 +510,55 @@ def test_seeded_rerun_byte_identical(dataset_path, metadata_path, tmp_path):
     first = ratios.read_bytes()
     assert run(args) == 0
     assert ratios.read_bytes() == first
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.prefaudit")
+
+
+def test_strict_after_a_lenient_load_still_names_the_bad_line(dataset_path, tmp_path, capsys):
+    rows = _records_rows()
+    rows[2]["score"] = 150.0
+    _write_jsonl(dataset_path, rows)
+    argv = ["validate", "--input", str(dataset_path), "--output", str(tmp_path / "v.json")]
+    assert run(argv) == 0
+    assert _sidecar(dataset_path).is_file()
+    capsys.readouterr()
+    assert run(argv + ["--strict"]) == 2
+    assert f"data error: {dataset_path}: line 3: score 150.0 outside [0, 100]" in capsys.readouterr().err
+
+
+AUDIT_STAGES = (
+    ("validate", "--input", "data.jsonl", "--metadata", "meta.jsonl", "--output", "validate.json"),
+    ("repeats", "--input", "data.jsonl", "--flags-output", "flags.jsonl", "--output", "repeats.json"),
+    ("classify", "--input", "data.jsonl", "--metadata", "meta.jsonl", "--flags", "flags.jsonl",
+     "--labels-output", "labels.jsonl", "--output", "classify.json"),
+    ("diagnose", "--input", "data.jsonl", "--metadata", "meta.jsonl", "--seed", "7", "--output", "profiles.jsonl"),
+    ("ratio", "--input", "data.jsonl", "--metadata", "meta.jsonl", "--seed", "7", "--min-support", "3",
+     "--output", "ratios.jsonl", "--stats-output", "population.json"),
+    ("simulate", "--input", "data.jsonl", "--ratios", "ratios.jsonl", "--sample-size", "3", "--seed", "7",
+     "--output", "simulate.json"),
+    ("weights", "--input", "data.jsonl", "--profiles", "profiles.jsonl",
+     "--output", "weighted.jsonl", "--summary-output", "weights.json"),
+)
+
+
+def _audit_artifacts(tmp_path):
+    outputs = {}
+    for stage in AUDIT_STAGES:
+        argv = [str(tmp_path / a) if a.endswith((".json", ".jsonl")) else a for a in stage]
+        assert run(argv) == 0, stage[0]
+        for flag, name in zip(stage, stage[1:]):
+            if flag.endswith("output"):
+                outputs[name] = (tmp_path / name).read_bytes()
+    return outputs
+
+
+def test_stage_outputs_do_not_depend_on_the_sidecar(dataset_path, metadata_path, tmp_path):
+    sidecar = _sidecar(dataset_path)
+    assert not sidecar.exists()
+    cold = _audit_artifacts(tmp_path)
+    assert sidecar.is_file()
+    assert _audit_artifacts(tmp_path) == cold
+    sidecar.write_bytes(sidecar.read_bytes()[:100] + b"\x00" * 50)
+    assert _audit_artifacts(tmp_path) == cold

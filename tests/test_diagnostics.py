@@ -1,5 +1,8 @@
 """Consistency measures, reliability aggregation, framing-effect statistics."""
 
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -18,8 +21,10 @@ from prefaudit.diagnostics import (
 )
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.pairing import PromptPair
+from prefaudit.planner import plan_tier
 from prefaudit.ratio import RatioConfig
 from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA
+from prefaudit.synth import generate
 
 
 def test_temporal_two_of_three_pairs(repeat_dataset):
@@ -85,6 +90,47 @@ def test_framing_with_equivalent_pairs():
     pair = PromptPair("i1|i2", "i1", "i2", 0.92, "equivalent")
     score, n = framing_consistency(dataset_of(records), "a1", 15.0, pairs=[pair])
     assert n == 1 and score == 0.0
+
+
+def _framing_by_pair_loop(dataset, annotator_id, tau, pairs):
+    """framing_consistency as it was computed pair by pair: the reference."""
+    deltas = [
+        abs(r1.score - r2.score)
+        for recs in dataset.by_annotator_item.get(annotator_id, {}).values()
+        for r1, r2 in combinations(recs, 2)
+        if None not in (r1.framing_id, r2.framing_id) and r1.framing_id != r2.framing_id
+    ]
+    mine = dataset.by_annotator_item.get(annotator_id, {})
+    for pair in pairs:
+        if pair.kind != "equivalent" or pair.is_self_pair:
+            continue
+        for ra in mine.get(pair.item_a, []):
+            for rb in mine.get(pair.item_b, []):
+                deltas.append(abs(ra.score - rb.score))
+    if not deltas:
+        return None, 0
+    return sum(1 for d in deltas if d <= tau) / len(deltas), len(deltas)
+
+
+def test_framing_with_cross_item_pairs_matches_the_pair_loop():
+    plan = plan_tier(1, 8 * 60, 8, 0.0, repeat_rate=4 / 60, min_repeats=4)
+    dataset = generate(2, plan.n_items, plan, seed=5, n_framing_pairs=4, n_anchors=12).dataset
+    rng = random.Random(5)
+    items = dataset.item_ids
+    pairs = []
+    for n in range(400):
+        a, b = rng.choice(items), rng.choice(items + items[:5])  # some self pairs
+        kind = rng.choice(["equivalent", "equivalent", "directional"])
+        pairs.append(PromptPair(f"p{n}", a, b, 0.9, kind, "a_more" if kind == "directional" else None))
+    pairs += pairs[:20]  # a pair listed twice counts twice
+    profiles = build_profiles(dataset, tau=15.0, pairs=pairs)
+    n_cross = 0
+    for annotator_id in dataset.annotator_ids:
+        expected = _framing_by_pair_loop(dataset, annotator_id, 15.0, pairs)
+        n_cross += expected[1] - framing_consistency(dataset, annotator_id, 15.0)[1]
+        assert framing_consistency(dataset, annotator_id, 15.0, pairs) == expected
+        assert (profiles[annotator_id].frame, profiles[annotator_id].n_frame_pairs) == expected
+    assert n_cross > 50
 
 
 def test_framing_absent_without_variants():

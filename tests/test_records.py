@@ -1,13 +1,18 @@
 """Ingest: loaders, validation report, round-trip, conservation."""
 
+import hashlib
 import json
+import marshal
+import os
 import pickle
+import random
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from conftest import dataset_of, rec
+from prefaudit import records as records_module
 from prefaudit.cli import run
 from prefaudit.errors import DataFormatError
 from prefaudit.records import (
@@ -410,3 +415,169 @@ def test_loaded_records_share_repeated_strings(tmp_path, fmt):
     assert len({id(r.annotator_id) for r in ds.records}) == len(ds.by_annotator)
     assert len({id(r.scale_kind) for r in ds.records}) == 1
 
+
+
+# ------------------------------------------------------------------ encodings
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_row_that_is_not_utf8_is_rejected_naming_its_line(tmp_path, capsys, fmt):
+    path = tmp_path / f"d.{fmt}"
+    save_records(dataset_of([rec("a1", "i1", 50.0), rec("a1", "i2", 60.0)]), path, fmt=fmt)
+    data = path.read_bytes()
+    cut = data.rindex(b"prompt i2") + len(b"prompt")
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])  # inside the last row's prompt text
+    dataset = load_records(path, fmt=fmt)
+    line_no = 2 if fmt == "jsonl" else 3
+    assert [r.item_id for r in dataset.records] == ["i1"]
+    assert [(r.line_no, r.reason) for r in dataset.rejected] == [(line_no, "invalid UTF-8: byte 0xff")]
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line {line_no}: invalid UTF-8")):
+        load_records(path, fmt=fmt, strict=True)
+    argv = ["validate", "--input", str(path), "--input-format", fmt, "--output", str(tmp_path / "v.json")]
+    assert run(argv) == 0
+    assert run(argv + ["--strict"]) == 2
+    assert f"{path}: line {line_no}: invalid UTF-8: byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, fmt):
+    path = tmp_path / f"d.{fmt}"
+    save_records(dataset_of([rec("a1", "i1", 50.0)]), path, fmt=fmt)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    dataset = load_records(path, fmt=fmt, strict=True)
+    assert [r.item_id for r in dataset.records] == ["i1"]
+
+
+# ------------------------------------------------------------------ load sidecar
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.prefaudit")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the input was parsed")
+
+
+def _lenient_corpus(tmp_path):
+    """Twelve rows of three annotators and one line that is not JSON; two lines are rejected."""
+    path = tmp_path / "d.jsonl"
+    rows = [_row(i, annotator_id=f"a{i % 3}", session_id="s1", timestamp=i) for i in range(12)]
+    rows[4]["score"] = 150.0
+    _write_jsonl(path, rows)
+    path.write_text(path.read_text() + "not json\n", encoding="utf-8")
+    return path
+
+
+def test_warm_load_reads_the_sidecar_instead_of_the_rows(tmp_path, monkeypatch):
+    path = _lenient_corpus(tmp_path)
+    cold = load_records(path)
+    assert _sidecar(path).is_file()
+    monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+    monkeypatch.setattr(records_module, "from_row", _refuse)
+    warm = load_records(path)
+    assert warm.records == cold.records
+    assert warm.rejected == cold.rejected and len(warm.rejected) == 2
+    assert warm.scale_kind == cold.scale_kind
+    for recs in warm.by_annotator.values():
+        assert len({id(r.annotator_id) for r in recs}) == 1
+
+
+def test_csv_input_uses_the_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    save_records(dataset_of([rec("a1", "i1", 50.0), rec("a2", "i2", 3.0)]), path, fmt="csv")
+    cold = load_records(path, fmt="csv")
+    monkeypatch.setattr(records_module, "_iter_csv", _refuse)
+    assert load_records(path, fmt="csv").records == cold.records
+    with pytest.raises(AssertionError, match="parsed"):
+        load_records(path, fmt="csv", scale_kind="continuous_0_100")  # another key
+
+
+def test_a_same_size_edit_is_parsed_again(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(i) for i in range(3)])
+    load_records(path)
+    size = path.stat().st_size
+    path.write_text(path.read_text().replace('"score": 50.0', '"score": 51.0', 1), encoding="utf-8")
+    assert path.stat().st_size == size
+    assert [r.score for r in load_records(path).records] == [51.0, 50.0, 50.0]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "random bytes", "directory"])
+def test_a_bad_sidecar_gives_a_normal_load(tmp_path, damage):
+    path = _lenient_corpus(tmp_path)
+    expected = load_records(path)
+    sidecar = _sidecar(path)
+    if damage == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-40])
+    elif damage == "random bytes":
+        sidecar.write_bytes(random.Random(3).randbytes(2000))
+    else:
+        sidecar.unlink()
+        sidecar.mkdir()
+    dataset = load_records(path)
+    assert (dataset.records, dataset.rejected) == (expected.records, expected.rejected)
+
+
+def _forge(path, key, change):
+    """Rewrite ``path``'s sidecar with a matching header and ``change`` applied to its body."""
+    header = records_module._sidecar_header(key, hashlib.sha256(path.read_bytes()).digest())
+    blob = _sidecar(path).read_bytes()
+    assert blob.startswith(header)
+    columns, rejects, scale = marshal.loads(blob[len(header):])
+    columns = list(columns)
+    columns, rejects, scale = change(columns, rejects, scale)
+    _sidecar(path).write_bytes(header + marshal.dumps((tuple(columns), rejects, scale)))
+
+
+def _set(columns, name, value, at=0):
+    col = list(columns[records_module._RECORD_FIELDS.index(name)])
+    col[at] = value
+    columns[records_module._RECORD_FIELDS.index(name)] = tuple(col)
+    return columns
+
+
+FORGERIES = {
+    "score out of range": lambda c, r, s: (_set(c, "score", 150.0), r, s),
+    "score of a bool": lambda c, r, s: (_set(c, "score", True), r, s),
+    "integer id": lambda c, r, s: (_set(c, "annotator_id", 7), r, s),
+    "missing required": lambda c, r, s: (_set(c, "prompt_text", None), r, s),
+    "negative position": lambda c, r, s: (_set(c, "position_index", -1), r, s),
+    "two scales": lambda c, r, s: (_set(c, "scale_kind", "likert_5"), r, s),
+    "other scale": lambda c, r, s: (c, r, "likert_5"),
+    "short column": lambda c, r, s: (_set(c, "item_id", [], at=slice(0, 1)), r, s),
+    "no records": lambda c, r, s: ([() if col else None for col in c], r, s),
+    "mistyped reject": lambda c, r, s: (c, ((1, "why", 7),), s),
+}
+
+
+@pytest.mark.parametrize("forgery", list(FORGERIES))
+def test_a_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, forgery):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(i, session_id="s1", timestamp=i, position_index=i) for i in range(3)])
+    expected = load_records(path)
+    _forge(path, ("jsonl", None, False), FORGERIES[forgery])
+    dataset = load_records(path)
+    assert (dataset.records, dataset.rejected, dataset.scale_kind) == (
+        expected.records, expected.rejected, expected.scale_kind)
+
+
+def test_a_strict_sidecar_holding_rejects_is_not_used(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(i) for i in range(3)])
+    load_records(path, strict=True)
+    _forge(path, ("jsonl", None, True), lambda c, r, s: (c, ((9, "forged", "x"),), s))
+    assert load_records(path, strict=True).rejected == []
+
+
+def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(0), _row(1, score=150.0)])
+    with pytest.raises(DataFormatError):
+        load_records(path, strict=True)
+    assert not _sidecar(path).exists()
+    read, write = os.pipe()
+    with os.fdopen(write, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_row(0)) + "\n")
+    assert len(load_records(f"/dev/fd/{read}").records) == 1
+    os.close(read)
