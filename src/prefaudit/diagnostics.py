@@ -119,13 +119,12 @@ def framing_consistency(
     dataset: Dataset,
     annotator_id: str,
     tau: Optional[float] = None,
-    pairs: Optional[Sequence[PromptPair] | dict[str, list[str]]] = None,
+    pairs: Optional[Sequence[PromptPair]] = None,
 ) -> tuple[Optional[float], int]:
     """Fraction of equivalent-content rating pairs agreeing within tau.
 
     Equivalent content is the same item under two distinct framing variants;
-    ``pairs`` adds cross-item equivalent pairs discovered elsewhere, given as
-    PromptPairs or as the map ``equivalent_partners`` builds from them.
+    ``pairs`` adds cross-item equivalent pairs discovered elsewhere.
     """
     tau = default_tau(dataset.scale_kind) if tau is None else tau
     deltas = [
@@ -134,7 +133,7 @@ def framing_consistency(
         if None not in (r1.framing_id, r2.framing_id) and r1.framing_id != r2.framing_id
     ]
     if pairs:
-        partners = pairs if isinstance(pairs, dict) else equivalent_partners(pairs)
+        partners = _equivalent_partners(pairs)
         mine = dataset.by_annotator_item.get(annotator_id, {})
         for item_a, ras in mine.items():
             for item_b in partners.get(item_a, ()):
@@ -144,12 +143,8 @@ def framing_consistency(
     return _pair_fraction(deltas, tau)
 
 
-def equivalent_partners(pairs: Sequence[PromptPair]) -> dict[str, list[str]]:
-    """item_a -> the item_b of each cross-item equivalent pair, in pair order.
-
-    ``framing_consistency`` takes this map in place of ``pairs``, so that
-    ``build_profiles`` indexes the pairs once rather than once per annotator.
-    """
+def _equivalent_partners(pairs: Sequence[PromptPair]) -> dict[str, list[str]]:
+    """item_a -> the item_b of each cross-item equivalent pair, in pair order."""
     partners: dict[str, list[str]] = {}
     for pair in pairs:
         if pair.kind == "equivalent" and not pair.is_self_pair:
@@ -254,7 +249,7 @@ def build_profile(
     dataset: Dataset,
     annotator_id: str,
     tau: Optional[float] = None,
-    pairs: Optional[Sequence[PromptPair] | dict[str, list[str]]] = None,
+    pairs: Optional[Sequence[PromptPair]] = None,
     ratio_config: RatioConfig = RatioConfig(),
     reliability_mode: str = "weighted",
     weights: Optional[Sequence[float]] = None,
@@ -299,10 +294,9 @@ def build_profiles(
     weights: Optional[Sequence[float]] = None,
 ) -> dict[str, ConsistencyProfile]:
     """Profiles for every annotator, keyed by annotator id."""
-    partners = equivalent_partners(pairs) if pairs else None
     return {
         annotator_id: build_profile(
-            dataset, annotator_id, tau, partners, ratio_config, reliability_mode, weights
+            dataset, annotator_id, tau, pairs, ratio_config, reliability_mode, weights
         )
         for annotator_id in dataset.annotator_ids
     }

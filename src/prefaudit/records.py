@@ -22,6 +22,7 @@ import marshal
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from collections import Counter
@@ -587,16 +588,16 @@ def load_records(
     """Load a dataset from a JSONL or CSV export.
 
     A regular file's load is kept in a sidecar next to it (see ``_read_sidecar``),
-    which a later load of the same bytes with the same arguments reads instead of
-    parsing the file again. Under ``strict``, a bad row raises naming the file
-    and the line.
+    which a later load of the same bytes with the same ``fmt`` and ``scale_kind``
+    reads instead of parsing the file again. Under ``strict``, a bad row raises
+    naming the file and the line.
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    key = (fmt, scale_kind, strict)
+    key = (fmt, scale_kind)  # a strict and a lenient load of a clean file build the same records
     cacheable = path.is_file()  # hashing a pipe would consume what the parse must read
-    loaded = _read_sidecar(path, key) if cacheable else None
+    loaded = _read_sidecar(path, key, strict) if cacheable else None
     if loaded is None:
         digest = hashlib.sha256()
         # the reader's rejects and the record builder's land in one list, in line order
@@ -645,8 +646,8 @@ def _source_digest() -> bytes:
 
 def _sidecar_header(key: tuple, digest: bytes) -> bytes:
     """What a sidecar must match to be used: the interpreter and marshal format,
-    this module's source, ``load_records``' arguments ``(fmt, scale_kind, strict)``
-    and the SHA-256 of the input's bytes. Marshal format 2 writes no
+    this module's source, ``load_records``' arguments ``(fmt, scale_kind)`` and
+    the SHA-256 of the input's bytes. Marshal format 2 writes no
     back-references, so equal headers are equal bytes."""
     return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
 
@@ -679,26 +680,50 @@ def _write_sidecar(
 
 
 def _read_sidecar(
-    path: Path, key: tuple
+    path: Path, key: tuple, strict: bool
 ) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
     """The load ``path``'s sidecar keeps for its current bytes and ``key``, checked
     as a parse checks each row: the field types, the required fields, one scale,
     and ``AnnotationRecord.__post_init__``. None, for a full parse, when the
-    sidecar is missing, unreadable, stale or fails a check."""
+    sidecar is missing, unreadable, not the user's own (see ``_read_own_file``),
+    stale or fails a check, and when ``strict`` meets a reject, which a strict
+    parse raises on."""
     try:
-        blob = _sidecar_path(path).read_bytes()
-        with path.open("rb") as fh:
-            header = _sidecar_header(key, hashlib.file_digest(fh, "sha256").digest())
+        blob = _read_own_file(_sidecar_path(path))
+        if blob is None:
+            return None
+        header = _sidecar_header(key, _file_sha256(path))
         if not blob.startswith(header):
             return None
         columns, rejected, scale = marshal.loads(memoryview(blob)[len(header):])
         records = _records_from_columns(columns, scale, key[1])
         rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
-    except (OSError, EOFError, ValueError, TypeError, DataFormatError):  # unreadable, truncated or garbled
+    except Exception:  # a cache: whatever goes wrong reading it, the file is parsed instead
         return None
-    if records is None or len(rejects) != len(rejected) or (rejects and key[2]):
-        return None  # a strict load raises on its first reject
+    if records is None or len(rejects) != len(rejected) or (rejects and strict):
+        return None
     return records, rejects, scale
+
+
+def _read_own_file(path: Path) -> Optional[bytes]:
+    """``path``'s bytes when it is a regular file that this process's user owns and
+    no one else may write; None when it is not. The checks and the read use one
+    descriptor, so a file put in its place between them is not read; a symbolic
+    link or a FIFO is not followed or waited on."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_NONBLOCK", 0))
+    with open(fd, "rb") as fh:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+            return None
+        return fh.read()
+
+
+def _file_sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with path.open("rb", buffering=0) as fh:
+        for block in iter(partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 def _records_from_columns(

@@ -556,18 +556,69 @@ def test_a_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, forgery):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [_row(i, session_id="s1", timestamp=i, position_index=i) for i in range(3)])
     expected = load_records(path)
-    _forge(path, ("jsonl", None, False), FORGERIES[forgery])
+    _forge(path, ("jsonl", None), FORGERIES[forgery])
     dataset = load_records(path)
     assert (dataset.records, dataset.rejected, dataset.scale_kind) == (
         expected.records, expected.rejected, expected.scale_kind)
 
 
-def test_a_strict_sidecar_holding_rejects_is_not_used(tmp_path):
+def test_strict_and_lenient_loads_of_a_clean_file_share_the_sidecar(tmp_path, monkeypatch):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [_row(i) for i in range(3)])
-    load_records(path, strict=True)
-    _forge(path, ("jsonl", None, True), lambda c, r, s: (c, ((9, "forged", "x"),), s))
-    assert load_records(path, strict=True).rejected == []
+    cold = load_records(path, strict=True)
+    monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+    assert load_records(path).records == cold.records
+    assert load_records(path, strict=True).records == cold.records
+
+
+def test_a_strict_load_parses_a_file_whose_sidecar_holds_rejects(tmp_path):
+    path = _lenient_corpus(tmp_path)
+    assert len(load_records(path).rejected) == 2
+    with pytest.raises(DataFormatError, match=r"d\.jsonl: line 5: score 150\.0 outside"):
+        load_records(path, strict=True)
+
+
+def _parse_count(monkeypatch):
+    """A list that grows by one each time ``load_records`` parses a JSONL file."""
+    calls = []
+    parse = records_module.iter_jsonl
+    monkeypatch.setattr(records_module, "iter_jsonl", lambda *a: calls.append(1) or parse(*a))
+    return calls
+
+
+@pytest.mark.parametrize("who", ["another user", "group-writable", "world-writable", "symlink", "fifo"])
+def test_a_sidecar_that_is_not_the_users_own_file_is_not_used(tmp_path, monkeypatch, who):
+    path = _lenient_corpus(tmp_path)
+    expected = load_records(path)
+    sidecar = _sidecar(path)
+    _forge(path, ("jsonl", None), lambda c, r, s: (_set(c, "score", 99.0), r, s))  # valid, but not the file's
+    if who == "another user":
+        monkeypatch.setattr(os, "geteuid", lambda: sidecar.stat().st_uid + 1)
+    elif who == "group-writable":
+        sidecar.chmod(0o664)
+    elif who == "world-writable":
+        sidecar.chmod(0o646)
+    elif who == "symlink":
+        sidecar.rename(tmp_path / "elsewhere")
+        sidecar.symlink_to(tmp_path / "elsewhere")
+    else:
+        sidecar.unlink()
+        os.mkfifo(sidecar)  # opened without waiting for a writer
+    calls = _parse_count(monkeypatch)
+    dataset = load_records(path)
+    assert calls == [1]
+    assert (dataset.records, dataset.rejected) == (expected.records, expected.rejected)
+
+
+def test_an_unexpected_error_reading_the_sidecar_means_a_parse(tmp_path, monkeypatch):
+    path = _lenient_corpus(tmp_path)
+    expected = load_records(path)
+
+    def broken(*args):
+        raise AttributeError("no such hash")
+
+    monkeypatch.setattr(records_module, "_file_sha256", broken)
+    assert load_records(path).records == expected.records
 
 
 def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path):
