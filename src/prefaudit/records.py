@@ -26,7 +26,7 @@ import stat
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, make_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter
@@ -85,6 +85,26 @@ class AnnotationRecord:
             raise DataFormatError(f"position_index must be >= 0, got {self.position_index}")
         if self.weight is not None and not 0.0 <= self.weight < math.inf:
             raise DataFormatError(f"weight must be finite and >= 0, got {self.weight!r}")
+
+
+# ``AnnotationRecord``'s fields, defaults and slot layout, not frozen: the frozen
+# ``__init__`` sets each field through ``object.__setattr__``, several times the
+# cost of this class's plain slot assignments, and a load builds every record.
+_RecordTwin = make_dataclass(
+    "_RecordTwin",
+    [(f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(AnnotationRecord)],
+    slots=True,
+)
+
+
+def _new_record(*args, **kwargs) -> AnnotationRecord:
+    """``AnnotationRecord(*args, **kwargs)``, built as ``_RecordTwin`` and then made an
+    ``AnnotationRecord``, with the same checks. The ``__class__`` assignment raises
+    TypeError should the two classes' slot layouts ever differ."""
+    record = _RecordTwin(*args, **kwargs)
+    record.__class__ = AnnotationRecord
+    record.__post_init__()
+    return record
 
 
 def _check_score(score: Score, scale_kind: str) -> None:
@@ -343,10 +363,10 @@ def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = N
     raise DataFormatError(_MISTYPED[admitted[0]].format(name, value))
 
 
-def from_row(cls: type, row: dict):
-    """``cls(**row)`` once each value's type is one its field admits: matched exactly,
-    cast only on a miss. An unknown field, a missing or null required field and a
-    value that cannot be cast raise DataFormatError; ``row`` is left as given."""
+def from_row(cls: type, row: dict, make: Optional[Callable[..., object]] = None):
+    """``cls(**row)`` (or ``make(**row)``) once each value's type is one its field admits:
+    matched exactly, cast only on a miss. An unknown field, a missing or null required
+    field and a value that cannot be cast raise DataFormatError; ``row`` is left as given."""
     admitted, required, containers = _row_schema(cls)
     if not row.keys() <= admitted.keys():
         raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
@@ -357,7 +377,8 @@ def from_row(cls: type, row: dict):
     for key, value in row.items():  # a plain loop: cheaper than a comprehension, per row read
         if type(value) not in admitted[key]:
             cast[key] = _cast(key, value, admitted[key], containers[key])
-    return cls(**{**row, **cast}) if cast else cls(**row)
+    make = make or cls
+    return make(**{**row, **cast}) if cast else make(**row)
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -376,7 +397,7 @@ def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
         if scale_kind is None:
             raise DataFormatError("record carries no scale_kind and no dataset-level default given")
         obj = {**obj, "scale_kind": scale_kind}
-    return from_row(AnnotationRecord, obj)
+    return from_row(AnnotationRecord, obj, _new_record)
 
 
 def records_from_rows(
@@ -459,6 +480,18 @@ def _undecodable(text: str) -> Optional[str]:
     """Why ``text``, read by ``_open_text``, was not UTF-8; None when it was."""
     found = None if text.isascii() else _SURROGATE.search(text)
     return None if found is None else f"invalid UTF-8: byte {ord(found.group()) - 0xDC00:#04x}"
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of ``path``, read as ``_open_text`` reads it; a byte that is not
+    UTF-8 raises DataFormatError naming the file and the line."""
+    with _open_text(path) as fh:
+        text = fh.read()
+    found = None if text.isascii() else _SURROGATE.search(text)
+    if found is not None:
+        line_no = text.count("\n", 0, found.start()) + 1
+        raise DataFormatError(f"{path}: line {line_no}: {_undecodable(found.group())}")
+    return text
 
 
 def iter_jsonl(
@@ -744,7 +777,7 @@ def _records_from_columns(
         args.append(col)
     if n == 0 or columns[_RECORD_FIELDS.index("scale_kind")].count(scale) != n:
         return None
-    return list(map(AnnotationRecord, *args))
+    return list(map(_new_record, *args))
 
 
 def _check_embedding_references(dataset: Dataset) -> None:

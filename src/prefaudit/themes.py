@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, get_args, get_origin
 
 from .errors import AllEndpointsFailedError, DataFormatError, ProtocolError, TransportError
-from .records import Dataset, ItemMetadata, from_row
+from .records import Dataset, ItemMetadata, from_row, read_text
 
 PROMPT_TEMPLATE = """You are an expert researcher annotating prompts using a predefined harmfulness framework.
 
@@ -413,7 +413,7 @@ def _read_json(path: str | Path, shape):
     """The JSON document in ``path``, which must be a ``shape``; a DataFormatError
     naming the file when it is not JSON or not that shape."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     if not _has_shape(doc, shape):

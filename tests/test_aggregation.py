@@ -1,19 +1,23 @@
 """Majority labels and pool-flip simulations."""
 
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import dataset_of, rec
+from prefaudit import aggregation
 from prefaudit.aggregation import (
     _modal_label,
+    _prompt_ratings,
     majority_label,
     median_split_pools,
     pool_flip_simulation,
 )
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.ratio import RatioRecord
+from prefaudit.records import common_scale_score
 
 
 def _ratio(annotator, value):
@@ -143,3 +147,53 @@ def test_pool_flip_no_eligible_prompts():
     ratios = [_ratio("low0", 0.5), _ratio("high0", 1.5)]
     with pytest.raises(InsufficientSupportError):
         pool_flip_simulation(dataset_of(records), ratios, iterations=10, sample_size=5, seed=1)
+
+
+def _np_mean_ratings(dataset):
+    """``_prompt_ratings`` as it was computed with ``np.mean``, the reference."""
+    return {
+        item: {ann: float(np.mean([common_scale_score(r) for r in recs])) for ann, recs in raters.items()}
+        for item, raters in dataset.by_item_annotator.items()
+    }
+
+
+def _random_cells(seed, sizes, scale="continuous_0_100", cells_per_size=400, annotators=1):
+    """Cells of every size in ``sizes``, each (annotator, item) holding that many random ratings."""
+    rng = random.Random(seed)
+    draw = (lambda: rng.uniform(0.0, 100.0)) if scale == "continuous_0_100" else (lambda: rng.uniform(1.0, 5.0))
+    return dataset_of(
+        [
+            rec(f"a{c % annotators}", f"i{n}_{c // annotators}", draw(), scale=scale)
+            for n in sizes
+            for c in range(cells_per_size)
+            for _ in range(n)
+        ],
+        scale=scale,
+    )
+
+
+@pytest.mark.parametrize("scale", ["continuous_0_100", "likert_5"])
+def test_prompt_ratings_equal_np_mean_bit_for_bit_up_to_seven_ratings(scale):
+    dataset = _random_cells(3, range(1, 8), scale)
+    ours, reference = _prompt_ratings(dataset), _np_mean_ratings(dataset)
+    assert ours.keys() == reference.keys()
+    for item, means in reference.items():
+        assert [v.hex() for v in ours[item].values()] == [v.hex() for v in means.values()]
+
+
+def test_pool_flips_match_the_np_mean_form_at_thresholds_on_cell_means(monkeypatch):
+    """Two raters a prompt and juries of one, so each label is one cell's mean against
+    the threshold. Each threshold is a cell's mean: one ulp low would flip its label."""
+    rng = random.Random(5)
+    dataset = dataset_of(
+        [rec(a, f"i{i}", rng.uniform(0.0, 100.0)) for i in range(100) for a in ("a0", "a1") for _ in range(3)]
+    )
+    ratios = [_ratio("a0", 0.5), _ratio("a1", 1.5)]
+    thresholds = [m for means in _np_mean_ratings(dataset).values() for m in means.values()]
+
+    def reports():
+        return [pool_flip_simulation(dataset, ratios, sample_size=1, harm_threshold=t).as_dict() for t in thresholds]
+
+    ours = reports()
+    monkeypatch.setattr(aggregation, "_prompt_ratings", _np_mean_ratings)
+    assert ours == reports()

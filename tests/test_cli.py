@@ -377,6 +377,13 @@ def test_calibrate_non_numeric_diff_is_a_data_error(tmp_path, capsys):
     assert "entry 2 is not a number: 'abc'" in capsys.readouterr().err
 
 
+def test_calibrate_diffs_with_a_non_utf8_byte_is_a_data_error_naming_the_line(tmp_path, capsys):
+    diffs = tmp_path / "diffs.txt"
+    diffs.write_bytes(b"\xef\xbb\xbf1.0\n2\xff\n")  # the byte-order mark is skipped
+    assert run(["calibrate", "--method", "empirical", "--diffs", str(diffs)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {diffs}: line 2: invalid UTF-8: byte 0xff"]
+
+
 def test_synth_subcommand_writes_dataset_and_truth(tmp_path):
     outdir = tmp_path / "synth"
     code = run([
@@ -462,6 +469,17 @@ def test_malformed_themes_inputs_are_data_errors_naming_the_file(
     assert err[0].startswith(f"data error: {tmp_path / bad_file}: ")
 
 
+@pytest.mark.parametrize("bad_file", ["labels.txt", "endpoints.json", "fixtures.json", "cache.json"])
+def test_a_non_utf8_themes_input_is_a_data_error_naming_the_file_and_line(
+    dataset_path, tmp_path, capsys, bad_file
+):
+    argv = _themes_argv(dataset_path, tmp_path, None, None, cache="{}")
+    bad = tmp_path / bad_file
+    bad.write_bytes(bad.read_bytes()[:1] + b"\n\xff" + bad.read_bytes()[1:])
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {bad}: line 2: invalid UTF-8: byte 0xff"]
+
+
 def _without_output_paths(text):
     """Artifact text with the output paths its ``#config`` header echoes left out."""
     header, _, body = text.partition("\n")
@@ -498,6 +516,25 @@ def test_config_file_supplies_defaults(dataset_path, tmp_path):
     assert header["tau"] == 5
     rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
     assert {r["tau_used"] for r in rows} == {5}
+
+
+def test_config_file_with_a_byte_order_mark_supplies_defaults(dataset_path, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xef\xbb\xbftau = 5\n")
+    out = tmp_path / "profiles.jsonl"
+    assert run(["diagnose", "--config", str(config), "--input", str(dataset_path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["#config"]["tau"] == 5
+
+
+@pytest.mark.parametrize("text, line, why", [
+    (b"seed = 3\ntau = 5\xff\n", 2, "invalid UTF-8: byte 0xff"),
+    (b"# defaults\ntau\n", 2, "config line is not key=value: 'tau'"),
+], ids=["non-UTF-8 byte", "not key=value"])
+def test_a_bad_config_file_is_one_error_line_naming_the_file_and_line(tmp_path, capsys, text, line, why):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    assert run(["validate", "--config", str(config), "--input", "x.jsonl"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {config}: line {line}: {why}"]
 
 
 def test_seeded_rerun_byte_identical(dataset_path, metadata_path, tmp_path):

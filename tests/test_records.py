@@ -531,7 +531,9 @@ def _forge(path, key, change):
 
 
 def _set(columns, name, value, at=0):
-    col = list(columns[records_module._RECORD_FIELDS.index(name)])
+    """``columns`` with ``name``'s value at ``at`` replaced; a column stored as None
+    (no record sets the field) is filled with None first."""
+    col = list(columns[records_module._RECORD_FIELDS.index(name)] or [None] * len(columns[0]))
     col[at] = value
     columns[records_module._RECORD_FIELDS.index(name)] = tuple(col)
     return columns
@@ -548,7 +550,20 @@ FORGERIES = {
     "short column": lambda c, r, s: (_set(c, "item_id", [], at=slice(0, 1)), r, s),
     "no records": lambda c, r, s: ([() if col else None for col in c], r, s),
     "mistyped reject": lambda c, r, s: (c, ((1, "why", 7),), s),
+    # caught by ``AnnotationRecord.__post_init__`` only, not by the column type checks
+    "negative weight": lambda c, r, s: (_set(c, "weight", -1.0), r, s),
+    "infinite weight": lambda c, r, s: (_set(c, "weight", float("inf")), r, s),
+    "NaN score": lambda c, r, s: (_set(c, "score", float("nan")), r, s),
+    "binary score not A or B": lambda c, r, s: (_binary(c, "C"), r, "binary_pair"),
 }
+
+
+def _binary(columns, first_score):
+    """``columns`` as a binary_pair corpus whose first score is ``first_score`` and the rest "A"."""
+    n = len(columns[0])
+    columns[records_module._RECORD_FIELDS.index("scale_kind")] = ("binary_pair",) * n
+    columns[records_module._RECORD_FIELDS.index("score")] = (first_score,) + ("A",) * (n - 1)
+    return columns
 
 
 @pytest.mark.parametrize("forgery", list(FORGERIES))
@@ -560,6 +575,47 @@ def test_a_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, forgery):
     dataset = load_records(path)
     assert (dataset.records, dataset.rejected, dataset.scale_kind) == (
         expected.records, expected.rejected, expected.scale_kind)
+
+
+@pytest.mark.parametrize("change, field, value", [
+    (lambda c, r, s: (_set(c, "weight", 2.0), r, s), "weight", 2.0),
+    (lambda c, r, s: (_binary(c, "B"), r, "binary_pair"), "score", "B"),
+], ids=["weight", "binary score"])
+def test_a_forged_sidecar_that_passes_every_check_is_used(tmp_path, change, field, value):
+    """The control for the forgeries above: each is refused for its bad value alone."""
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [_row(i, session_id="s1", timestamp=i, position_index=i) for i in range(3)])
+    load_records(path)
+    _forge(path, ("jsonl", None), change)
+    assert getattr(load_records(path).records[0], field) == value
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold parse", "sidecar"])
+def test_a_loaded_record_is_indistinguishable_from_a_constructed_one(tmp_path, monkeypatch, warm):
+    path = tmp_path / "d.jsonl"
+    rows = [_row(i, session_id="s1", timestamp=i, weight=0.5) for i in range(3)]
+    _write_jsonl(path, rows)
+    loaded = load_records(path).records
+    if warm:
+        monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+        loaded = load_records(path).records
+    for row, record in zip(rows, loaded, strict=True):
+        built = AnnotationRecord(**row)
+        assert type(record) is AnnotationRecord
+        assert record == built and hash(record) == hash(built)
+        with pytest.raises(FrozenInstanceError):
+            record.score = 60.0
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is AnnotationRecord and copy == built
+        assert not hasattr(record, "__dict__")
+
+
+def test_the_record_twin_matches_annotation_records_layout():
+    """A field added to AnnotationRecord alone would show here, before any load fails."""
+    twin = records_module._RecordTwin
+    assert twin.__slots__ == AnnotationRecord.__slots__
+    assert [(f.name, f.default) for f in fields(twin)] == [(f.name, f.default) for f in fields(AnnotationRecord)]
+    assert not twin.__dataclass_params__.frozen
 
 
 def test_strict_and_lenient_loads_of_a_clean_file_share_the_sidecar(tmp_path, monkeypatch):
