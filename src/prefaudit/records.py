@@ -444,10 +444,12 @@ def _build_records(
 
 
 class _Hashed(io.RawIOBase):
-    """A binary file whose every block read is fed to ``digest``, a hashlib object."""
+    """``file``, whose every block read is fed to ``digest``, a hashlib object. The
+    file is opened by the caller, so one that cannot be opened leaves no half-made
+    ``_Hashed`` for the garbage collector to close."""
 
-    def __init__(self, path: str | Path, digest):
-        self._file = io.FileIO(path)
+    def __init__(self, file: io.FileIO, digest):
+        self._file = file
         self._digest = digest
 
     def readable(self) -> bool:
@@ -469,7 +471,7 @@ def _open_text(path: str | Path, newline: Optional[str] = None, digest=None) -> 
     given, is fed every byte read."""
     if digest is None:
         return Path(path).open(encoding="utf-8-sig", errors="surrogateescape", newline=newline)
-    raw = io.BufferedReader(_Hashed(path, digest), 1 << 16)
+    raw = io.BufferedReader(_Hashed(io.FileIO(path), digest), 1 << 16)
     return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
 
 
