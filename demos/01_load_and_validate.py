@@ -8,7 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from prefaudit import load_records, validate
+from prefaudit import load_records, to_row, validate
 
 rows = [
     # a1 rates the same item in two sessions -> a temporal repeat
@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     report = validate(dataset)
     print("\nvalidation report:")
-    for key, value in report.as_dict().items():
+    for key, value in to_row(report).items():
         if key != "warnings":
             print(f"  {key}: {value}")
     for warning in report.warnings:

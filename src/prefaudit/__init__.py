@@ -77,6 +77,7 @@ from .records import (
     load_metadata,
     load_records,
     save_records,
+    to_row,
     validate,
 )
 from .stats import (

@@ -97,23 +97,6 @@ class FlipReport:
     split_statistic: Optional[float] = None
     skipped: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "per_prompt": {k: dict(v) for k, v in sorted(self.per_prompt.items())},
-            "n_flips_low": self.n_flips_low,
-            "n_flips_high": self.n_flips_high,
-            "pct_flips": self.pct_flips,
-            "pct_flips_high": self.pct_flips_high,
-            "iterations": self.iterations,
-            "sample_size": self.sample_size,
-            "harm_threshold": self.harm_threshold,
-            "seed": self.seed,
-            "n_eligible": self.n_eligible,
-            "n_total_prompts": self.n_total_prompts,
-            "split_statistic": self.split_statistic,
-            "skipped": sorted(self.skipped),
-        }
-
 
 def _prompt_ratings(dataset: Dataset) -> dict[str, dict[str, float]]:
     """item -> annotator -> that annotator's mean rating of the item (0-100)."""

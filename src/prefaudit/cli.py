@@ -2,8 +2,10 @@
 
 Subcommands compose over cached intermediate files (flags, profiles,
 ratios) so audits can iterate on thresholds without recomputing everything.
-Every output artifact embeds the effective run configuration in its header,
-and every seeded run is byte-reproducible.
+Every report, JSON result, JSONL artifact and CSV file embeds the effective
+run configuration in its header; the record files (the weighted export of
+``weights`` and the ``dataset.jsonl`` of ``synth``) carry none, so they load
+as input like any records file. Every seeded run is byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 data validation failure, 3 runtime
 failure (any other exception a subcommand raises, reported on one line).
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -27,18 +29,8 @@ from .errors import (
     PrefauditError,
 )
 
-@contextmanager
-def _output(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
-    """Standard output for ``-``, else the file ``path``, opened for writing."""
-    if path == "-":
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
-        yield fh
-
-
 def _write_text(path: str, text: str) -> None:
-    with _output(path) as fh:
+    with records.open_output(path) as fh:
         fh.write(text)
 
 
@@ -47,9 +39,9 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_jsonl(path: str, config: dict, rows: Iterable[dict]) -> None:
-    """The ``#config`` header line, then each row, written as soon as it is encoded."""
-    with _output(path) as fh:
+def _write_jsonl(path: str, config: dict, rows: Iterable) -> None:
+    """The ``#config`` header line, then each row (a dict or a dataclass) as soon as it is encoded."""
+    with records.open_output(path) as fh:
         fh.write(records.to_json({"#config": config}) + "\n")
         for row in rows:
             fh.write(records.to_json(row) + "\n")
@@ -60,11 +52,12 @@ def _write_report(path: str, config: dict, text: str) -> None:
 
 
 def _write_json(path: str, config: dict, result) -> None:
+    """``result``, which may be or hold dataclasses and sets (see ``records.to_json``)."""
     _write_text(path, records.to_json({"config": config, "result": result}) + "\n")
 
 
 def _write_csv(path: str, config: dict, header: list[str], rows: Iterable[dict]) -> None:
-    with _output(path, newline="") as fh:
+    with records.open_output(path, newline="") as fh:
         fh.write(records.CONFIG_PREFIX + records.to_json(config) + "\r\n")
         records.write_csv(fh, header, rows)
 
@@ -100,13 +93,16 @@ def _cmd_validate(args) -> int:
     report = records.validate(dataset)
     config = _config_echo(args)
     if args.format == "report":
-        rows = [[k, str(v)] for k, v in report.as_dict().items() if k != "warnings"]
+        listed = ("warnings", "rejected_by_reason")  # one line each, below the table
+        rows = [[k, str(v)] for k, v in records.to_row(report).items() if k not in listed]
         text = _render_table("Dataset validation", ["field", "value"], rows)
         for warning in report.warnings:
             text += f"warning: {warning}\n"
+        for reason, count in report.rejected_by_reason.items():
+            text += f"rejected: {count} rows: {reason}\n"
         _write_report(args.output, config, text)
     else:
-        _write_json(args.output, config, report.as_dict())
+        _write_json(args.output, config, report)
     return 0
 
 
@@ -176,7 +172,8 @@ def _cmd_repeats(args) -> int:
     if args.format == "report":
         _write_report(args.output, config, render_prevalence(summary) + render_ladder(ladder))
     else:
-        _write_json(args.output, config, {"summary": summary.as_dict(), "ladder": ladder.as_dict()})
+        stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
+        _write_json(args.output, config, {"summary": summary, "ladder": {"stages": stages}})
     return 0
 
 
@@ -204,7 +201,7 @@ def _cmd_diagnose(args) -> int:
         reliability_mode=args.reliability_mode,
         weights=weights,
     )
-    rows = [profiles[a].as_dict() for a in sorted(profiles)]
+    rows = [records.to_row(profiles[a]) for a in sorted(profiles)]
     if args.route:
         thresholds = taxonomy.RoutingThresholds(
             t_temp=args.t_temp, t_frame=args.t_frame, t_order=args.t_order
@@ -257,7 +254,7 @@ def _cmd_classify(args) -> int:
     if args.format == "report":
         _write_report(args.output, config, render_classification(summary))
     else:
-        _write_json(args.output, config, summary.as_dict())
+        _write_json(args.output, config, summary)
     return 0
 
 
@@ -295,7 +292,7 @@ def _cmd_ratio(args) -> int:
         exclude_theme_from_history=args.exclude_theme_history,
     )
     ratios = ratio.all_ratios(dataset, config_obj)
-    rows = (r.as_dict() for r in ratios)
+    rows = map(records.to_row, ratios)
     config = _config_echo(args)
     if args.format == "csv":
         _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], rows)
@@ -306,7 +303,7 @@ def _cmd_ratio(args) -> int:
         if args.format == "report":
             _write_report(args.stats_output, config, render_population(report))
         else:
-            _write_json(args.stats_output, config, report.as_dict())
+            _write_json(args.stats_output, config, report)
     return 0
 
 
@@ -338,7 +335,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "report":
         _write_report(args.output, config, render_flips(report))
     else:
-        _write_json(args.output, config, report.as_dict())
+        _write_json(args.output, config, report)
     return 0
 
 
@@ -360,7 +357,7 @@ def _cmd_weights(args) -> int:
         tau=args.tau,
     )
     summary = weighting.export_weighted(dataset, table, args.policy, args.output)
-    _write_json(args.summary_output, _config_echo(args), summary.as_dict())
+    _write_json(args.summary_output, _config_echo(args), summary)
     return 0
 
 
@@ -379,7 +376,7 @@ def _cmd_plan(args) -> int:
         min_spacing=args.min_spacing,
     )
     config = _config_echo(args)
-    _write_json(args.output, config, plan.as_dict())
+    _write_json(args.output, config, plan)
     if args.schedule_output:
         item_ids = [f"item-{i:06d}" for i in range(plan.n_items)]
         annotator_ids = [f"ann-{i:04d}" for i in range(plan.n_annotators)]
@@ -387,7 +384,8 @@ def _cmd_plan(args) -> int:
         violations = planner.validate_schedule(schedule)
         if violations:
             raise InfeasiblePlanError("; ".join(violations[:5]))
-        _write_jsonl(args.schedule_output, config, schedule.as_rows())
+        entries = sorted(schedule.entries, key=attrgetter("annotator_id", "position"))
+        _write_jsonl(args.schedule_output, config, entries)
     return 0
 
 
@@ -410,7 +408,7 @@ def _cmd_calibrate(args) -> int:
         calibration = planner.calibrate_consequence(args.scale, args.flip_margin)
     else:
         raise ValueError(f"unknown calibration method {args.method!r}")
-    _write_json(args.output, _config_echo(args), calibration.as_dict())
+    _write_json(args.output, _config_echo(args), calibration)
     return 0
 
 
@@ -444,8 +442,8 @@ def _cmd_synth(args) -> int:
     records.save_records(synthetic.dataset, outdir / "dataset.jsonl")
     sidecar = {
         "seed": synthetic.seed,
-        "truth": dict(sorted(synthetic.truth.items())),
-        "anchor_scores": dict(sorted(synthetic.anchor_scores.items())),
+        "truth": synthetic.truth,
+        "anchor_scores": synthetic.anchor_scores,
         "clamp_count": synthetic.clamp_count,
     }
     _write_json(str(outdir / "truth.json"), _config_echo(args), sidecar)

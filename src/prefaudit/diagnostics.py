@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientSupportError
+from .errors import DataFormatError, DegenerateDataError, InsufficientSupportError
 from .pairing import PromptPair
 from .ratio import RatioConfig, exact_baseline
 from .records import (
@@ -58,6 +58,12 @@ class ConsistencyProfile:
     reliability: Optional[float] = None
     tau_used: float = 15.0
 
+    def __post_init__(self):
+        for name in ("temp", "frame", "order", "cross", "reliability"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+                raise DataFormatError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
     def components(self) -> dict[str, float]:
         out = {}
         for name in ("temp", "frame", "order", "cross"):
@@ -65,9 +71,6 @@ class ConsistencyProfile:
             if value is not None:
                 out[name] = value
         return out
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _different_times(r1: AnnotationRecord, r2: AnnotationRecord, min_gap: int = 0) -> bool:
@@ -314,18 +317,6 @@ class FramingEffect:
     cohens_d: float
     n_annotators: int
     degenerate: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "per_annotator_deviation": dict(sorted(self.per_annotator_deviation.items())),
-            "pair_shift": self.pair_shift,
-            "paired_t": self.paired_t,
-            "p_value": self.p_value,
-            "cohens_d": self.cohens_d,
-            "n_annotators": self.n_annotators,
-            "degenerate": self.degenerate,
-        }
 
 
 def framing_effect_stats(dataset: Dataset, pair: PromptPair) -> FramingEffect:

@@ -82,9 +82,6 @@ class PrevalenceSummary:
     mean_delta: float
     delta_threshold: float
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def cosine_similarity(u: Sequence[float], v: Sequence[float]) -> float:
     """cos(u, v) = dot(u, v) / (|u| |v|), clipped to [-1, 1]."""
@@ -262,9 +259,6 @@ class LadderReport:
 
     def counts(self) -> list[int]:
         return [count for _, count in self.stages]
-
-    def as_dict(self) -> dict:
-        return {"stages": [{"stage": name, "n_pairs": count} for name, count in self.stages]}
 
 
 def filter_ladder(

@@ -55,9 +55,6 @@ class TierPlan:
     n_within_framing_per_annotator: int = 0
     retest_rate: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _round_half_up(x: float) -> int:
     return int(floor(x + 0.5))
@@ -183,19 +180,6 @@ class DiagnosticSchedule:
             (e for e in self.entries if e.annotator_id == annotator_id),
             key=lambda e: e.position,
         )
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {
-                "annotator_id": e.annotator_id,
-                "position": e.position,
-                "session_id": e.session_id,
-                "item_id": e.item_id,
-                "framing_id": e.framing_id,
-                "kind": e.kind,
-            }
-            for e in sorted(self.entries, key=lambda e: (e.annotator_id, e.position))
-        ]
 
 
 def _stratified_choice(
@@ -368,9 +352,6 @@ class ThresholdCalibration:
     def __post_init__(self):
         if self.consistent_max >= self.marginal_max:
             raise ValueError("consistent_max must be below marginal_max")
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def calibrate_empirical(

@@ -60,9 +60,6 @@ class RatioRecord:
     seed: int
     degenerate: bool = False
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def interpret_ratio(ratio: float, low: float = 0.75, high: float = 1.25) -> str:
     """Qualitative band: below_random / near_random / above_random."""
@@ -238,18 +235,6 @@ class PopulationReport:
     pearson_r_ratio_vs_rating: Optional[float]
     n_low: int
     n_high: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n_annotators": self.n_annotators,
-            "median_ratio": self.median_ratio,
-            "t_vs_one": self.t_vs_one.as_dict(),
-            "median_split": self.median_split.as_dict() if self.median_split else None,
-            "mean_diff_low_minus_high": self.mean_diff_low_minus_high,
-            "pearson_r_ratio_vs_rating": self.pearson_r_ratio_vs_rating,
-            "n_low": self.n_low,
-            "n_high": self.n_high,
-        }
 
 
 def population_stats(ratios: Sequence[RatioRecord], dataset: Dataset) -> PopulationReport:

@@ -26,12 +26,13 @@ import stat
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields, make_dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, make_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -148,31 +149,34 @@ def default_tau(scale_kind: str) -> float:
 
 @dataclass
 class EmbeddingTable:
-    """item_id -> dense vector, uniform dimension, all finite."""
+    """item_id -> dense vector, uniform dimension, all finite, none all zero."""
 
     dimension: int
     entries: dict[str, np.ndarray]
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingTable":
-        entries: dict[str, np.ndarray] = {}
-        dimension = None
+        table = cls(dimension=0, entries={})
         for item_id, vector in rows:
-            vec = np.asarray(list(vector), dtype=float)
-            if vec.ndim != 1 or vec.size == 0:
-                raise DataFormatError(f"embedding for {item_id!r} must be a nonempty vector")
-            if not np.all(np.isfinite(vec)):
-                raise DataFormatError(f"embedding for {item_id!r} contains a non-finite entry")
-            if dimension is None:
-                dimension = vec.size
-            elif vec.size != dimension:
-                raise DataFormatError(
-                    f"dimension mismatch: {item_id!r} has {vec.size}, expected {dimension}"
-                )
-            entries[item_id] = vec
-        if dimension is None:
+            table.add(item_id, vector)
+        if not table.entries:
             raise DataFormatError("no embedding rows")
-        return cls(dimension=int(dimension), entries=entries)
+        return table
+
+    def add(self, item_id: str, vector: Iterable[float]) -> None:
+        """Add one vector once it is nonempty, finite, not all zero (its cosine
+        similarity is undefined) and of the table's dimension."""
+        vec = np.asarray(list(vector), dtype=float)
+        if vec.ndim != 1 or vec.size == 0:
+            raise DataFormatError(f"embedding for {item_id!r} must be a nonempty vector")
+        if not np.all(np.isfinite(vec)):
+            raise DataFormatError(f"embedding for {item_id!r} contains a non-finite entry")
+        if not vec.any():
+            raise DataFormatError(f"embedding for {item_id!r} is a zero vector")
+        if self.entries and vec.size != self.dimension:
+            raise DataFormatError(f"dimension mismatch: {item_id!r} has {vec.size}, expected {self.dimension}")
+        self.dimension = vec.size
+        self.entries[item_id] = vec
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self.entries
@@ -312,8 +316,31 @@ _RECORD_FIELDS = [f.name for f in fields(AnnotationRecord)]
 
 CONFIG_PREFIX = "# config: "  # the first line of every CSV file and report the CLI writes
 
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def to_row(obj) -> dict:
+    """A dataclass instance's fields by name, in field order, values as they are:
+    the writer twin of ``from_row``. Each call returns a new dict."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+def _encode_default(value):
+    """What ``to_json`` writes for a value JSON has no form for: a dataclass
+    instance as its ``to_row``, a set as its sorted list."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return to_row(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # One encoder for every row: json.dumps builds a new encoder on each call.
-to_json = json.JSONEncoder(sort_keys=True).encode
+to_json = json.JSONEncoder(sort_keys=True, default=_encode_default).encode
+
 
 # How a value whose type its field does not admit is reported, by the field's first type.
 _MISTYPED = {
@@ -605,6 +632,16 @@ def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], obje
     return out
 
 
+@contextmanager
+def open_output(path: str | Path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Standard output for ``-``, else the file ``path``, opened for writing."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
+
+
 def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
     """A header row, then each row's values under it; an absent or None value is an empty cell."""
     writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
@@ -829,9 +866,13 @@ class _EmbeddingRow:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line."""
-    rows = read_rows(path, _EmbeddingRow)
-    return EmbeddingTable.from_rows((row.item_id, row.vector) for row in rows)
+    """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line.
+    A vector ``EmbeddingTable.add`` rejects raises naming the file and the line."""
+    table = EmbeddingTable(dimension=0, entries={})
+    read_rows(path, _EmbeddingRow, partial(from_row, _EmbeddingRow, make=table.add))
+    if not table.entries:
+        raise DataFormatError(f"{path}: no embedding rows")
+    return table
 
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
@@ -841,9 +882,11 @@ def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
 
 @dataclass
 class ValidationReport:
-    """Report-only summary of what diagnostics the dataset can support."""
+    """Report-only summary of what diagnostics the dataset can support, and of
+    the rows a lenient load rejected, counted by reason."""
 
     n_records: int
+    n_rejected: int
     n_annotators: int
     n_items: int
     n_repeat_groups: int
@@ -851,18 +894,7 @@ class ValidationReport:
     n_sessions: int
     framing_coverage_pct: float
     warnings: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_annotators": self.n_annotators,
-            "n_items": self.n_items,
-            "n_repeat_groups": self.n_repeat_groups,
-            "n_framing_pairs": self.n_framing_pairs,
-            "n_sessions": self.n_sessions,
-            "framing_coverage_pct": self.framing_coverage_pct,
-            "warnings": list(self.warnings),
-        }
+    rejected_by_reason: dict[str, int]
 
 
 def validate(dataset: Dataset) -> ValidationReport:
@@ -903,6 +935,7 @@ def validate(dataset: Dataset) -> ValidationReport:
 
     return ValidationReport(
         n_records=n_records,
+        n_rejected=len(dataset.rejected),
         n_annotators=len(dataset.by_annotator),
         n_items=n_items,
         n_repeat_groups=n_repeat_groups,
@@ -910,4 +943,5 @@ def validate(dataset: Dataset) -> ValidationReport:
         n_sessions=len(sessions),
         framing_coverage_pct=coverage,
         warnings=warnings,
+        rejected_by_reason=dict(Counter(r.reason for r in dataset.rejected).most_common()),
     )

@@ -38,14 +38,6 @@ class TestResult:
     df: float
     kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "df": self.df,
-            "kind": self.kind,
-        }
-
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""

@@ -243,14 +243,6 @@ class RecoveryReport:
     n_annotators: int
     per_type_accuracy: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "confusion": {k: dict(v) for k, v in sorted(self.confusion.items())},
-            "accuracy": self.accuracy,
-            "n_annotators": self.n_annotators,
-            "per_type_accuracy": dict(sorted(self.per_type_accuracy.items())),
-        }
-
 
 def score_recovery(synthetic: SyntheticDataset, routings: dict[str, str]) -> RecoveryReport:
     """Score routings against the latent truth under the canonical mapping."""

@@ -284,9 +284,6 @@ class ClassificationSummary:
     rows: list[dict]
     n_total: int
 
-    def as_dict(self) -> dict:
-        return {"n_total": self.n_total, "rows": self.rows}
-
 
 def classification_summary(labels: Sequence[TaxonomyLabel]) -> ClassificationSummary:
     """Counts, percentages, and mean deltas per label, largest class first."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import ConsistencyProfile
 from .errors import InsufficientSupportError
-from .records import Dataset, default_tau, record_to_obj, score_value, to_json
+from .records import Dataset, default_tau, open_output, record_to_obj, score_value, to_json
 
 WEIGHT_MODES = ("binary", "linear", "sigmoid")
 EXPORT_POLICIES = ("weight", "filter", "both")
@@ -63,16 +63,6 @@ class WeightTable:
     item_reliability: dict[str, float]
     n_unscored_annotators: int
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "weight_mode": self.weight_mode,
-            "record_weights": dict(sorted(self.record_weights.items())),
-            "annotator_reliability": dict(sorted(self.annotator_reliability.items())),
-            "item_reliability": dict(sorted(self.item_reliability.items())),
-            "n_unscored_annotators": self.n_unscored_annotators,
-            "params": self.params,
-        }
 
 
 def build_weights(
@@ -150,9 +140,6 @@ class VarianceDecomposition:
     n_inconsistent_pairs: int
     floored: bool
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def variance_decomposition(dataset: Dataset, tau: Optional[float] = None) -> VarianceDecomposition:
     """Classical test-retest error variance against total rating variance.
@@ -194,9 +181,6 @@ class ExportSummary:
     n_dropped: int
     path: str
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def export_weighted(
     dataset: Dataset,
@@ -204,15 +188,15 @@ def export_weighted(
     policy: str,
     path: str | Path,
 ) -> ExportSummary:
-    """Write the dataset with a weight field, dropping zero-weight records
-    under the filter policies. A weight the input records carry is
-    overwritten, or dropped under the plain filter policy."""
+    """Write the dataset with a weight field to ``path`` (standard output for
+    ``-``), dropping zero-weight records under the filter policies. A weight
+    the input records carry is overwritten, or dropped under the plain filter
+    policy. The export carries no config header: it is a records file."""
     if policy not in EXPORT_POLICIES:
         raise ValueError(f"unknown export policy {policy!r}")
-    path = Path(path)
     retained = 0
     dropped = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for rec in dataset.records:
             w = weights.record_weights.get(rec.record_id, 1.0)
             if policy in ("filter", "both") and w == 0.0:

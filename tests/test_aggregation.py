@@ -17,7 +17,7 @@ from prefaudit.aggregation import (
 )
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.ratio import RatioRecord
-from prefaudit.records import common_scale_score
+from prefaudit.records import common_scale_score, to_row
 
 
 def _ratio(annotator, value):
@@ -133,7 +133,7 @@ def test_pool_flip_deterministic_under_seed():
     dataset, ratios = _flip_dataset()
     a = pool_flip_simulation(dataset, ratios, iterations=300, sample_size=5, seed=5)
     b = pool_flip_simulation(dataset, ratios, iterations=300, sample_size=5, seed=5)
-    assert a.as_dict() == b.as_dict()
+    assert to_row(a) == to_row(b)
 
 
 def test_pool_flip_rejects_even_jury():
@@ -192,7 +192,7 @@ def test_pool_flips_match_the_np_mean_form_at_thresholds_on_cell_means(monkeypat
     thresholds = [m for means in _np_mean_ratings(dataset).values() for m in means.values()]
 
     def reports():
-        return [pool_flip_simulation(dataset, ratios, sample_size=1, harm_threshold=t).as_dict() for t in thresholds]
+        return [to_row(pool_flip_simulation(dataset, ratios, sample_size=1, harm_threshold=t)) for t in thresholds]
 
     ours = reports()
     monkeypatch.setattr(aggregation, "_prompt_ratings", _np_mean_ratings)

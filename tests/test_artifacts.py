@@ -16,11 +16,11 @@ from prefaudit.cli import (
 from prefaudit.diagnostics import ConsistencyProfile
 from prefaudit.pairing import PAIR_KINDS, InconsistencyFlag, PromptPair
 from prefaudit.ratio import RatioRecord
-from prefaudit.records import ItemMetadata, load_metadata, load_records, save_records
+from prefaudit.records import ItemMetadata, load_metadata, load_records, save_records, to_row
 
 ids = st.text(min_size=1, max_size=8)
 finite = st.floats(allow_nan=False, allow_infinity=False)
-optional_finite = st.none() | finite
+optional_unit = st.none() | st.floats(0.0, 1.0)  # a profile score's domain
 counts = st.integers(0, 10**6)
 DIRECTIONS = {
     "identical": st.none(),
@@ -49,9 +49,9 @@ flags = st.builds(
 )
 profiles = st.builds(
     ConsistencyProfile, annotator_id=ids,
-    temp=optional_finite, frame=optional_finite, order=optional_finite, cross=optional_finite,
+    temp=optional_unit, frame=optional_unit, order=optional_unit, cross=optional_unit,
     n_temp_pairs=counts, n_frame_pairs=counts, n_order_pairs=counts, n_cross_items=counts,
-    reliability=optional_finite, tau_used=finite,
+    reliability=optional_unit, tau_used=finite,
 )
 ratio_records = st.builds(
     RatioRecord, annotator_id=ids, theme=ids, n_items=counts,
@@ -86,14 +86,14 @@ def test_flags_round_trip(artifact, written):
 @round_trip
 @given(st.lists(profiles, max_size=5, unique_by=lambda p: p.annotator_id))
 def test_profiles_round_trip(artifact, written):
-    read = load_profiles(_write(artifact, [p.as_dict() for p in written]))
+    read = load_profiles(_write(artifact, [to_row(p) for p in written]))
     assert read == {p.annotator_id: p for p in written}
 
 
 @round_trip
 @given(st.lists(ratio_records, max_size=5))
 def test_ratio_records_round_trip(artifact, written):
-    assert load_ratio_records(_write(artifact, [r.as_dict() for r in written])) == written
+    assert load_ratio_records(_write(artifact, [to_row(r) for r in written])) == written
 
 
 def _write_either(path, fmt, header, rows):
@@ -111,7 +111,7 @@ def _write_either(path, fmt, header, rows):
     st.none() | st.sampled_from(["use_as_signal", "filter_downweight"]),
 )
 def test_profiles_round_trip_in_either_format_with_or_without_routing(artifact, written, fmt, routing):
-    rows = [{**p.as_dict(), **({"routing": routing} if routing else {})} for p in written]
+    rows = [{**to_row(p), **({"routing": routing} if routing else {})} for p in written]
     header = list(rows[0]) if rows else ["annotator_id"]  # as diagnose builds it
     read = load_profiles(_write_either(artifact, fmt, header, rows))
     assert read == {p.annotator_id: p for p in written}
@@ -121,7 +121,7 @@ def test_profiles_round_trip_in_either_format_with_or_without_routing(artifact, 
 @given(st.lists(ratio_records, max_size=5), st.sampled_from(["jsonl", "csv"]))
 def test_ratio_records_round_trip_in_either_format(artifact, written, fmt):
     header = [f.name for f in fields(RatioRecord)]  # as ratio writes it
-    assert load_ratio_records(_write_either(artifact, fmt, header, [r.as_dict() for r in written])) == written
+    assert load_ratio_records(_write_either(artifact, fmt, header, [to_row(r) for r in written])) == written
 
 
 def test_jsonl_artifact_is_written_row_by_row(tmp_path):

@@ -88,6 +88,29 @@ def test_validate_report_format(dataset_path, tmp_path):
     assert "Dataset validation" in text and "n_records" in text
 
 
+def test_lenient_validate_reports_rejected_rows_by_reason(tmp_path):
+    rows = _records_rows()
+    for i, weight in ((3, -4.0), (5, -4.0), (7, float("nan"))):
+        rows[i]["weight"] = weight
+    path = tmp_path / "data.jsonl"
+    _write_jsonl(path, rows)
+    out = tmp_path / "report.json"
+    assert run(["validate", "--input", str(path), "--output", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert (result["n_records"], result["n_rejected"]) == (61, 3)
+    assert result["rejected_by_reason"] == {
+        "weight must be finite and >= 0, got -4.0": 2,
+        "weight must be finite and >= 0, got nan": 1,
+    }
+    assert run(["validate", "--input", str(path), "--output", str(out), "--format", "report"]) == 0
+    text = out.read_text()
+    assert "n_rejected            3\n" in text
+    assert text.endswith(
+        "rejected: 2 rows: weight must be finite and >= 0, got -4.0\n"
+        "rejected: 1 rows: weight must be finite and >= 0, got nan\n"
+    )
+
+
 def test_unknown_flag_usage_error(dataset_path):
     assert run(["validate", "--input", str(dataset_path), "--bogus"]) == 1
 
@@ -163,13 +186,14 @@ def test_invalid_data_exit_code(tmp_path):
 
 _ARTIFACT_ROWS = {
     # flag: (subcommand reading it, a valid row, a required field of that row,
-    #        fields of that row, each with a value of the wrong type for it)
+    #        fields of that row, each with a value it does not admit)
     "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a",
                 [("similarity", "high"), ("similarity", "0.5"), ("similarity", True)]),
     "--flags": ("classify", {"item_a": "i1", "item_b": "i2", "annotator_id": "u0", "score_a": 5.0,
                              "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id",
                 [("delta", "wide"), ("score_a", "0.5"), ("score_a", True)]),
-    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id", [("n_temp_pairs", "7")]),
+    "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id",
+                   [("n_temp_pairs", "7"), ("reliability", float("nan")), ("temp", -4.0), ("cross", float("inf"))]),
     "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
                               "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme",
                  [("ratio", "x")]),
@@ -199,6 +223,13 @@ def test_bad_intermediate_row_is_a_data_error_naming_its_line(dataset_path, tmp_
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "line 2: " in err[0] and reason in err[0]
+
+
+def test_a_zero_embedding_vector_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
+    embeddings = tmp_path / "emb.jsonl"
+    _write_jsonl(embeddings, [{"item_id": "i1", "vector": [1.0, 0.0]}, {"item_id": "i2", "vector": [0.0, 0.0]}])
+    assert run(["pairs", "--input", str(dataset_path), "--embeddings", str(embeddings)]) == 2
+    assert capsys.readouterr().err == f"data error: {embeddings}: line 2: embedding for 'i2' is a zero vector\n"
 
 
 def test_bad_csv_profile_cell_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
@@ -481,26 +512,34 @@ def test_a_non_utf8_themes_input_is_a_data_error_naming_the_file_and_line(
 
 
 def _without_output_paths(text):
-    """Artifact text with the output paths its ``#config`` header echoes left out."""
+    """Artifact text with the output paths its ``#config`` header, if it has one, echoes left out."""
     header, _, body = text.partition("\n")
-    config = json.loads(header)["#config"]
+    config = json.loads(header).get("#config")
+    if config is None:  # a records file, such as the weighted export
+        return text
     return {k: v for k, v in config.items() if not k.endswith("output")}, body
 
 
-@pytest.mark.parametrize("cmd, flag", [("pairs", "--output"), ("repeats", "--flags-output")])
-def test_artifact_written_to_stdout_matches_the_file(dataset_path, tmp_path, capsys, cmd, flag):
+@pytest.mark.parametrize(
+    "cmd, flag", [("pairs", "--output"), ("repeats", "--flags-output"), ("weights", "--output")]
+)
+def test_artifact_written_to_stdout_matches_the_file(dataset_path, tmp_path, capsys, monkeypatch, cmd, flag):
+    monkeypatch.chdir(tmp_path)
     embeddings = tmp_path / "emb.jsonl"
     vectors = {"i1": [1.0, 0.0], "i2": [0.99, 0.1], "i3": [0.0, 1.0], "i4": [0.1, 0.99]}
     _write_jsonl(embeddings, [{"item_id": k, "vector": v} for k, v in vectors.items()])
-    argv = [cmd, "--input", str(dataset_path), "--embeddings", str(embeddings)]
-    if cmd == "repeats":
-        argv += ["--output", str(tmp_path / "report.json")]
+    argv = [cmd, "--input", str(dataset_path)] + {
+        "pairs": ["--embeddings", str(embeddings)],
+        "repeats": ["--embeddings", str(embeddings), "--output", str(tmp_path / "report.json")],
+        "weights": ["--summary-output", str(tmp_path / "summary.json")],
+    }[cmd]
     artifact = tmp_path / "artifact.jsonl"
     assert run(argv + [flag, str(artifact)]) == 0
     assert run(argv + [flag, "-"]) == 0
     written = artifact.read_text(encoding="utf-8")
     assert written.count("\n") > 2
     assert _without_output_paths(capsys.readouterr().out) == _without_output_paths(written)
+    assert not (tmp_path / "-").exists()
 
 
 def test_config_file_supplies_defaults(dataset_path, tmp_path):

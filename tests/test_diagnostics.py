@@ -23,7 +23,7 @@ from prefaudit.errors import InsufficientSupportError
 from prefaudit.pairing import PromptPair
 from prefaudit.planner import plan_tier
 from prefaudit.ratio import RatioConfig
-from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA
+from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA, to_row
 from prefaudit.synth import generate
 
 
@@ -282,7 +282,7 @@ def test_framing_effect_annotator_order_invariant():
     side_b = [20.0, 30.0, 45.0]
     dataset, pair = _framing_pair_dataset(side_a, side_b)
     shuffled = dataset_of(list(reversed(dataset.records)))
-    assert framing_effect_stats(dataset, pair).as_dict() == framing_effect_stats(shuffled, pair).as_dict()
+    assert to_row(framing_effect_stats(dataset, pair)) == to_row(framing_effect_stats(shuffled, pair))
 
 
 def test_framing_effect_needs_two_shared_annotators():

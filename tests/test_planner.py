@@ -84,7 +84,7 @@ def test_schedule_respects_spacing_and_is_deterministic():
     annotators = [f"ann-{i}" for i in range(5)]
     schedule = assign_diagnostics(plan, items, annotators, seed=13)
     again = assign_diagnostics(plan, items, annotators, seed=13)
-    assert schedule.as_rows() == again.as_rows()
+    assert schedule.entries == again.entries
     assert validate_schedule(schedule) == []
 
     # independent spacing scan

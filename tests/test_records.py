@@ -13,6 +13,7 @@ import pytest
 
 from conftest import dataset_of, rec
 from prefaudit import records as records_module
+from prefaudit import stats
 from prefaudit.cli import run
 from prefaudit.errors import DataFormatError
 from prefaudit.records import (
@@ -25,8 +26,11 @@ from prefaudit.records import (
     load_metadata,
     load_records,
     save_records,
+    to_json,
+    to_row,
     validate,
 )
+from prefaudit.ratio import PopulationReport
 
 
 def _write_jsonl(path, rows):
@@ -335,7 +339,7 @@ def test_validate_empty_dataset_zero_counts():
 
 def test_validate_is_pure():
     dataset = dataset_of([rec("a1", "i1", 10.0)])
-    assert validate(dataset).as_dict() == validate(dataset).as_dict()
+    assert to_row(validate(dataset)) == to_row(validate(dataset))
 
 
 def test_timestamp_monotonicity_checked():
@@ -688,3 +692,28 @@ def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path):
         fh.write(json.dumps(_row(0)) + "\n")
     assert len(load_records(f"/dev/fd/{read}").records) == 1
     os.close(read)
+
+
+def test_to_json_encodes_a_nested_dataclass_as_its_row():
+    t_vs_one = stats.TestResult(statistic=2.5, p_value=0.03, df=9.0, kind="one_sample")
+    report = PopulationReport(
+        n_annotators=4, median_ratio=0.8, t_vs_one=t_vs_one, median_split=None,
+        mean_diff_low_minus_high=None, pearson_r_ratio_vs_rating=0.5, n_low=2, n_high=2,
+    )
+    row = to_row(report)
+    assert list(row) == [f.name for f in fields(PopulationReport)]
+    assert row["t_vs_one"] is t_vs_one  # shallow: nested dataclasses are left to the encoder
+    assert to_json(report) == to_json({
+        "n_annotators": 4, "median_ratio": 0.8,
+        "t_vs_one": {"statistic": 2.5, "p_value": 0.03, "df": 9.0, "kind": "one_sample"},
+        "median_split": None, "mean_diff_low_minus_high": None,
+        "pearson_r_ratio_vs_rating": 0.5, "n_low": 2, "n_high": 2,
+    })
+
+
+def test_to_json_encodes_a_set_sorted_and_nothing_else_it_has_no_form_for():
+    assert to_json({"labels": frozenset({"b", "c", "a"})}) == '{"labels": ["a", "b", "c"]}'
+    assert to_json({"b", "a"}) == '["a", "b"]'
+    for value in (object(), stats.TestResult, 1j):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            to_json(value)
