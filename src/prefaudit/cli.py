@@ -14,8 +14,10 @@ failure (any other exception a subcommand raises, reported on one line).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import fields
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -134,15 +136,28 @@ def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
     return row
 
 
-def _flag_from_row(row: dict) -> pairing.InconsistencyFlag:
+def _flag_from_row(row: dict, make_pair=_pair_from_row) -> pairing.InconsistencyFlag:
     # the flag's own fields leave the row first, so the pair sees only its own
     own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
-    own["pair"] = _pair_from_row(row)
+    own["pair"] = make_pair(row)
     return records.from_row(pairing.InconsistencyFlag, own)
 
 
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
-    return records.read_rows(path, pairing.InconsistencyFlag, _flag_from_row)
+    """The flags of a ``repeats --flags-output`` file. Flags whose pair fields are
+    equal in name, type and value share one ``PromptPair``, built and checked from
+    the first such row. A field's value is keyed by its repr, which for a value
+    read from JSON or CSV also tells its type: ``true`` is not ``1.0``, nor -0.0 0.0."""
+    pairs: dict[tuple, pairing.PromptPair] = {}
+
+    def shared_pair(row: dict) -> pairing.PromptPair:
+        key = (tuple(row), tuple(map(repr, row.values())))
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _pair_from_row(row)
+        return pair
+
+    return records.read_rows(path, pairing.InconsistencyFlag, partial(_flag_from_row, make_pair=shared_pair))
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:
@@ -342,6 +357,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- weights
 
 def _cmd_weights(args) -> int:
+    if args.output == "-" and args.summary_output == "-":
+        # one stream holding the records and then the summary is not a records file
+        raise ValueError("--output and --summary-output both write to standard output; give one a file")
     dataset = _load_dataset(args)
     if args.profiles:
         profiles = load_profiles(args.profiles)
@@ -678,6 +696,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     if not getattr(args, "cmd", None):
         parser.print_usage(sys.stderr)
         return 1
+    # A subcommand builds large acyclic graphs of records, rows and flags; a
+    # cyclic collection during it scans them all and finds only the parser.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValueError as exc:
@@ -697,6 +719,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         logging.getLogger("prefaudit").debug("uncaught exception in %s", args.cmd, exc_info=True)
         print(f"runtime error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ cases (identical prompt, identical response, same model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -98,6 +98,22 @@ def cosine_similarity(u: Sequence[float], v: Sequence[float]) -> float:
 
 def _sorted_ratings(records: list[AnnotationRecord]) -> list[AnnotationRecord]:
     return sorted(records, key=lambda r: (r.session_id or "", r.timestamp or -1, r.position_index or -1, r.record_id))
+
+
+def _sorted_values(records: list[AnnotationRecord]) -> list[float]:
+    """The records' score values, in ``_sorted_ratings`` order."""
+    return [score_value(r) for r in _sorted_ratings(records)]
+
+
+def _most_divergent(combos: Iterable[tuple[float, float]]) -> Optional[tuple[float, float]]:
+    """The first ``(a, b)`` of ``combos`` with the largest ``|a - b|``, the one
+    ``max(combos, key=...)`` picks; None when ``combos`` is empty."""
+    best, widest = None, -1.0
+    for a, b in combos:
+        delta = abs(a - b)
+        if delta > widest:
+            best, widest = (a, b), delta
+    return best
 
 
 def find_similar_pairs(
@@ -199,35 +215,41 @@ def flag_inconsistencies(
     evaluated = 0
     annotators_evaluated: set[str] = set()
     annotators_flagged: set[str] = set()
+    # (item, annotator) -> the cell's score values in ``_sorted_ratings`` order;
+    # a cell sits in many pairs, and is sorted and scored once
+    cells: dict[tuple[str, str], list[float]] = {}
 
     for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
-        by_ann_a = dataset.by_item_annotator.get(pair.item_a)
-        by_ann_b = dataset.by_item_annotator.get(pair.item_b)
+        item_a, item_b = pair.item_a, pair.item_b
+        by_ann_a = dataset.by_item_annotator.get(item_a)
+        by_ann_b = dataset.by_item_annotator.get(item_b)
         if not by_ann_a or not by_ann_b:
             raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
+        self_pair = item_a == item_b
 
         for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
-            if pair.is_self_pair:
+            if self_pair:
                 # repeats live within one framing variant; cross-variant
                 # divergence is the framing diagnostic's business
                 by_framing: dict[Optional[str], list[AnnotationRecord]] = {}
                 for rec in by_ann_a[annotator]:
                     by_framing.setdefault(rec.framing_id, []).append(rec)
-                combos = []
-                for group in by_framing.values():
-                    combos.extend(combinations(_sorted_ratings(group), 2))
-                if not combos:
+                best = _most_divergent(chain.from_iterable(
+                    combinations(_sorted_values(group), 2) for group in by_framing.values()
+                ))
+                if best is None:
                     continue
             else:
-                combos = [
-                    (ra, rb)
-                    for ra in _sorted_ratings(by_ann_a[annotator])
-                    for rb in _sorted_ratings(by_ann_b[annotator])
-                ]
+                values_a = cells.get((item_a, annotator))
+                if values_a is None:
+                    values_a = cells[item_a, annotator] = _sorted_values(by_ann_a[annotator])
+                values_b = cells.get((item_b, annotator))
+                if values_b is None:
+                    values_b = cells[item_b, annotator] = _sorted_values(by_ann_b[annotator])
+                best = _most_divergent(product(values_a, values_b))
             evaluated += 1
             annotators_evaluated.add(annotator)
-            best = max(combos, key=lambda c: abs(score_value(c[0]) - score_value(c[1])))
-            score_a, score_b = score_value(best[0]), score_value(best[1])
+            score_a, score_b = best
             delta = abs(score_a - score_b)
             if delta >= delta_threshold:
                 flags.append(

@@ -19,12 +19,13 @@ baseline, so the convention cancels in the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientSupportError
+from .errors import DataFormatError, DegenerateDataError, InsufficientSupportError
 from .records import Dataset, score_value
 from .stats import TestResult, one_sample_t, pearson_r, seeded_sampler, welch_t
 
@@ -59,6 +60,12 @@ class RatioRecord:
     resamples_used: int
     seed: int
     degenerate: bool = False
+
+    def __post_init__(self):
+        for name in ("var_within", "baseline", "ratio"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+                raise DataFormatError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def interpret_ratio(ratio: float, low: float = 0.75, high: float = 1.25) -> str:

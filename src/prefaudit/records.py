@@ -613,18 +613,26 @@ def _iter_csv(
             rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
 
 
-def read_rows(path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None) -> list:
+def read_rows(
+    path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None, unique: Optional[str] = None
+) -> list:
     """``build`` (by default ``from_row`` for ``cls``) of each row of a JSONL file, or
     of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
-    outputs do. A bad row raises one DataFormatError naming the file and the line."""
+    outputs do. A bad row, and a row whose string field ``unique`` repeats an earlier
+    row's, raise one DataFormatError naming the file and the line (and the earlier one)."""
     build = build or partial(from_row, cls)
     with _open_text(path) as fh:
         is_csv = fh.readline().startswith(CONFIG_PREFIX)
     out = []
+    first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
     try:
         for line_no, row in _iter_csv(path, cls) if is_csv else iter_jsonl(path):
             try:
                 out.append(build(row))
+                if unique is not None:  # checked once ``build`` has made the value a string
+                    first = first_line.setdefault(row[unique], line_no)
+                    if first != line_no:
+                        raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
             except DataFormatError as exc:
                 raise DataFormatError(f"line {line_no}: {exc}") from None
     except DataFormatError as exc:
@@ -866,18 +874,19 @@ class _EmbeddingRow:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line.
-    A vector ``EmbeddingTable.add`` rejects raises naming the file and the line."""
+    """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line,
+    one line per item. A vector ``EmbeddingTable.add`` rejects raises naming the
+    file and the line."""
     table = EmbeddingTable(dimension=0, entries={})
-    read_rows(path, _EmbeddingRow, partial(from_row, _EmbeddingRow, make=table.add))
+    read_rows(path, _EmbeddingRow, partial(from_row, _EmbeddingRow, make=table.add), unique="item_id")
     if not table.entries:
         raise DataFormatError(f"{path}: no embedding rows")
     return table
 
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
-    """Load item metadata codes from JSONL keyed by item_id."""
-    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata)}
+    """Load item metadata codes from JSONL keyed by item_id, one row per item."""
+    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata, unique="item_id")}
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -9,6 +10,16 @@ import pytest
 from prefaudit.records import AnnotationRecord, Dataset, ItemMetadata
 
 _counter = itertools.count()
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_enabled():
+    """Fail a test after which the cyclic garbage collector is off, as a paused
+    collector that is never restored would leave it, and turn it back on."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the cyclic garbage collector was left disabled"
 
 
 def rec(

@@ -21,6 +21,7 @@ from prefaudit.records import ItemMetadata, load_metadata, load_records, save_re
 ids = st.text(min_size=1, max_size=8)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 optional_unit = st.none() | st.floats(0.0, 1.0)  # a profile score's domain
+nonnegative = st.floats(0.0, allow_infinity=False)  # a ratio record's variances and ratio
 counts = st.integers(0, 10**6)
 DIRECTIONS = {
     "identical": st.none(),
@@ -55,7 +56,7 @@ profiles = st.builds(
 )
 ratio_records = st.builds(
     RatioRecord, annotator_id=ids, theme=ids, n_items=counts,
-    var_within=finite, baseline=finite, ratio=finite,
+    var_within=nonnegative, baseline=nonnegative, ratio=nonnegative,
     resamples_used=counts, seed=counts, degenerate=st.booleans(),
 )
 round_trip = settings(deadline=None, max_examples=40)

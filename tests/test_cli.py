@@ -1,11 +1,16 @@
 """CLI: exit codes, config echo, subcommand pipelines, report rendering."""
 
+import gc
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from prefaudit.cli import load_profiles, run
+from prefaudit import cli, records
+from prefaudit.cli import load_flags, load_profiles, run
 from prefaudit.errors import DataFormatError
+from prefaudit.pairing import InconsistencyFlag, PromptPair
 from prefaudit.records import load_metadata, load_records
 
 
@@ -196,7 +201,8 @@ _ARTIFACT_ROWS = {
                    [("n_temp_pairs", "7"), ("reliability", float("nan")), ("temp", -4.0), ("cross", float("inf"))]),
     "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
                               "baseline": 2.0, "ratio": 0.5, "resamples_used": 10, "seed": 0}, "theme",
-                 [("ratio", "x")]),
+                 [("ratio", "x"), ("ratio", -3.0), ("ratio", float("inf")), ("ratio", float("nan")),
+                  ("var_within", -1.0), ("baseline", float("nan"))]),
 }
 
 
@@ -230,6 +236,25 @@ def test_a_zero_embedding_vector_is_a_data_error_naming_its_line(dataset_path, t
     _write_jsonl(embeddings, [{"item_id": "i1", "vector": [1.0, 0.0]}, {"item_id": "i2", "vector": [0.0, 0.0]}])
     assert run(["pairs", "--input", str(dataset_path), "--embeddings", str(embeddings)]) == 2
     assert capsys.readouterr().err == f"data error: {embeddings}: line 2: embedding for 'i2' is a zero vector\n"
+
+
+@pytest.mark.parametrize("flag, cmd, row", [
+    ("--metadata", "validate", {"theme_labels": ["harm"]}),
+    ("--embeddings", "pairs", {"vector": [1.0, 0.0]}),
+])
+def test_a_repeated_item_id_is_a_data_error_naming_both_lines(dataset_path, tmp_path, capsys, flag, cmd, row):
+    table = tmp_path / "table.jsonl"
+    _write_jsonl(table, [{"item_id": item, **row} for item in ("i1", "i2", "i3", "i4", "i2")])
+    assert run([cmd, "--input", str(dataset_path), flag, str(table), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"data error: {table}: line 5: item_id 'i2' repeats line 2\n"
+
+
+def test_weights_with_both_outputs_on_stdout_is_a_usage_error(tmp_path, capsys):
+    # exits before the input is read: a missing input would exit 3
+    assert run(["weights", "--input", str(tmp_path / "absent.jsonl")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: --output and --summary-output both write to standard output")
 
 
 def test_bad_csv_profile_cell_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
@@ -268,6 +293,104 @@ def test_repeats_then_classify_pipeline(dataset_path, metadata_path, tmp_path):
     result = json.loads(classify_report.read_text())["result"]
     assert result["rows"][0]["label"] == "non_attitude"
     assert result["rows"][0]["n"] == 12
+
+
+def _unshared_flags(path):
+    """Each flag row of ``path`` built on its own, its pair included."""
+    own = ("annotator_id", "score_a", "score_b", "delta", "threshold_used")
+    flags = []
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        row = json.loads(line)
+        pair = records.from_row(PromptPair, {k: v for k, v in row.items() if k not in own})
+        flags.append(records.from_row(InconsistencyFlag, {**{k: row[k] for k in own}, "pair": pair}))
+    return flags
+
+
+def test_loaded_flags_share_one_pair_per_distinct_pair(dataset_path, tmp_path):
+    flags_path = tmp_path / "flags.jsonl"
+    assert run(["repeats", "--input", str(dataset_path), "--flags-output", str(flags_path),
+                "--output", str(tmp_path / "report.json")]) == 0
+    flags = load_flags(flags_path)
+    assert len(flags) == 16
+    assert len({id(f.pair) for f in flags}) == len({f.pair for f in flags}) == 4
+    assert flags == _unshared_flags(flags_path)
+
+
+def test_pair_rows_differing_in_sign_of_zero_or_type_share_no_pair(tmp_path):
+    row = {"item_a": "i1", "item_b": "i2", "pair_id": "i1|i2", "annotator_id": "u0",
+           "score_a": 5.0, "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}
+    path = tmp_path / "flags.jsonl"
+    _write_jsonl(path, [{"#config": {}}, {**row, "similarity": 0.0}, {**row, "similarity": -0.0}])
+    flags = load_flags(path)
+    assert flags[0].pair is not flags[1].pair
+    assert [math.copysign(1.0, f.pair.similarity) for f in flags] == [1.0, -1.0]
+    _write_jsonl(path, [{"#config": {}}, {**row, "similarity": 1.0}, {**row, "similarity": True}])
+    with pytest.raises(DataFormatError, match="line 3: non-numeric similarity True"):
+        load_flags(path)
+
+
+def _gc_exit_cases(dataset_path, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    _write_jsonl(bad, [{"record_id": "r0", "annotator_id": "a", "item_id": "i", "prompt_text": "p",
+                        "score": 500.0, "scale_kind": "continuous_0_100"}])
+    return {
+        0: ["validate", "--input", str(dataset_path), "--output", str(tmp_path / "v.json")],
+        1: ["weights", "--input", str(dataset_path)],
+        2: ["validate", "--input", str(bad), "--strict"],
+        3: ["validate", "--input", str(tmp_path / "absent.jsonl")],
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_state(dataset_path, tmp_path, monkeypatch, capsys, enabled):
+    seen = []
+    validate = cli._cmd_validate
+
+    def watched(args):
+        seen.append(gc.isenabled())
+        return validate(args)
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_validate", watched)
+    if not enabled:
+        gc.disable()
+    try:
+        for code, argv in _gc_exit_cases(dataset_path, tmp_path).items():
+            assert run(argv) == code
+            assert gc.isenabled() is enabled, code
+        monkeypatch.setattr(cli, "_cmd_validate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["validate", "--input", str(dataset_path)])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False, False]  # paused while each validate ran
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["audit-sparse", "jury-dense"])
+def test_each_benchmark_stage_leaves_little_cyclic_garbage(tmp_path, monkeypatch, workload):
+    """``run`` pauses the cyclic collector, so a stage that made cyclic garbage per
+    row would hold it until the process ends. A stage leaves about 1,000 objects
+    of it today, most of them the argument parser's."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+    import workloads
+
+    corpora.build(workload, "smoke", 1, tmp_path)
+    gc.disable()
+    try:
+        gc.collect()
+        for stage in workloads.STAGES[workload]:
+            assert run(workloads.stage_argv(stage, tmp_path)) == 0, stage[0]
+            found = gc.collect()
+            assert found < 5000, (stage[0], found)
+    finally:
+        gc.enable()
 
 
 def test_repeats_report_table(dataset_path, tmp_path):

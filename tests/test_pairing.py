@@ -1,14 +1,19 @@
 """Pair discovery, inconsistency flags, prevalence, and the filter ladder."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_of, rec
 from prefaudit.errors import DataFormatError
 from prefaudit.pairing import (
+    InconsistencyFlag,
+    PrevalenceSummary,
     PromptPair,
+    _sorted_ratings,
     cosine_similarity,
     filter_ladder,
     find_similar_pairs,
@@ -17,7 +22,7 @@ from prefaudit.pairing import (
     repeat_pairs,
     standard_ladder_stages,
 )
-from prefaudit.records import EmbeddingTable
+from prefaudit.records import EmbeddingTable, score_value
 
 
 def test_cosine_identity_orthogonal_and_formula():
@@ -171,6 +176,85 @@ def test_cross_item_flags_use_all_combinations():
     flags, _ = flag_inconsistencies(dataset, [pair])
     assert len(flags) == 1
     assert flags[0].delta == 70.0  # max over 2x1 combinations
+
+
+def _reference_flag_inconsistencies(dataset, pairs, delta_threshold):
+    """``flag_inconsistencies`` in its reference form: every combination of records
+    built for each (pair, annotator), and ``max`` over their score differences."""
+    flags, evaluated, evaluated_by, flagged_by = [], 0, set(), set()
+    for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
+        by_ann_a = dataset.by_item_annotator[pair.item_a]
+        by_ann_b = dataset.by_item_annotator[pair.item_b]
+        for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
+            if pair.is_self_pair:
+                by_framing = {}
+                for r in by_ann_a[annotator]:
+                    by_framing.setdefault(r.framing_id, []).append(r)
+                combos = [c for group in by_framing.values() for c in combinations(_sorted_ratings(group), 2)]
+                if not combos:
+                    continue
+            else:
+                combos = [(ra, rb) for ra in _sorted_ratings(by_ann_a[annotator])
+                          for rb in _sorted_ratings(by_ann_b[annotator])]
+            evaluated += 1
+            evaluated_by.add(annotator)
+            best = max(combos, key=lambda c: abs(score_value(c[0]) - score_value(c[1])))
+            score_a, score_b = score_value(best[0]), score_value(best[1])
+            delta = abs(score_a - score_b)
+            if delta >= delta_threshold:
+                flags.append(InconsistencyFlag(annotator, pair, score_a, score_b, delta, delta_threshold))
+                flagged_by.add(annotator)
+    summary = PrevalenceSummary(
+        evaluated, len(flags), 100.0 * len(flags) / evaluated if evaluated else 0.0,
+        len(evaluated_by), len(flagged_by), 100.0 * len(flagged_by) / len(evaluated_by) if evaluated_by else 0.0,
+        float(np.mean([f.delta for f in flags])) if flags else 0.0, delta_threshold,
+    )
+    return flags, summary
+
+
+# Few distinct scores, so equal deltas tie; each threshold is one of those deltas.
+_SCALE_SCORES = {
+    "continuous_0_100": ([0.0, 15.0, 40.0, 55.0, 100.0], [15.0, 40.0, 55.0]),
+    "likert_5": ([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 4.0]),
+    "binary_pair": (["A", "B"], [0.0, 1.0]),
+}
+
+
+@st.composite
+def _rated_items(draw):
+    scale = draw(st.sampled_from(sorted(_SCALE_SCORES)))
+    scores, thresholds = _SCALE_SCORES[scale]
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["a1", "a2", "a3"]), st.sampled_from(["i1", "i2", "i3"]), st.sampled_from(scores),
+                  st.sampled_from([None, "s1", "s2"]), st.sampled_from([None, "f1", "f2"])),
+        min_size=1, max_size=30,
+    ))
+    records = [rec(a, i, score, session=s, framing=f, scale=scale) for a, i, score, s, f in rows]
+    return dataset_of(records, scale=scale), draw(st.sampled_from(thresholds))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rated_items())
+def test_flags_equal_the_max_over_combinations_reference(case):
+    dataset, threshold = case
+    items = sorted(dataset.by_item)
+    pairs = [_self_pair(i) for i in items] + [
+        PromptPair(f"{a}|{b}", a, b, 0.95, "equivalent") for a, b in combinations(items, 2)
+    ]
+    assert flag_inconsistencies(dataset, pairs, threshold) == _reference_flag_inconsistencies(dataset, pairs, threshold)
+
+
+def test_self_pair_framings_are_scored_apart_and_the_first_widest_wins():
+    records = [
+        rec("a1", "i1", 10.0, framing="f1"), rec("a1", "i1", 50.0, framing="f1"),
+        rec("a1", "i1", 90.0, framing="f2"), rec("a1", "i1", 50.0, framing="f2"),  # ties f1's 40
+        rec("a2", "i1", 0.0, framing="f1"), rec("a2", "i1", 100.0, framing="f2"),  # one rating per framing
+    ]
+    dataset = dataset_of(records)
+    flags, summary = flag_inconsistencies(dataset, [_self_pair()], delta_threshold=40.0)
+    assert [(f.annotator_id, f.score_a, f.score_b, f.delta) for f in flags] == [("a1", 10.0, 50.0, 40.0)]
+    assert summary.n_evaluated_pairs == 1 and summary.n_annotators_evaluated == 1
+    assert (flags, summary) == _reference_flag_inconsistencies(dataset, [_self_pair()], 40.0)
 
 
 def test_delta_threshold_monotonicity():
