@@ -17,7 +17,6 @@ import argparse
 import gc
 import sys
 from dataclasses import fields
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -136,13 +135,6 @@ def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
     return row
 
 
-def _flag_from_row(row: dict, make_pair=_pair_from_row) -> pairing.InconsistencyFlag:
-    # the flag's own fields leave the row first, so the pair sees only its own
-    own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
-    own["pair"] = make_pair(row)
-    return records.from_row(pairing.InconsistencyFlag, own)
-
-
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
     """The flags of a ``repeats --flags-output`` file. Flags whose pair fields are
     equal in name, type and value share one ``PromptPair``, built and checked from
@@ -150,14 +142,17 @@ def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
     read from JSON or CSV also tells its type: ``true`` is not ``1.0``, nor -0.0 0.0."""
     pairs: dict[tuple, pairing.PromptPair] = {}
 
-    def shared_pair(row: dict) -> pairing.PromptPair:
+    def flag_from_row(row: dict) -> pairing.InconsistencyFlag:
+        # the flag's own fields leave the row first, so the pair sees only its own
+        own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
         key = (tuple(row), tuple(map(repr, row.values())))
         pair = pairs.get(key)
         if pair is None:
             pair = pairs[key] = _pair_from_row(row)
-        return pair
+        own["pair"] = pair
+        return records.from_row(pairing.InconsistencyFlag, own)
 
-    return records.read_rows(path, pairing.InconsistencyFlag, partial(_flag_from_row, make_pair=shared_pair))
+    return records.read_rows(path, pairing.InconsistencyFlag, flag_from_row)
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:

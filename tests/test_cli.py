@@ -329,18 +329,6 @@ def test_pair_rows_differing_in_sign_of_zero_or_type_share_no_pair(tmp_path):
         load_flags(path)
 
 
-def _gc_exit_cases(dataset_path, tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    _write_jsonl(bad, [{"record_id": "r0", "annotator_id": "a", "item_id": "i", "prompt_text": "p",
-                        "score": 500.0, "scale_kind": "continuous_0_100"}])
-    return {
-        0: ["validate", "--input", str(dataset_path), "--output", str(tmp_path / "v.json")],
-        1: ["weights", "--input", str(dataset_path)],
-        2: ["validate", "--input", str(bad), "--strict"],
-        3: ["validate", "--input", str(tmp_path / "absent.jsonl")],
-    }
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_callers_collector_state(dataset_path, tmp_path, monkeypatch, capsys, enabled):
     seen = []
@@ -353,11 +341,20 @@ def test_run_restores_the_callers_collector_state(dataset_path, tmp_path, monkey
     def interrupted(args):
         raise KeyboardInterrupt
 
+    bad = tmp_path / "bad.jsonl"
+    _write_jsonl(bad, [{"record_id": "r0", "annotator_id": "a", "item_id": "i", "prompt_text": "p",
+                        "score": 500.0, "scale_kind": "continuous_0_100"}])
+    exits = {
+        0: ["validate", "--input", str(dataset_path), "--output", str(tmp_path / "v.json")],
+        1: ["weights", "--input", str(dataset_path)],
+        2: ["validate", "--input", str(bad), "--strict"],
+        3: ["validate", "--input", str(tmp_path / "absent.jsonl")],
+    }
     monkeypatch.setattr(cli, "_cmd_validate", watched)
     if not enabled:
         gc.disable()
     try:
-        for code, argv in _gc_exit_cases(dataset_path, tmp_path).items():
+        for code, argv in exits.items():
             assert run(argv) == code
             assert gc.isenabled() is enabled, code
         monkeypatch.setattr(cli, "_cmd_validate", interrupted)
