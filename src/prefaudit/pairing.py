@@ -100,9 +100,9 @@ def _sorted_ratings(records: list[AnnotationRecord]) -> list[AnnotationRecord]:
     return sorted(records, key=lambda r: (r.session_id or "", r.timestamp or -1, r.position_index or -1, r.record_id))
 
 
-def _sorted_values(records: list[AnnotationRecord]) -> list[float]:
+def _sorted_values(records: list[AnnotationRecord]) -> tuple[float, ...]:
     """The records' score values, in ``_sorted_ratings`` order."""
-    return [score_value(r) for r in _sorted_ratings(records)]
+    return tuple(map(score_value, _sorted_ratings(records)))
 
 
 def _most_divergent(combos: Iterable[tuple[float, float]]) -> Optional[tuple[float, float]]:
@@ -215,9 +215,9 @@ def flag_inconsistencies(
     evaluated = 0
     annotators_evaluated: set[str] = set()
     annotators_flagged: set[str] = set()
-    # (item, annotator) -> the cell's score values in ``_sorted_ratings`` order;
+    # item -> annotator -> the cell's score values in ``_sorted_ratings`` order;
     # a cell sits in many pairs, and is sorted and scored once
-    cells: dict[tuple[str, str], list[float]] = {}
+    cells: dict[str, dict[str, tuple[float, ...]]] = {}
 
     for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
         item_a, item_b = pair.item_a, pair.item_b
@@ -226,6 +226,8 @@ def flag_inconsistencies(
         if not by_ann_a or not by_ann_b:
             raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
         self_pair = item_a == item_b
+        cells_a = cells.setdefault(item_a, {})
+        cells_b = cells.setdefault(item_b, {})
 
         for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
             if self_pair:
@@ -240,12 +242,12 @@ def flag_inconsistencies(
                 if best is None:
                     continue
             else:
-                values_a = cells.get((item_a, annotator))
+                values_a = cells_a.get(annotator)
                 if values_a is None:
-                    values_a = cells[item_a, annotator] = _sorted_values(by_ann_a[annotator])
-                values_b = cells.get((item_b, annotator))
+                    values_a = cells_a[annotator] = _sorted_values(by_ann_a[annotator])
+                values_b = cells_b.get(annotator)
                 if values_b is None:
-                    values_b = cells[item_b, annotator] = _sorted_values(by_ann_b[annotator])
+                    values_b = cells_b[annotator] = _sorted_values(by_ann_b[annotator])
                 best = _most_divergent(product(values_a, values_b))
             evaluated += 1
             annotators_evaluated.add(annotator)
