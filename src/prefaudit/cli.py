@@ -139,7 +139,8 @@ def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
     """The flags of a ``repeats --flags-output`` file. Flags whose pair fields are
     equal in name, type and value share one ``PromptPair``, built and checked from
     the first such row. A field's value is keyed by its repr, which for a value
-    read from JSON or CSV also tells its type: ``true`` is not ``1.0``, nor -0.0 0.0."""
+    read from JSON or CSV also tells its type: ``true`` is not ``1.0``, and
+    ``-0.0`` is not ``0.0``."""
     pairs: dict[tuple, pairing.PromptPair] = {}
 
     def flag_from_row(row: dict) -> pairing.InconsistencyFlag:

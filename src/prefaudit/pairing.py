@@ -225,7 +225,7 @@ def flag_inconsistencies(
         by_ann_b = dataset.by_item_annotator.get(item_b)
         if not by_ann_a or not by_ann_b:
             raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
-        self_pair = item_a == item_b
+        self_pair = pair.is_self_pair
         cells_a = cells.setdefault(item_a, {})
         cells_b = cells.setdefault(item_b, {})
 
