@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataFormatError, InsufficientSupportError
-from .ratio import RatioRecord, annotator_mean_ratios
+from .ratio import RatioRecord, annotator_mean_ratios, median_split
 from .records import SCALE_BINARY, Dataset, common_scale_score
 
 POOL_ALL = "all"
@@ -38,21 +38,16 @@ class PoolSpec:
 
 
 def median_split_pools(ratios: Sequence[RatioRecord]) -> tuple[PoolSpec, PoolSpec, PoolSpec]:
-    """Partition ratio-scored annotators at the median annotator-mean ratio.
-
-    Annotators exactly at the median land in the low pool, so low and high
-    always partition the scored set.
-    """
+    """Partition ratio-scored annotators at the median annotator-mean ratio
+    (see ``ratio.median_split``)."""
     means = annotator_mean_ratios(ratios)
     if len(means) < 2:
         raise InsufficientSupportError("median split needs mean ratios for >= 2 annotators")
-    median = float(np.median(list(means.values())))
-    low = frozenset(a for a, m in means.items() if m <= median)
-    high = frozenset(a for a, m in means.items() if m > median)
+    median, low, high = median_split(means)
     return (
         PoolSpec(POOL_ALL, frozenset(means), median),
-        PoolSpec(POOL_LOW, low, median),
-        PoolSpec(POOL_HIGH, high, median),
+        PoolSpec(POOL_LOW, frozenset(low), median),
+        PoolSpec(POOL_HIGH, frozenset(high), median),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from dataclasses import fields
 from operator import attrgetter
@@ -30,11 +31,6 @@ from .errors import (
     PrefauditError,
 )
 
-def _write_text(path: str, text: str) -> None:
-    with records.open_output(path) as fh:
-        fh.write(text)
-
-
 def _config_echo(args: argparse.Namespace) -> dict:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -48,13 +44,16 @@ def _write_jsonl(path: str, config: dict, rows: Iterable) -> None:
             fh.write(records.to_json(row) + "\n")
 
 
-def _write_report(path: str, config: dict, text: str) -> None:
-    _write_text(path, records.CONFIG_PREFIX + records.to_json(config) + "\n" + text)
-
-
-def _write_json(path: str, config: dict, result) -> None:
-    """``result``, which may be or hold dataclasses and sets (see ``records.to_json``)."""
-    _write_text(path, records.to_json({"config": config, "result": result}) + "\n")
+def _write_result(path: str, args: argparse.Namespace, result, render=None) -> None:
+    """``render(result)`` below a config line with ``--format report``, else ``result``
+    as JSON, which may be or hold dataclasses and sets (see ``records.to_json``)."""
+    config = _config_echo(args)
+    if getattr(args, "format", None) == "report":
+        text = records.CONFIG_PREFIX + records.to_json(config) + "\n" + render(result)
+    else:
+        text = records.to_json({"config": config, "result": result}) + "\n"
+    with records.open_output(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path: str, config: dict, header: list[str], rows: Iterable[dict]) -> None:
@@ -89,21 +88,19 @@ def _load_dataset(args: argparse.Namespace) -> records.Dataset:
 
 # ---------------------------------------------------------------- validate
 
+def render_validation(report: records.ValidationReport) -> str:
+    listed = ("warnings", "rejected_by_reason")  # one line each, below the table
+    rows = [[k, str(v)] for k, v in records.to_row(report).items() if k not in listed]
+    text = _render_table("Dataset validation", ["field", "value"], rows)
+    for warning in report.warnings:
+        text += f"warning: {warning}\n"
+    for reason, count in report.rejected_by_reason.items():
+        text += f"rejected: {count} rows: {reason}\n"
+    return text
+
+
 def _cmd_validate(args) -> int:
-    dataset = _load_dataset(args)
-    report = records.validate(dataset)
-    config = _config_echo(args)
-    if args.format == "report":
-        listed = ("warnings", "rejected_by_reason")  # one line each, below the table
-        rows = [[k, str(v)] for k, v in records.to_row(report).items() if k not in listed]
-        text = _render_table("Dataset validation", ["field", "value"], rows)
-        for warning in report.warnings:
-            text += f"warning: {warning}\n"
-        for reason, count in report.rejected_by_reason.items():
-            text += f"rejected: {count} rows: {reason}\n"
-        _write_report(args.output, config, text)
-    else:
-        _write_json(args.output, config, report)
+    _write_result(args.output, args, records.validate(_load_dataset(args)), render_validation)
     return 0
 
 
@@ -177,14 +174,11 @@ def render_ladder(ladder: pairing.LadderReport) -> str:
 def _cmd_repeats(args) -> int:
     dataset = _load_dataset(args)
     flags, summary, ladder = pairing.repeat_audit(dataset, args.sim_threshold, args.delta_threshold)
-    config = _config_echo(args)
     if args.flags_output:
-        _write_jsonl(args.flags_output, config, map(_flag_row, flags))
-    if args.format == "report":
-        _write_report(args.output, config, render_prevalence(summary) + render_ladder(ladder))
-    else:
-        stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
-        _write_json(args.output, config, {"summary": summary, "ladder": {"stages": stages}})
+        _write_jsonl(args.flags_output, _config_echo(args), map(_flag_row, flags))
+    stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
+    _write_result(args.output, args, {"summary": summary, "ladder": {"stages": stages}},
+                  lambda _: render_prevalence(summary) + render_ladder(ladder))
     return 0
 
 
@@ -250,7 +244,6 @@ def _cmd_classify(args) -> int:
     flags = load_flags(args.flags)
     labels = taxonomy.classify_flags(flags, dataset, artifact_floor=args.artifact_floor)
     summary = taxonomy.classification_summary(labels) if labels else taxonomy.ClassificationSummary([], 0)
-    config = _config_echo(args)
     if args.labels_output:
         rows = (
             {
@@ -261,11 +254,8 @@ def _cmd_classify(args) -> int:
             }
             for lab in labels
         )
-        _write_jsonl(args.labels_output, config, rows)
-    if args.format == "report":
-        _write_report(args.output, config, render_classification(summary))
-    else:
-        _write_json(args.output, config, summary)
+        _write_jsonl(args.labels_output, _config_echo(args), rows)
+    _write_result(args.output, args, summary, render_classification)
     return 0
 
 
@@ -310,11 +300,7 @@ def _cmd_ratio(args) -> int:
     else:
         _write_jsonl(args.output, config, rows)
     if args.stats_output:
-        report = ratio.population_stats(ratios, dataset)
-        if args.format == "report":
-            _write_report(args.stats_output, config, render_population(report))
-        else:
-            _write_json(args.stats_output, config, report)
+        _write_result(args.stats_output, args, ratio.population_stats(ratios, dataset), render_population)
     return 0
 
 
@@ -342,11 +328,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         harm_threshold=args.harm_threshold,
     )
-    config = _config_echo(args)
-    if args.format == "report":
-        _write_report(args.output, config, render_flips(report))
-    else:
-        _write_json(args.output, config, report)
+    _write_result(args.output, args, report, render_flips)
     return 0
 
 
@@ -371,7 +353,7 @@ def _cmd_weights(args) -> int:
         tau=args.tau,
     )
     summary = weighting.export_weighted(dataset, table, args.policy, args.output)
-    _write_json(args.summary_output, _config_echo(args), summary)
+    _write_result(args.summary_output, args, summary)
     return 0
 
 
@@ -389,8 +371,7 @@ def _cmd_plan(args) -> int:
         retest_rate=args.retest_rate,
         min_spacing=args.min_spacing,
     )
-    config = _config_echo(args)
-    _write_json(args.output, config, plan)
+    _write_result(args.output, args, plan)
     if args.schedule_output:
         item_ids = [f"item-{i:06d}" for i in range(plan.n_items)]
         annotator_ids = [f"ann-{i:04d}" for i in range(plan.n_annotators)]
@@ -399,7 +380,7 @@ def _cmd_plan(args) -> int:
         if violations:
             raise InfeasiblePlanError("; ".join(violations[:5]))
         entries = sorted(schedule.entries, key=attrgetter("annotator_id", "position"))
-        _write_jsonl(args.schedule_output, config, entries)
+        _write_jsonl(args.schedule_output, _config_echo(args), entries)
     return 0
 
 
@@ -415,6 +396,8 @@ def _cmd_calibrate(args) -> int:
                 diffs.append(float(entry))
             except ValueError:
                 raise DataFormatError(f"{args.diffs}: entry {n} is not a number: {entry!r}") from None
+            if not math.isfinite(diffs[-1]):
+                raise DataFormatError(f"{args.diffs}: entry {n} is not finite: {entry!r}")
         calibration = planner.calibrate_empirical(diffs, k=args.k, scale_kind=args.scale)
     elif args.method == "scale":
         calibration = planner.calibrate_scale(args.scale)
@@ -422,7 +405,7 @@ def _cmd_calibrate(args) -> int:
         calibration = planner.calibrate_consequence(args.scale, args.flip_margin)
     else:
         raise ValueError(f"unknown calibration method {args.method!r}")
-    _write_json(args.output, _config_echo(args), calibration)
+    _write_result(args.output, args, calibration)
     return 0
 
 
@@ -460,7 +443,7 @@ def _cmd_synth(args) -> int:
         "anchor_scores": synthetic.anchor_scores,
         "clamp_count": synthetic.clamp_count,
     }
-    _write_json(str(outdir / "truth.json"), _config_echo(args), sidecar)
+    _write_result(str(outdir / "truth.json"), args, sidecar)
     return 0
 
 
@@ -485,12 +468,11 @@ def _cmd_themes(args) -> int:
         concurrency_limit=args.concurrency,
         cache=cache,
     )
-    config = _config_echo(args)
     rows = (
         {"item_id": item_id, "theme_labels": sorted(labels)}
         for item_id, labels in sorted(report.patch.items())
     )
-    _write_jsonl(args.output, config, rows)
+    _write_jsonl(args.output, _config_echo(args), rows)
     if report.n_failed:
         print(f"{report.n_failed} prompts failed", file=sys.stderr)
     return 0
@@ -517,7 +499,8 @@ _EXACT_MODAL_ECHO = "recorded in the output only; modal labels are exact and dra
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     """The main parser plus its subcommand parsers (config defaults reach both)."""
-    parser = argparse.ArgumentParser(prog="prefaudit", description=__doc__)
+    # --config is applied before this parser runs; listed here for --help only
+    parser = argparse.ArgumentParser(prog="prefaudit", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="key=value config file; flags override it")
     subparsers = parser.add_subparsers(dest="cmd")
 
@@ -643,21 +626,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
 
 def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) -> list[str]:
-    """Pull --config out of argv (any position) and install its values as defaults."""
-    if "--config" not in argv:
+    """Pull ``--config PATH`` or ``--config=PATH`` out of argv (any position, no
+    abbreviation) and install the file's values as defaults."""
+    pre = argparse.ArgumentParser(prog="prefaudit", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
-    argv = argv[:idx] + argv[idx + 2 :]
     defaults = {}
-    for line_no, raw in enumerate(records.read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(records.read_text(known.config).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataFormatError(f"{path}: line {line_no}: config line is not key=value: {raw!r}")
+            raise DataFormatError(f"{known.config}: line {line_no}: config line is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         value = value.strip("'\"")
         for cast in (int, float):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateDataError, InsufficientSupportError
 from .pairing import PromptPair
-from .ratio import RatioConfig, exact_baseline
+from .ratio import RatioConfig, group_ratio
 from .records import (
     ORDER_TAG_AB,
     ORDER_TAG_BA,
@@ -37,7 +37,8 @@ from .stats import cohens_d, paired_t
 
 RELIABILITY_MODES = ("weighted", "min", "hierarchical")
 
-# reliability(hierarchical) falls back to these when no thresholds are given
+# reliability(hierarchical) falls back to these when no thresholds are given,
+# and taxonomy.RoutingThresholds defaults to them
 DEFAULT_T_TEMP = 0.5
 DEFAULT_T_FRAME = 0.55
 
@@ -186,17 +187,10 @@ def cross_item_consistency(
     annotator's own random grouping give ~0.5.
     """
     dim_items = dataset.items_by_value_dimension.get(value_dimension, frozenset())
-    mine = [r for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in dim_items]
-    if len(mine) < config.min_support:
-        raise InsufficientSupportError(
-            f"annotator {annotator_id!r} rated {len(mine)} items on dimension "
-            f"{value_dimension!r}, needs {config.min_support}"
-        )
-    ratings = np.asarray([score_value(r) for r in mine], dtype=float)
-    var_within = float(ratings.var(ddof=0))
-    baseline = exact_baseline(dataset, annotator_id, k=len(mine))
-    ratio = 0.0 if baseline <= 0.0 else var_within / baseline
-    return 1.0 / (1.0 + ratio), len(mine)
+    _, n, _, ratio = group_ratio(
+        dataset, annotator_id, dim_items, f"dimension {value_dimension!r}", config.min_support
+    )
+    return 1.0 / (1.0 + ratio), n
 
 
 def annotator_value_dimensions(dataset: Dataset, annotator_id: str) -> list[str]:

@@ -40,6 +40,8 @@ class PromptPair:
     def __post_init__(self):
         if self.kind not in PAIR_KINDS:
             raise DataFormatError(f"unknown pair kind {self.kind!r}")
+        if not -1.0 <= self.similarity <= 1.0:  # a cosine similarity; NaN fails both comparisons
+            raise DataFormatError(f"similarity must be a finite number in [-1, 1], got {self.similarity!r}")
         if self.kind == "identical" and abs(self.similarity - 1.0) > 1e-9:
             raise DataFormatError("identical pairs must have similarity 1")
         if self.kind == "directional":

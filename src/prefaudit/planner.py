@@ -10,7 +10,7 @@ within-annotator framing (10-15%, one variant per session).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, floor
+from math import ceil, floor, inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,8 +88,8 @@ def plan_tier(
     """
     if tier not in (1, 2, 3):
         raise ValueError(f"tier must be 1, 2, or 3, got {tier}")
-    if n_items <= 0 or n_annotators <= 0 or cost_per_annotation < 0:
-        raise ValueError("n_items and n_annotators must be positive; cost nonnegative")
+    if n_items <= 0 or n_annotators <= 0 or not 0 <= cost_per_annotation < inf:
+        raise ValueError("n_items and n_annotators must be positive; cost finite and nonnegative")
     ipa = ceil(n_items / n_annotators)
 
     if tier == 3:
@@ -397,8 +397,8 @@ def calibrate_scale(scale_kind: str) -> ThresholdCalibration:
 
 def calibrate_consequence(scale_kind: str, flip_margin: float) -> ThresholdCalibration:
     """Threshold at the smallest difference that changes the training signal."""
-    if flip_margin < 0:
-        raise ValueError(f"flip_margin must be nonnegative, got {flip_margin}")
+    if not 0 <= flip_margin < inf:
+        raise ValueError(f"flip_margin must be finite and nonnegative, got {flip_margin}")
     marginal = 2.0 * flip_margin if flip_margin > 0 else 0.5
     return ThresholdCalibration(
         method="consequence",

@@ -77,14 +77,26 @@ def interpret_ratio(ratio: float, low: float = 0.75, high: float = 1.25) -> str:
     return "near_random"
 
 
-def _theme_records(dataset: Dataset, annotator_id: str, theme: str):
-    themed_items = dataset.items_by_theme.get(theme, frozenset())
-    return [r for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in themed_items]
+def _group_ratings(dataset: Dataset, annotator_id: str, items: frozenset[str]) -> list[float]:
+    return [score_value(r) for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in items]
 
 
 def theme_ratings(dataset: Dataset, annotator_id: str, theme: str) -> list[float]:
     """The annotator's ratings on items carrying the theme label."""
-    return [score_value(r) for r in _theme_records(dataset, annotator_id, theme)]
+    return _group_ratings(dataset, annotator_id, dataset.items_by_theme.get(theme, frozenset()))
+
+
+def group_variance(
+    dataset: Dataset, annotator_id: str, items: frozenset[str], group: str, min_support: int = 5
+) -> tuple[float, int]:
+    """Population variance and count of the annotator's ratings on ``items``; fewer
+    than ``min_support`` raise, naming ``group`` (such as "theme 'harm'")."""
+    ratings = _group_ratings(dataset, annotator_id, items)
+    if len(ratings) < min_support:
+        raise InsufficientSupportError(
+            f"annotator {annotator_id!r} has {len(ratings)} ratings on {group}, needs {min_support}"
+        )
+    return float(np.asarray(ratings).var(ddof=0)), len(ratings)
 
 
 def within_theme_variance(
@@ -94,13 +106,8 @@ def within_theme_variance(
     min_support: int = 5,
 ) -> tuple[float, int]:
     """Population variance of the annotator's within-theme ratings."""
-    ratings = theme_ratings(dataset, annotator_id, theme)
-    if len(ratings) < min_support:
-        raise InsufficientSupportError(
-            f"annotator {annotator_id!r} has {len(ratings)} ratings on theme {theme!r}, "
-            f"needs {min_support}"
-        )
-    return float(np.asarray(ratings).var(ddof=0)), len(ratings)
+    items = dataset.items_by_theme.get(theme, frozenset())
+    return group_variance(dataset, annotator_id, items, f"theme {theme!r}", min_support)
 
 
 def _baseline_history(
@@ -182,6 +189,19 @@ def random_baseline(
     return total / resamples
 
 
+def group_ratio(
+    dataset: Dataset, annotator_id: str, items: frozenset[str], group: str, min_support: int = 5,
+    exclude_items_from_history: bool = False,
+) -> tuple[float, int, float, float]:
+    """``(var_within, n, baseline, ratio)`` of the annotator's ratings on ``items``
+    (see ``group_variance``) against ``exact_baseline``. A zero baseline (the
+    annotator rates everything identically) gives ratio 0 rather than NaN."""
+    var_within, n = group_variance(dataset, annotator_id, items, group, min_support)
+    exclude = items if exclude_items_from_history else None
+    baseline = exact_baseline(dataset, annotator_id, k=n, exclude_item_ids=exclude)
+    return var_within, n, baseline, var_within / baseline if baseline > 0.0 else 0.0
+
+
 def inconsistency_ratio(
     dataset: Dataset,
     annotator_id: str,
@@ -189,17 +209,12 @@ def inconsistency_ratio(
     config: RatioConfig = RatioConfig(),
 ) -> RatioRecord:
     """Within-theme variance over the annotator's exact random-grouping baseline."""
-    var_within, n = within_theme_variance(dataset, annotator_id, theme, config.min_support)
-    exclude = None
-    if config.exclude_theme_from_history:
-        exclude = {r.item_id for r in _theme_records(dataset, annotator_id, theme)}
-    baseline = exact_baseline(dataset, annotator_id, k=n, exclude_item_ids=exclude)
-    if baseline <= 0.0:
-        # annotator rates everything identically; report 0 rather than NaN
-        return RatioRecord(annotator_id, theme, n, var_within, baseline, 0.0,
-                           config.resamples, config.seed, degenerate=True)
-    return RatioRecord(annotator_id, theme, n, var_within, baseline,
-                       var_within / baseline, config.resamples, config.seed)
+    var_within, n, baseline, ratio = group_ratio(
+        dataset, annotator_id, dataset.items_by_theme.get(theme, frozenset()), f"theme {theme!r}",
+        config.min_support, config.exclude_theme_from_history,
+    )
+    return RatioRecord(annotator_id, theme, n, var_within, baseline, ratio,
+                       config.resamples, config.seed, degenerate=baseline <= 0.0)
 
 
 def dataset_themes(dataset: Dataset) -> list[str]:
@@ -217,6 +232,16 @@ def all_ratios(dataset: Dataset, config: RatioConfig = RatioConfig()) -> list[Ra
             except InsufficientSupportError:
                 continue
     return out
+
+
+def median_split(values: dict[str, float]) -> tuple[float, list[str], list[str]]:
+    """The median of ``values`` and its keys at or below it (low) and above it
+    (high), each in the order of ``values``. At the median goes low, so the two
+    always partition the keys."""
+    median = float(np.median(list(values.values())))
+    low = [key for key, value in values.items() if value <= median]
+    high = [key for key, value in values.items() if value > median]
+    return median, low, high
 
 
 def annotator_mean_ratios(ratios: Sequence[RatioRecord]) -> dict[str, float]:
@@ -245,11 +270,8 @@ class PopulationReport:
 
 
 def population_stats(ratios: Sequence[RatioRecord], dataset: Dataset) -> PopulationReport:
-    """One-sample t vs 1.0, median-split rating comparison, and ratio-rating correlation.
-
-    The median split assigns annotators at the median to the low pool so the
-    two pools always partition the scored annotators.
-    """
+    """One-sample t vs 1.0, median-split rating comparison (see ``median_split``),
+    and ratio-rating correlation."""
     mean_ratio = annotator_mean_ratios(ratios)
     if len(mean_ratio) < 2:
         raise InsufficientSupportError("population statistics need ratios for >= 2 annotators")
@@ -261,9 +283,9 @@ def population_stats(ratios: Sequence[RatioRecord], dataset: Dataset) -> Populat
     rating_values = [mean_rating[a] for a in annotators]
 
     t_vs_one = one_sample_t(ratio_values, 1.0)
-    median = float(np.median(ratio_values))
-    low = [mean_rating[a] for a in annotators if mean_ratio[a] <= median]
-    high = [mean_rating[a] for a in annotators if mean_ratio[a] > median]
+    median, low_ids, high_ids = median_split(mean_ratio)
+    low = [mean_rating[a] for a in low_ids]
+    high = [mean_rating[a] for a in high_ids]
     if len(low) >= 2 and len(high) >= 2:
         split = welch_t(low, high)
         mean_diff = float(np.mean(low) - np.mean(high))

@@ -338,7 +338,8 @@ def _encode_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# One encoder for every row: json.dumps builds a new encoder on each call.
+# One JSONEncoder for every row, where json.dumps with these options builds one
+# per call; its encode still builds a new C encoder on each call.
 to_json = json.JSONEncoder(sort_keys=True, default=_encode_default).encode
 
 

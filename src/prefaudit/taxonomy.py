@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import ConsistencyProfile
+from .diagnostics import DEFAULT_T_FRAME, DEFAULT_T_TEMP, ConsistencyProfile
 from .pairing import InconsistencyFlag
 from .records import Dataset, ItemMetadata, score_value
 
@@ -220,8 +220,8 @@ class RoutingThresholds:
     material gives no numeric values for "low" consistency.
     """
 
-    t_temp: float = 0.5
-    t_frame: float = 0.55
+    t_temp: float = DEFAULT_T_TEMP
+    t_frame: float = DEFAULT_T_FRAME
     t_order: float = 0.6
     t_artifact_rate: float = 0.075
 

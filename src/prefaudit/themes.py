@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, get_args, get_origin
 
@@ -300,33 +300,15 @@ def apply_theme_patch(dataset: Dataset, patch: dict[str, frozenset[str]]) -> Dat
     """New dataset whose item metadata carries the patched theme labels."""
     metadata = dict(dataset.metadata)
     for item_id, labels in patch.items():
-        existing = metadata.get(item_id)
-        if existing is None:
-            metadata[item_id] = ItemMetadata(item_id=item_id, theme_labels=frozenset(labels))
-        else:
-            metadata[item_id] = ItemMetadata(
-                item_id=existing.item_id,
-                content_type=existing.content_type,
-                response_quality=existing.response_quality,
-                eval_complexity=existing.eval_complexity,
-                plausible_pref=existing.plausible_pref,
-                theme_labels=frozenset(labels),
-                value_dimension=existing.value_dimension,
-            )
-    return Dataset(
-        records=dataset.records,
-        scale_kind=dataset.scale_kind,
-        embeddings=dataset.embeddings,
-        metadata=metadata,
-        rejected=dataset.rejected,
-    )
+        existing = metadata.get(item_id) or ItemMetadata(item_id=item_id)
+        metadata[item_id] = replace(existing, theme_labels=labels)
+    return replace(dataset, metadata=metadata)
 
 
 class MockTransport:
     """Canned-response transport for tests and offline runs.
 
-    ``responder`` maps (endpoint_id, prompt_text-contained-marker) to raw
-    payloads, or is a callable (endpoint, rendered_prompt) -> str.
+    ``responder`` is a callable (endpoint, rendered_prompt) -> raw payload.
     """
 
     def __init__(self, responder: Callable[[EndpointConfig, str], str]):
@@ -338,7 +320,7 @@ class MockTransport:
         return self.responder(endpoint, prompt)
 
 
-class FixtureTransport:
+class FixtureTransport(MockTransport):
     """Transport reading canned payloads from a JSON file.
 
     The fixture maps endpoint_id -> {prompt_text -> raw payload}; prompts
@@ -346,20 +328,17 @@ class FixtureTransport:
     """
 
     def __init__(self, fixtures: dict[str, dict[str, str]]):
-        self.fixtures = fixtures
-        self.calls: list[tuple[str, str]] = []
+        def lookup(endpoint: EndpointConfig, prompt: str) -> str:
+            for marker, payload in fixtures.get(endpoint.endpoint_id, {}).items():
+                if marker in prompt:
+                    return payload
+            raise TransportError(f"no fixture for endpoint {endpoint.endpoint_id}")
+
+        super().__init__(lookup)
 
     @classmethod
     def load(cls, path: str | Path) -> "FixtureTransport":
         return cls(_read_json(path, dict[str, dict[str, str]]))
-
-    def send(self, endpoint: EndpointConfig, prompt: str) -> str:
-        self.calls.append((endpoint.endpoint_id, prompt))
-        per_endpoint = self.fixtures.get(endpoint.endpoint_id, {})
-        for marker, payload in per_endpoint.items():
-            if marker in prompt:
-                return payload
-        raise TransportError(f"no fixture for endpoint {endpoint.endpoint_id}")
 
 
 class HttpTransport:

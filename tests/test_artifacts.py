@@ -22,6 +22,7 @@ ids = st.text(min_size=1, max_size=8)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 optional_unit = st.none() | st.floats(0.0, 1.0)  # a profile score's domain
 nonnegative = st.floats(0.0, allow_infinity=False)  # a ratio record's variances and ratio
+cosine = st.floats(-1.0, 1.0)  # a pair's similarity
 counts = st.integers(0, 10**6)
 DIRECTIONS = {
     "identical": st.none(),
@@ -37,7 +38,7 @@ def pairs(draw):
         pair_id=draw(ids),
         item_a=draw(ids),
         item_b=draw(ids),
-        similarity=1.0 if kind == "identical" else draw(finite),
+        similarity=1.0 if kind == "identical" else draw(cosine),
         kind=kind,
         expected_direction=draw(DIRECTIONS[kind]),
         rationale_tag=draw(st.none() | ids),

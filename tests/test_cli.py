@@ -193,10 +193,12 @@ _ARTIFACT_ROWS = {
     # flag: (subcommand reading it, a valid row, a required field of that row,
     #        fields of that row, each with a value it does not admit)
     "--pairs": ("diagnose", {"item_a": "i1", "item_b": "i2"}, "item_a",
-                [("similarity", "high"), ("similarity", "0.5"), ("similarity", True)]),
+                [("similarity", "high"), ("similarity", "0.5"), ("similarity", True),
+                 ("similarity", 5.0), ("similarity", -7.0), ("similarity", float("nan"))]),
     "--flags": ("classify", {"item_a": "i1", "item_b": "i2", "annotator_id": "u0", "score_a": 5.0,
                              "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}, "annotator_id",
-                [("delta", "wide"), ("score_a", "0.5"), ("score_a", True)]),
+                [("delta", "wide"), ("score_a", "0.5"), ("score_a", True),
+                 ("similarity", 5.0), ("similarity", -7.0), ("similarity", float("nan"))]),
     "--profiles": ("weights", {"annotator_id": "s0", "temp": 1.0}, "annotator_id",
                    [("n_temp_pairs", "7"), ("reliability", float("nan")), ("temp", -4.0), ("cross", float("inf"))]),
     "--ratios": ("simulate", {"annotator_id": "s0", "theme": "harm", "n_items": 3, "var_within": 1.0,
@@ -229,6 +231,16 @@ def test_bad_intermediate_row_is_a_data_error_naming_its_line(dataset_path, tmp_
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "line 2: " in err[0] and reason in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--pairs", "--flags"])
+def test_an_identical_pair_with_a_nan_similarity_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys, flag):
+    cmd, row, _, _ = _ARTIFACT_ROWS[flag]
+    artifact = tmp_path / "artifact.jsonl"
+    _write_jsonl(artifact, [{"#config": {}}, {**row, "kind": "identical", "similarity": float("nan")}])
+    assert run([cmd, "--input", str(dataset_path), flag, str(artifact), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {artifact}: line 2: ") and "similarity" in err and "nan" in err
 
 
 def test_a_zero_embedding_vector_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
@@ -528,6 +540,33 @@ def test_calibrate_non_numeric_diff_is_a_data_error(tmp_path, capsys):
     assert "entry 2 is not a number: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_calibrate_non_finite_diff_is_a_data_error_naming_the_entry(tmp_path, capsys, entry):
+    diffs = tmp_path / "diffs.txt"
+    diffs.write_text("1.0\n" + entry + "\n", encoding="utf-8")
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", "--method", "empirical", "--diffs", str(diffs), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {diffs}: entry 2 is not finite: {entry!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_calibrate_non_finite_flip_margin_is_a_usage_error(tmp_path, capsys, margin):
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", "--method", "consequence", "--flip-margin", margin, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: flip_margin must be finite and nonnegative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cost", ["nan", "inf"])
+def test_plan_non_finite_cost_is_a_usage_error(tmp_path, capsys, cost):
+    out = tmp_path / "plan.json"
+    argv = ["plan", "--tier", "1", "--items", "10000", "--annotators", "5", "--cost", cost, "--output", str(out)]
+    assert run(argv) == 1
+    assert "cost finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_diffs_with_a_non_utf8_byte_is_a_data_error_naming_the_line(tmp_path, capsys):
     diffs = tmp_path / "diffs.txt"
     diffs.write_bytes(b"\xef\xbb\xbf1.0\n2\xff\n")  # the byte-order mark is skipped
@@ -675,6 +714,32 @@ def test_config_file_supplies_defaults(dataset_path, tmp_path):
     assert header["tau"] == 5
     rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
     assert {r["tau_used"] for r in rows} == {5}
+
+
+def test_config_file_given_with_an_equals_sign_supplies_defaults(dataset_path, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("tau = 5\n", encoding="utf-8")
+    joined, spaced = tmp_path / "joined.jsonl", tmp_path / "spaced.jsonl"
+    for argv in (
+        [f"--config={config}", "diagnose", "--input", str(dataset_path), "--output", str(joined)],
+        ["diagnose", "--config", str(config), "--input", str(dataset_path), "--output", str(spaced)],
+    ):
+        assert run(argv) == 0
+    header = json.loads(joined.read_text().splitlines()[0])["#config"]
+    assert header["tau"] == 5 and "config" not in header
+    assert joined.read_text().replace("joined", "spaced") == spaced.read_text()
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["before the subcommand", "after it"])
+def test_an_abbreviated_config_flag_is_not_taken_for_config(dataset_path, tmp_path, capsys, at):
+    config = tmp_path / "run.cfg"
+    config.write_text("tau = 5\n", encoding="utf-8")
+    out = tmp_path / "profiles.jsonl"
+    argv = ["diagnose", "--input", str(dataset_path), "--output", str(out)]
+    argv[at:at] = ["--conf", str(config)]
+    assert run(argv) == 1
+    assert "prefaudit: error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_a_byte_order_mark_supplies_defaults(dataset_path, tmp_path):

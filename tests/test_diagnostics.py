@@ -1,6 +1,7 @@
 """Consistency measures, reliability aggregation, framing-effect statistics."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from prefaudit.diagnostics import (
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.pairing import PromptPair
 from prefaudit.planner import plan_tier
-from prefaudit.ratio import RatioConfig
+from prefaudit.ratio import RatioConfig, inconsistency_ratio
 from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA, to_row
 from prefaudit.synth import generate
 
@@ -187,6 +188,28 @@ def test_cross_item_insufficient_support():
     dataset = _cross_dataset([50.0] * 4, [10.0] * 8)
     with pytest.raises(InsufficientSupportError):
         cross_item_consistency(dataset, "a1", "justice")
+
+
+@pytest.mark.parametrize("dim_ratings, history_ratings", [
+    ([50.0] * 5, [10.0, 90.0, 30.0, 70.0, 20.0, 80.0]),
+    ([12.5, 80.0, 33.0, 47.25, 99.0, 3.0], [10.0, 90.0, 30.0]),
+    ([40.0, 60.0, 40.0, 60.0, 55.0], []),  # the dimension is the whole history
+    ([20.0] * 5, [20.0] * 3),  # a constant history: baseline 0, ratio 0
+    ([50.0] * 4, [10.0] * 8),  # below the support floor
+])
+def test_cross_item_is_the_inconsistency_ratio_of_the_same_items(dim_ratings, history_ratings):
+    dataset = _cross_dataset(dim_ratings, history_ratings)
+    themed = dataset_of(dataset.records, metadata={
+        item: replace(meta, theme_labels=frozenset({"harm"})) for item, meta in dataset.metadata.items()
+    })
+    try:
+        expected = inconsistency_ratio(themed, "a1", "harm")
+    except InsufficientSupportError as exc:
+        with pytest.raises(InsufficientSupportError) as raised:
+            cross_item_consistency(dataset, "a1", "justice")
+        assert str(raised.value) == str(exc).replace("theme 'harm'", "dimension 'justice'")
+        return
+    assert cross_item_consistency(dataset, "a1", "justice") == (1.0 / (1.0 + expected.ratio), expected.n_items)
 
 
 def test_reliability_modes():
