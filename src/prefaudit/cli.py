@@ -38,10 +38,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 def _write_jsonl(path: str, config: dict, rows: Iterable) -> None:
     """The ``#config`` header line, then each row (a dict or a dataclass) as soon as it is encoded."""
+    encode = records.row_encoder()
     with records.open_output(path) as fh:
-        fh.write(records.to_json({"#config": config}) + "\n")
+        fh.write(encode({"#config": config}) + "\n")
         for row in rows:
-            fh.write(records.to_json(row) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def _write_result(path: str, args: argparse.Namespace, result, render=None) -> None:
@@ -491,6 +492,18 @@ def _add_io(sub, embeddings=False, metadata=False):
         sub.add_argument("--metadata", help="JSONL item metadata")
 
 
+def finite_float(text: str) -> float:
+    """The argparse type of every float flag: a float, but not NaN or an infinity.
+    Text that is no number reads as argparse words it for ``type=float``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 # The baseline and the modal labels are exact; these flags stay accepted and
 # are echoed into the outputs (ratio records carry resamples_used and seed).
 _EXACT_BASELINE_ECHO = "recorded in the output only; the exact baseline draws nothing"
@@ -511,37 +524,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = subparsers.add_parser("pairs", help="discover similar prompt pairs")
     _add_io(p, embeddings=True)
-    p.add_argument("--sim-threshold", type=float, default=0.9)
+    p.add_argument("--sim-threshold", type=finite_float, default=0.9)
     p.add_argument("--same-annotator", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_pairs)
 
     p = subparsers.add_parser("repeats", help="repeat audit: flags, prevalence, filter ladder")
     _add_io(p, embeddings=True)
-    p.add_argument("--sim-threshold", type=float, default=0.9)
-    p.add_argument("--delta-threshold", type=float, default=15.0)
+    p.add_argument("--sim-threshold", type=finite_float, default=0.9)
+    p.add_argument("--delta-threshold", type=finite_float, default=15.0)
     p.add_argument("--flags-output", help="write flags JSONL here")
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_repeats)
 
     p = subparsers.add_parser("diagnose", help="per-annotator consistency profiles")
     _add_io(p, metadata=True)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=finite_float, default=None)
     p.add_argument("--pairs", help="equivalent pairs JSONL to include in framing consistency")
     p.add_argument("--reliability-mode", choices=diagnostics.RELIABILITY_MODES, default="weighted")
     p.add_argument("--weights", help="w1,w2,w3,w4 for the weighted mode")
     p.add_argument("--resamples", type=int, default=1000, help=_EXACT_BASELINE_ECHO)
     p.add_argument("--seed", type=int, default=0, help=_EXACT_BASELINE_ECHO)
     p.add_argument("--route", action="store_true", help="add a routing column per annotator")
-    p.add_argument("--t-temp", type=float, default=taxonomy.RoutingThresholds.t_temp)
-    p.add_argument("--t-frame", type=float, default=taxonomy.RoutingThresholds.t_frame)
-    p.add_argument("--t-order", type=float, default=taxonomy.RoutingThresholds.t_order)
+    p.add_argument("--t-temp", type=finite_float, default=taxonomy.RoutingThresholds.t_temp)
+    p.add_argument("--t-frame", type=finite_float, default=taxonomy.RoutingThresholds.t_frame)
+    p.add_argument("--t-order", type=finite_float, default=taxonomy.RoutingThresholds.t_order)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=_cmd_diagnose)
 
     p = subparsers.add_parser("classify", help="taxonomy labels for flagged inconsistencies")
     _add_io(p, metadata=True)
     p.add_argument("--flags", required=True, help="flags JSONL from a repeats run")
-    p.add_argument("--artifact-floor", type=float, default=40.0)
+    p.add_argument("--artifact-floor", type=finite_float, default=40.0)
     p.add_argument("--labels-output", help="write per-flag labels JSONL here")
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_classify)
@@ -561,7 +574,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--ratios", required=True, help="ratio records (JSONL or CSV) from a ratio run")
     p.add_argument("--iterations", type=int, default=1000, help=_EXACT_MODAL_ECHO)
     p.add_argument("--sample-size", type=int, default=5)
-    p.add_argument("--harm-threshold", type=float, default=50.0)
+    p.add_argument("--harm-threshold", type=finite_float, default=50.0)
     p.add_argument("--seed", type=int, default=0, help=_EXACT_MODAL_ECHO)
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_simulate)
@@ -569,11 +582,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subparsers.add_parser("weights", help="reliability weights and weighted export")
     _add_io(p, metadata=True)
     p.add_argument("--profiles", help="profiles (JSONL or CSV) from a diagnose run (else recomputed)")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=finite_float, default=None)
     p.add_argument("--weight-mode", choices=weighting.WEIGHT_MODES, default="linear")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--midpoint", type=float, default=0.5)
-    p.add_argument("--steepness", type=float, default=10.0)
+    p.add_argument("--threshold", type=finite_float, default=0.5)
+    p.add_argument("--midpoint", type=finite_float, default=0.5)
+    p.add_argument("--steepness", type=finite_float, default=10.0)
     p.add_argument("--policy", choices=weighting.EXPORT_POLICIES, default="weight")
     p.add_argument("--summary-output", default="-")
     p.set_defaults(func=_cmd_weights)
@@ -582,11 +595,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--tier", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--annotators", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True, help="cost per annotation")
-    p.add_argument("--repeat-rate", type=float)
-    p.add_argument("--framing-rate", type=float)
-    p.add_argument("--within-annotator-framing-rate", type=float)
-    p.add_argument("--retest-rate", type=float)
+    p.add_argument("--cost", type=finite_float, required=True, help="cost per annotation")
+    p.add_argument("--repeat-rate", type=finite_float)
+    p.add_argument("--framing-rate", type=finite_float)
+    p.add_argument("--within-annotator-framing-rate", type=finite_float)
+    p.add_argument("--retest-rate", type=finite_float)
     p.add_argument("--min-spacing", type=int, default=planner.DEFAULT_MIN_SPACING)
     p.add_argument("--schedule-output", help="also emit a concrete assignment schedule")
     p.add_argument("--seed", type=int, default=0)
@@ -597,8 +610,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--method", choices=("empirical", "scale", "consequence"), required=True)
     p.add_argument("--scale", choices=records.SCALE_KINDS, default=records.SCALE_CONTINUOUS)
     p.add_argument("--diffs", help="file of clear-case diffs, one per line (empirical)")
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--flip-margin", type=float, default=0.0)
+    p.add_argument("--k", type=finite_float, default=2.0)
+    p.add_argument("--flip-margin", type=finite_float, default=0.0)
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -640,14 +653,16 @@ def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) 
             continue
         if "=" not in line:
             raise DataFormatError(f"{known.config}: line {line_no}: config line is not key=value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        value = value.strip("'\"")
+        key, text = (part.strip() for part in line.split("=", 1))
+        value = text = text.strip("'\"")
         for cast in (int, float):
             try:
-                value = cast(value)
+                value = cast(text)
                 break
             except ValueError:
                 continue
+        if type(value) is float and not math.isfinite(value):
+            raise DataFormatError(f"{known.config}: line {line_no}: {key} must be a finite number, got {text!r}")
         if value in ("true", "false"):
             value = value == "true"
         defaults[key.replace("-", "_")] = value

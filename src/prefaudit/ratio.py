@@ -20,6 +20,7 @@ baseline, so the convention cancels in the ratio.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -238,7 +239,7 @@ def median_split(values: dict[str, float]) -> tuple[float, list[str], list[str]]
     """The median of ``values`` and its keys at or below it (low) and above it
     (high), each in the order of ``values``. At the median goes low, so the two
     always partition the keys."""
-    median = float(np.median(list(values.values())))
+    median = float(statistics.median(values.values()))
     low = [key for key, value in values.items() if value <= median]
     high = [key for key, value in values.items() if value > median]
     return median, low, high

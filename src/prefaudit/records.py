@@ -14,6 +14,7 @@ common 0-100 scale happens only inside consumers that need it.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -26,10 +27,11 @@ import stat
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, make_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union, get_args, get_origin, get_type_hints
@@ -82,9 +84,9 @@ class AnnotationRecord:
         if self.scale_kind not in SCALE_KINDS:
             raise DataFormatError(f"unknown scale_kind {self.scale_kind!r}")
         _check_score(self.score, self.scale_kind)
-        if self.position_index is not None and self.position_index < 0:
+        if self.position_index is not None and not _position_ok(self.position_index):
             raise DataFormatError(f"position_index must be >= 0, got {self.position_index}")
-        if self.weight is not None and not 0.0 <= self.weight < math.inf:
+        if self.weight is not None and not _weight_ok(self.weight):
             raise DataFormatError(f"weight must be finite and >= 0, got {self.weight!r}")
 
 
@@ -108,18 +110,39 @@ def _new_record(*args, **kwargs) -> AnnotationRecord:
     return record
 
 
-def _check_score(score: Score, scale_kind: str) -> None:
+# The domains ``AnnotationRecord.__post_init__`` checks one record at a time and
+# ``_records_from_columns`` one sidecar column at a time.
+BINARY_SCORES = ("A", "B")
+SCORE_RANGES = {SCALE_CONTINUOUS: (0.0, 100.0), SCALE_LIKERT: (1.0, 5.0)}
+
+
+def _score_ok(score: Score, scale_kind: str) -> bool:
     if scale_kind == SCALE_BINARY:
-        if score not in ("A", "B"):
-            raise DataFormatError(f"binary_pair score must be 'A' or 'B', got {score!r}")
+        return score in BINARY_SCORES
+    lo, hi = SCORE_RANGES[scale_kind]
+    return not isinstance(score, str) and lo <= score <= hi  # NaN and inf fall outside
+
+
+def _position_ok(position_index: int) -> bool:
+    return position_index >= 0
+
+
+def _weight_ok(weight: float) -> bool:
+    return 0.0 <= weight < math.inf  # NaN falls outside
+
+
+def _check_score(score: Score, scale_kind: str) -> None:
+    """Raise, saying why, when ``score`` is outside ``scale_kind``'s domain (``_score_ok``)."""
+    if _score_ok(score, scale_kind):
         return
+    if scale_kind == SCALE_BINARY:
+        raise DataFormatError(f"binary_pair score must be 'A' or 'B', got {score!r}")
     if isinstance(score, str):
         raise DataFormatError(f"{scale_kind} score must be numeric, got {score!r}")
     if not math.isfinite(score):
         raise DataFormatError(f"score must be finite, got {score!r}")
-    lo, hi = (0.0, 100.0) if scale_kind == SCALE_CONTINUOUS else (1.0, 5.0)
-    if not lo <= float(score) <= hi:
-        raise DataFormatError(f"score {score} outside [{lo:g}, {hi:g}] for {scale_kind}")
+    lo, hi = SCORE_RANGES[scale_kind]
+    raise DataFormatError(f"score {score} outside [{lo:g}, {hi:g}] for {scale_kind}")
 
 
 def score_value(record: AnnotationRecord) -> float:
@@ -338,9 +361,25 @@ def _encode_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# One JSONEncoder for every row, where json.dumps with these options builds one
-# per call; its encode still builds a new C encoder on each call.
-to_json = json.JSONEncoder(sort_keys=True, default=_encode_default).encode
+# One JSONEncoder, where json.dumps with these options builds one per call. Its
+# encode still builds a new C encoder per call; a writer of many rows encodes
+# them through ``row_encoder`` instead.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_default)
+to_json = _ENCODER.encode
+
+
+def row_encoder() -> Callable[[object], str]:
+    """``to_json`` through one C encoder, for the rows of one writer. Each call
+    builds its own encoder with its own markers dict (which makes a circular
+    reference raise), so no two writers, nor two threads, share one. Where the
+    C encoder is missing this is ``to_json``."""
+    if c_make_encoder is None:
+        return to_json
+    encoder = c_make_encoder(
+        {}, _ENCODER.default, encode_basestring_ascii, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True,
+    )
+    return lambda row: "".join(encoder(row, 0))
 
 
 # How a value whose type its field does not admit is reported, by the field's first type.
@@ -493,10 +532,13 @@ class _Hashed(io.RawIOBase):
         super().close()
 
 
-def _open_text(path: str | Path, newline: Optional[str] = None, digest=None) -> io.TextIOBase:
+def _open_text(path: str | Path | io.TextIOBase, newline: Optional[str] = None, digest=None):
     """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a byte that
     is not UTF-8 reads as a lone surrogate (see ``_undecodable``). ``digest``, when
-    given, is fed every byte read."""
+    given, is fed every byte read. A text stream that is already open is read on
+    from where it stands, and left open for its opener to close."""
+    if isinstance(path, io.TextIOBase):
+        return nullcontext(path)
     if digest is None:
         return Path(path).open(encoding="utf-8-sig", errors="surrogateescape", newline=newline)
     raw = io.BufferedReader(_Hashed(io.FileIO(path), digest), 1 << 16)
@@ -525,7 +567,7 @@ def read_text(path: str | Path) -> str:
 
 
 def iter_jsonl(
-    path: str | Path, rejects: Optional[list[RejectedRow]] = None, digest=None
+    path: str | Path | io.TextIOBase, rejects: Optional[list[RejectedRow]] = None, digest=None
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
 
@@ -582,7 +624,7 @@ def _from_cell(cell: str, admitted: tuple):
 
 
 def _iter_csv(
-    path: str | Path, cls: type, rejects: Optional[list[RejectedRow]] = None, digest=None
+    path: str | Path | io.TextIOBase, cls: type, rejects: Optional[list[RejectedRow]] = None, digest=None
 ) -> Iterator[tuple[int, dict]]:
     """``iter_jsonl`` for CSV: an optional ``CONFIG_PREFIX`` line, a header row,
     then one row per line. Cells are read as ``cls``'s field types; an empty
@@ -615,29 +657,75 @@ def _iter_csv(
 
 
 def read_rows(
-    path: str | Path, cls: type, build: Optional[Callable[[dict], object]] = None, unique: Optional[str] = None
+    path: str | Path,
+    cls: type,
+    build: Optional[Callable[[dict], object]] = None,
+    unique: Optional[str] = None,
+    sidecar: bool = False,
+    restart: Optional[Callable[[], None]] = None,
 ) -> list:
     """``build`` (by default ``from_row`` for ``cls``) of each row of a JSONL file, or
     of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
     outputs do. A bad row, and a row whose string field ``unique`` repeats an earlier
-    row's, raise one DataFormatError naming the file and the line (and the earlier one)."""
+    row's, raise one DataFormatError naming the file and the line (and the earlier one).
+
+    With ``sidecar``, a regular file's rows, as the parse yields them, are kept in
+    its sidecar (see ``_read_sidecar``), and a later read of the same bytes builds
+    from those instead of parsing. ``build`` and the ``unique`` check still run on
+    every row. Should a kept row fail either, ``restart`` (if given) undoes what
+    ``build`` did so far and the file is parsed, so every error names the file's
+    line. ``build`` must leave each row as given.
+    """
+    path = Path(path)
     build = build or partial(from_row, cls)
-    with _open_text(path) as fh:
-        is_csv = fh.readline().startswith(CONFIG_PREFIX)
-    out = []
-    first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
+    key = ("read_rows", cls.__qualname__)  # never a ``load_records`` key, whose first entry is the format
+    cacheable = sidecar and path.is_file()  # hashing a pipe would consume what the parse must read
+    kept = _read_sidecar(path, key) if cacheable else None
+    if kept is not None:
+        try:
+            return _build_rows(kept, build, unique)
+        except Exception:  # a cache: whatever goes wrong with it, the file is parsed instead
+            if restart is not None:
+                restart()
+    digest = hashlib.sha256() if cacheable else None
+    rows = [] if cacheable else None
     try:
-        for line_no, row in _iter_csv(path, cls) if is_csv else iter_jsonl(path):
-            try:
-                out.append(build(row))
-                if unique is not None:  # checked once ``build`` has made the value a string
-                    first = first_line.setdefault(row[unique], line_no)
-                    if first != line_no:
-                        raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
-            except DataFormatError as exc:
-                raise DataFormatError(f"line {line_no}: {exc}") from None
+        # one stream, peeked and then parsed, so a pipe loses no line to the peek
+        with _open_text(path, newline="", digest=digest) as fh:
+            head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
+            is_csv = head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK)
+            out = _build_rows(_iter_csv(fh, cls) if is_csv else iter_jsonl(fh), build, unique, rows)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if cacheable:
+        _write_sidecar(path, key, digest.digest(), rows)
+    return out
+
+
+_CSV_MARK = CONFIG_PREFIX.encode()
+
+
+def _build_rows(
+    rows: Iterable[tuple[int, dict]],
+    build: Callable[[dict], object],
+    unique: Optional[str],
+    kept: Optional[list] = None,
+) -> list:
+    """``read_rows``' ``build`` and ``unique`` check of each ``(line_no, row)``; each
+    row is appended to ``kept``, when given, once built."""
+    out = []
+    first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
+    for line_no, row in rows:
+        try:
+            out.append(build(row))
+            if unique is not None:  # checked once ``build`` has made the value a string
+                first = first_line.setdefault(row[unique], line_no)
+                if first != line_no:
+                    raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
+        except DataFormatError as exc:
+            raise DataFormatError(f"line {line_no}: {exc}") from None
+        if kept is not None:
+            kept.append((line_no, row))
     return out
 
 
@@ -670,15 +758,17 @@ def load_records(
 
     A regular file's load is kept in a sidecar next to it (see ``_read_sidecar``),
     which a later load of the same bytes with the same ``fmt`` and ``scale_kind``
-    reads instead of parsing the file again. Under ``strict``, a bad row raises
-    naming the file and the line.
+    reads instead of parsing the file again: the record fields as columns, the
+    rejects as ``(line_no, reason, raw)`` and the effective scale. Under ``strict``,
+    a bad row raises naming the file and the line.
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
     key = (fmt, scale_kind)  # a strict and a lenient load of a clean file build the same records
     cacheable = path.is_file()  # hashing a pipe would consume what the parse must read
-    loaded = _read_sidecar(path, key, strict) if cacheable else None
+    decode = partial(_load_from_sidecar, scale_kind=scale_kind, strict=strict)
+    loaded = _read_sidecar(path, key, decode) if cacheable else None
     if loaded is None:
         digest = hashlib.sha256()
         # the reader's rejects and the record builder's land in one list, in line order
@@ -695,7 +785,8 @@ def load_records(
                 raise DataFormatError(f"{path}: {exc}") from None
             raise
         if cacheable:
-            _write_sidecar(path, key, digest.digest(), records, rejects, effective_scale)
+            rejected = tuple((r.line_no, r.reason, r.raw) for r in rejects)
+            _write_sidecar(path, key, digest.digest(), (_record_columns(records), rejected, effective_scale))
     else:
         records, rejects, effective_scale = loaded
     if strict:
@@ -727,23 +818,18 @@ def _source_digest() -> bytes:
 
 def _sidecar_header(key: tuple, digest: bytes) -> bytes:
     """What a sidecar must match to be used: the interpreter and marshal format,
-    this module's source, ``load_records``' arguments ``(fmt, scale_kind)`` and
-    the SHA-256 of the input's bytes. Marshal format 2 writes no
-    back-references, so equal headers are equal bytes."""
+    this module's source, the reader's ``key`` (``load_records``' ``(fmt,
+    scale_kind)``, or ``read_rows``' reader and class) and the SHA-256 of the
+    input's bytes. Marshal format 2 writes no back-references, so equal headers
+    are equal bytes."""
     return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
 
 
-def _write_sidecar(
-    path: Path, key: tuple, digest: bytes, records: list[AnnotationRecord], rejects: list[RejectedRow], scale: str
-) -> None:
+def _write_sidecar(path: Path, key: tuple, digest: bytes, payload) -> None:
     """Keep a load of the bytes ``digest`` names in ``path``'s sidecar: the header,
-    then one marshal blob of one tuple per record field (None for a field no
-    record sets), the rejects as ``(line_no, reason, raw)`` and the effective
-    scale. Marshal keeps the records' shared strings shared. A sidecar that
-    cannot be written is skipped."""
-    columns = tuple(tuple(map(get, records)) for get in _RECORD_GETTERS)
-    columns = tuple(None if col[0] is None and col.count(None) == len(col) else col for col in columns)
-    body = marshal.dumps((columns, tuple((r.line_no, r.reason, r.raw) for r in rejects), scale))
+    then ``payload`` as one marshal blob, which keeps its shared strings shared.
+    A sidecar that cannot be written is skipped."""
+    body = marshal.dumps(payload)
     sidecar = _sidecar_path(path)
     try:
         header = _sidecar_header(key, digest)
@@ -760,15 +846,11 @@ def _write_sidecar(
         pass
 
 
-def _read_sidecar(
-    path: Path, key: tuple, strict: bool
-) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
-    """The load ``path``'s sidecar keeps for its current bytes and ``key``, checked
-    as a parse checks each row: the field types, the required fields, one scale,
-    and ``AnnotationRecord.__post_init__``. None, for a full parse, when the
-    sidecar is missing, unreadable, not the user's own (see ``_read_own_file``),
-    stale or fails a check, and when ``strict`` meets a reject, which a strict
-    parse raises on."""
+def _read_sidecar(path: Path, key: tuple, decode: Callable = lambda payload: payload):
+    """``decode`` of the payload ``path``'s sidecar keeps for its current bytes and
+    ``key``. None, for a full parse, when the sidecar is missing, unreadable, not
+    the user's own (see ``_read_own_file``) or stale, and when ``decode`` returns
+    None or raises."""
     try:
         blob = _read_own_file(_sidecar_path(path))
         if blob is None:
@@ -776,14 +858,9 @@ def _read_sidecar(
         header = _sidecar_header(key, _file_sha256(path))
         if not blob.startswith(header):
             return None
-        columns, rejected, scale = marshal.loads(memoryview(blob)[len(header):])
-        records = _records_from_columns(columns, scale, key[1])
-        rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
+        return decode(marshal.loads(memoryview(blob)[len(header):]))
     except Exception:  # a cache: whatever goes wrong reading it, the file is parsed instead
         return None
-    if records is None or len(rejects) != len(rejected) or (rejects and strict):
-        return None
-    return records, rejects, scale
 
 
 def _read_own_file(path: Path) -> Optional[bytes]:
@@ -807,25 +884,63 @@ def _file_sha256(path: Path) -> bytes:
     return digest.digest()
 
 
+def _record_columns(records: list[AnnotationRecord]) -> tuple:
+    """One tuple per record field, or None for a field no record sets."""
+    columns = (tuple(map(get, records)) for get in _RECORD_GETTERS)
+    return tuple(None if col[0] is None and col.count(None) == len(col) else col for col in columns)
+
+
+def _load_from_sidecar(
+    payload, scale_kind: Optional[str], strict: bool
+) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
+    """The load a ``load_records`` sidecar keeps, checked as a parse checks each row:
+    the field types, the required fields, one scale and the domains
+    ``AnnotationRecord.__post_init__`` checks (see ``_records_from_columns``). None
+    when a check fails, and when ``strict`` meets a reject, which a strict parse
+    raises on."""
+    columns, rejected, scale = payload
+    records = _records_from_columns(columns, scale, scale_kind)
+    rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
+    if records is None or len(rejects) != len(rejected) or (rejects and strict):
+        return None
+    return records, rejects, scale
+
+
 def _records_from_columns(
     columns: tuple, scale: str, scale_kind: Optional[str]
 ) -> Optional[list[AnnotationRecord]]:
     """The records whose fields ``columns`` holds, once every value has a type its
-    field admits and every record is on ``scale``; None when one does not."""
+    field admits, every record is on ``scale`` and ``_columns_in_domain`` holds;
+    None when one does not. Each is built as ``_new_record`` builds one, less its
+    per-record ``__post_init__``, which the column checks stand in for."""
     admitted, required, _ = _row_schema(AnnotationRecord)
     if type(columns) is not tuple or len(columns) != len(_RECORD_FIELDS) or scale_kind not in (None, scale):
         return None
     n = len(columns[0])
-    args = []
     for name, col in zip(_RECORD_FIELDS, columns):
-        if col is None and name not in required:
-            col = repeat(None, n)
+        if col is None:
+            if name in required:
+                return None
         elif type(col) is not tuple or len(col) != n or not set(map(type, col)) <= set(admitted[name]):
             return None
-        args.append(col)
-    if n == 0 or columns[_RECORD_FIELDS.index("scale_kind")].count(scale) != n:
+    by_name = dict(zip(_RECORD_FIELDS, columns))
+    if n == 0 or by_name["scale_kind"].count(scale) != n or not _columns_in_domain(by_name, scale):
         return None
-    return list(map(_new_record, *args))
+    records = list(map(_RecordTwin, *(repeat(None, n) if col is None else col for col in columns)))
+    for record in records:
+        record.__class__ = AnnotationRecord
+    return records
+
+
+def _columns_in_domain(columns: dict[str, Optional[tuple]], scale: str) -> bool:
+    """Whether every record of ``columns`` (field name -> values, None for a field no
+    record sets), all of whose values have admitted types and whose scale is
+    ``scale``, passes ``AnnotationRecord.__post_init__``: each column's distinct
+    values are checked with the predicates that method uses."""
+    if scale not in SCALE_KINDS or not all(_score_ok(score, scale) for score in set(columns["score"])):
+        return False
+    positions, weights = (set(columns[name] or ()) - {None} for name in ("position_index", "weight"))
+    return all(map(_position_ok, positions)) and all(map(_weight_ok, weights))
 
 
 def _check_embedding_references(dataset: Dataset) -> None:
@@ -863,8 +978,9 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
         if fmt == "csv":
             write_csv(fh, _RECORD_FIELDS, map(record_to_obj, dataset.records))
         else:
+            encode = row_encoder()
             for rec in dataset.records:
-                fh.write(to_json(record_to_obj(rec)) + "\n")
+                fh.write(encode(record_to_obj(rec)) + "\n")
     return len(dataset.records)
 
 
@@ -879,7 +995,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     one line per item. A vector ``EmbeddingTable.add`` rejects raises naming the
     file and the line."""
     table = EmbeddingTable(dimension=0, entries={})
-    read_rows(path, _EmbeddingRow, partial(from_row, _EmbeddingRow, make=table.add), unique="item_id")
+    build = partial(from_row, _EmbeddingRow, make=table.add)
+    read_rows(path, _EmbeddingRow, build, unique="item_id", sidecar=True, restart=table.entries.clear)
     if not table.entries:
         raise DataFormatError(f"{path}: no embedding rows")
     return table
@@ -887,7 +1004,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
     """Load item metadata codes from JSONL keyed by item_id, one row per item."""
-    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata, unique="item_id")}
+    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata, unique="item_id", sidecar=True)}
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import ConsistencyProfile
 from .errors import InsufficientSupportError
-from .records import Dataset, default_tau, open_output, record_to_obj, score_value, to_json
+from .records import Dataset, default_tau, open_output, record_to_obj, row_encoder, score_value
 
 WEIGHT_MODES = ("binary", "linear", "sigmoid")
 EXPORT_POLICIES = ("weight", "filter", "both")
@@ -196,6 +196,7 @@ def export_weighted(
         raise ValueError(f"unknown export policy {policy!r}")
     retained = 0
     dropped = 0
+    encode = row_encoder()
     with open_output(path) as fh:
         for rec in dataset.records:
             w = weights.record_weights.get(rec.record_id, 1.0)
@@ -207,7 +208,7 @@ def export_weighted(
                 obj.pop("weight", None)
             else:
                 obj["weight"] = w
-            fh.write(to_json(obj) + "\n")
+            fh.write(encode(obj) + "\n")
             retained += 1
     return ExportSummary(
         policy=policy,

@@ -3,6 +3,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -490,6 +493,26 @@ def test_ratio_and_simulate_pipeline(dataset_path, metadata_path, tmp_path):
     assert flips_payload["n_eligible"] == 4
 
 
+def test_simulate_leaves_numpy_ma_unimported(dataset_path, metadata_path, tmp_path):
+    """``numpy.ma`` costs every process that imports it about 14 ms; ``np.median`` imports it."""
+    ratios, stats, flips = (str(tmp_path / name) for name in ("ratios.jsonl", "stats.json", "flips.json"))
+    argvs = [
+        ["ratio", "--input", str(dataset_path), "--metadata", str(metadata_path),
+         "--output", ratios, "--stats-output", stats],
+        ["simulate", "--input", str(dataset_path), "--ratios", ratios, "--sample-size", "3", "--output", flips],
+    ]
+    script = (
+        "import json, sys\n"
+        "from prefaudit.cli import run\n"
+        "print([run(argv) for argv in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_weights_subcommand(dataset_path, tmp_path):
     weighted = tmp_path / "weighted.jsonl"
     summary = tmp_path / "summary.json"
@@ -554,7 +577,7 @@ def test_calibrate_non_finite_diff_is_a_data_error_naming_the_entry(tmp_path, ca
 def test_calibrate_non_finite_flip_margin_is_a_usage_error(tmp_path, capsys, margin):
     out = tmp_path / "cal.json"
     assert run(["calibrate", "--method", "consequence", "--flip-margin", margin, "--output", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("usage error: flip_margin must be finite and nonnegative")
+    assert capsys.readouterr().err.endswith(f"error: argument --flip-margin: must be a finite number, got {margin!r}\n")
     assert not out.exists()
 
 
@@ -563,8 +586,35 @@ def test_plan_non_finite_cost_is_a_usage_error(tmp_path, capsys, cost):
     out = tmp_path / "plan.json"
     argv = ["plan", "--tier", "1", "--items", "10000", "--annotators", "5", "--cost", cost, "--output", str(out)]
     assert run(argv) == 1
-    assert "cost finite and nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: argument --cost: must be a finite number, got {cost!r}\n")
     assert not out.exists()
+
+
+def _float_flags():
+    """(subcommand, option) for every float-valued option of every subcommand."""
+    _, children = cli.build_parser()
+    return [(child.prog.split()[-1], action.option_strings[0])
+            for child in children for action in child._actions if action.type in (float, cli.finite_float)]
+
+
+def test_every_float_flag_takes_finite_numbers_only():
+    _, children = cli.build_parser()
+    assert not [a for child in children for a in child._actions if a.type is float]
+    assert len(_float_flags()) == 20
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_a_non_finite_float_flag_is_a_usage_error_naming_the_flag(tmp_path, capsys, value):
+    for cmd, flag in _float_flags():
+        assert run([cmd, f"{flag}={value}", "--output", str(tmp_path / "out")]) == 1, (cmd, flag)
+        err = capsys.readouterr().err
+        assert err.endswith(f"prefaudit {cmd}: error: argument {flag}: must be a finite number, got {value!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_numeric_float_flag_is_worded_as_before(capsys):
+    assert run(["diagnose", "--input", "x.jsonl", "--tau", "abc"]) == 1
+    assert capsys.readouterr().err.endswith("error: argument --tau: invalid float value: 'abc'\n")
 
 
 def test_calibrate_diffs_with_a_non_utf8_byte_is_a_data_error_naming_the_line(tmp_path, capsys):
@@ -753,7 +803,9 @@ def test_config_file_with_a_byte_order_mark_supplies_defaults(dataset_path, tmp_
 @pytest.mark.parametrize("text, line, why", [
     (b"seed = 3\ntau = 5\xff\n", 2, "invalid UTF-8: byte 0xff"),
     (b"# defaults\ntau\n", 2, "config line is not key=value: 'tau'"),
-], ids=["non-UTF-8 byte", "not key=value"])
+    (b"seed = 3\ntau = nan\n", 2, "tau must be a finite number, got 'nan'"),
+    (b"delta-threshold = '-Infinity'\n", 1, "delta-threshold must be a finite number, got '-Infinity'"),
+], ids=["non-UTF-8 byte", "not key=value", "NaN", "quoted infinity"])
 def test_a_bad_config_file_is_one_error_line_naming_the_file_and_line(tmp_path, capsys, text, line, why):
     config = tmp_path / "run.cfg"
     config.write_bytes(text)

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dataset_of, metadata_of, rec
 from prefaudit.errors import InsufficientSupportError
@@ -14,6 +16,7 @@ from prefaudit.ratio import (
     exact_baseline,
     inconsistency_ratio,
     interpret_ratio,
+    median_split,
     population_stats,
     random_baseline,
     within_theme_variance,
@@ -244,3 +247,13 @@ def test_population_stats_requires_two_annotators():
     ratios = all_ratios(dataset, RatioConfig(resamples=50, seed=1))
     with pytest.raises(InsufficientSupportError):
         population_stats(ratios, dataset)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e6), st.sampled_from([0.0, 0.5, 1.0, 1e6])),
+                min_size=1, max_size=12))
+def test_median_split_takes_numpys_median_bit_for_bit(values):
+    """Odd and even lengths, ties (the sampled values) and values in [0, 1e6]."""
+    median, low, high = median_split({f"a{i}": value for i, value in enumerate(values)})
+    assert median.hex() == float(np.median(values)).hex()
+    assert len(low) + len(high) == len(values)

@@ -8,8 +8,11 @@ import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dataset_of, rec
 from prefaudit import records as records_module
@@ -20,6 +23,7 @@ from prefaudit.records import (
     AnnotationRecord,
     Dataset,
     EmbeddingTable,
+    ItemMetadata,
     common_scale_score,
     default_tau,
     load_embeddings,
@@ -473,6 +477,44 @@ def _lenient_corpus(tmp_path):
     return path
 
 
+def _metadata_file(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_jsonl(path, [
+        {"item_id": f"i{i}", "content_type": "A1_generic", "theme_labels": ["harm", f"t{i % 2}"]} for i in range(4)
+    ])
+    return path
+
+
+def _embeddings_file(tmp_path):
+    path = tmp_path / "e.jsonl"
+    _write_jsonl(path, [{"item_id": f"i{i}", "vector": [1.0, float(i)]} for i in range(4)])
+    return path
+
+
+# Each load that keeps a sidecar: a writer of a small file it loads, and the loader.
+LOADS = {
+    "records": (_lenient_corpus, load_records),
+    "metadata": (_metadata_file, load_metadata),
+    "embeddings": (_embeddings_file, load_embeddings),
+}
+SIDE_INPUTS = ("metadata", "embeddings")
+
+
+def _values(load):
+    """A load as plain values, equal exactly when the loads are."""
+    if isinstance(load, Dataset):
+        return load.records, load.rejected, load.scale_kind
+    if isinstance(load, EmbeddingTable):
+        return load.dimension, {item_id: vec.tolist() for item_id, vec in load.entries.items()}
+    return load
+
+
+def _by_load(cases):
+    """``(kind, case)`` params over every load; the records case keeps the case's bare id."""
+    return [pytest.param(kind, case, id=case if kind == "records" else f"{kind}-{case}")
+            for kind in LOADS for case in cases]
+
+
 def test_warm_load_reads_the_sidecar_instead_of_the_rows(tmp_path, monkeypatch):
     path = _lenient_corpus(tmp_path)
     cold = load_records(path)
@@ -497,20 +539,32 @@ def test_csv_input_uses_the_sidecar(tmp_path, monkeypatch):
         load_records(path, fmt="csv", scale_kind="continuous_0_100")  # another key
 
 
-def test_a_same_size_edit_is_parsed_again(tmp_path):
-    path = tmp_path / "d.jsonl"
-    _write_jsonl(path, [_row(i) for i in range(3)])
-    load_records(path)
+_SAME_SIZE_EDITS = {
+    "records": ('"score": 50.0', '"score": 51.0'),
+    "metadata": ("A1_generic", "A2_factual"),
+    "embeddings": ("[1.0, 0.0]", "[1.0, 9.0]"),
+}
+
+
+@pytest.mark.parametrize("kind", LOADS)
+def test_a_same_size_edit_is_parsed_again(tmp_path, kind):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    before = _values(load(path))
     size = path.stat().st_size
-    path.write_text(path.read_text().replace('"score": 50.0', '"score": 51.0', 1), encoding="utf-8")
+    path.write_text(path.read_text().replace(*_SAME_SIZE_EDITS[kind], 1), encoding="utf-8")
     assert path.stat().st_size == size
-    assert [r.score for r in load_records(path).records] == [51.0, 50.0, 50.0]
+    fresh = tmp_path / "fresh"  # the edited bytes, with no sidecar beside them
+    fresh.mkdir()
+    (fresh / path.name).write_bytes(path.read_bytes())
+    assert _values(load(path)) == _values(load(fresh / path.name)) != before
 
 
-@pytest.mark.parametrize("damage", ["truncated", "random bytes", "directory"])
-def test_a_bad_sidecar_gives_a_normal_load(tmp_path, damage):
-    path = _lenient_corpus(tmp_path)
-    expected = load_records(path)
+@pytest.mark.parametrize("kind, damage", _by_load(["truncated", "random bytes", "directory"]))
+def test_a_bad_sidecar_gives_a_normal_load(tmp_path, kind, damage):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    expected = _values(load(path))
     sidecar = _sidecar(path)
     if damage == "truncated":
         sidecar.write_bytes(sidecar.read_bytes()[:-40])
@@ -519,8 +573,7 @@ def test_a_bad_sidecar_gives_a_normal_load(tmp_path, damage):
     else:
         sidecar.unlink()
         sidecar.mkdir()
-    dataset = load_records(path)
-    assert (dataset.records, dataset.rejected) == (expected.records, expected.rejected)
+    assert _values(load(path)) == expected
 
 
 def _forge(path, key, change):
@@ -646,12 +699,21 @@ def _parse_count(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("who", ["another user", "group-writable", "world-writable", "symlink", "fifo"])
-def test_a_sidecar_that_is_not_the_users_own_file_is_not_used(tmp_path, monkeypatch, who):
-    path = _lenient_corpus(tmp_path)
-    expected = load_records(path)
+# A forgery of each load's sidecar that passes every check, but is not the file's.
+_VALID_FORGERIES = {
+    "records": lambda path: _forge(path, ("jsonl", None), lambda c, r, s: (_set(c, "score", 99.0), r, s)),
+    "metadata": lambda path: _forge_rows(path, ItemMetadata, partial(_set_row, content_type="A2_factual")),
+    "embeddings": lambda path: _forge_rows(path, records_module._EmbeddingRow, partial(_set_row, vector=[3.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("kind, who", _by_load(["another user", "group-writable", "world-writable", "symlink", "fifo"]))
+def test_a_sidecar_that_is_not_the_users_own_file_is_not_used(tmp_path, monkeypatch, kind, who):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    expected = _values(load(path))
     sidecar = _sidecar(path)
-    _forge(path, ("jsonl", None), lambda c, r, s: (_set(c, "score", 99.0), r, s))  # valid, but not the file's
+    _VALID_FORGERIES[kind](path)
     if who == "another user":
         monkeypatch.setattr(os, "geteuid", lambda: sidecar.stat().st_uid + 1)
     elif who == "group-writable":
@@ -665,9 +727,8 @@ def test_a_sidecar_that_is_not_the_users_own_file_is_not_used(tmp_path, monkeypa
         sidecar.unlink()
         os.mkfifo(sidecar)  # opened without waiting for a writer
     calls = _parse_count(monkeypatch)
-    dataset = load_records(path)
+    assert _values(load(path)) == expected
     assert calls == [1]
-    assert (dataset.records, dataset.rejected) == (expected.records, expected.rejected)
 
 
 def test_an_unexpected_error_reading_the_sidecar_means_a_parse(tmp_path, monkeypatch):
@@ -681,17 +742,144 @@ def test_an_unexpected_error_reading_the_sidecar_means_a_parse(tmp_path, monkeyp
     assert load_records(path).records == expected.records
 
 
-def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path):
-    path = tmp_path / "d.jsonl"
-    _write_jsonl(path, [_row(0), _row(1, score=150.0)])
+# A row that makes each load fail, and the load it makes fail.
+_FAILING_ROWS = {
+    "records": (_row(1, score=150.0), partial(load_records, strict=True)),
+    "metadata": ({"item_id": "i9", "content_type": "A9_bogus"}, load_metadata),
+    "embeddings": ({"item_id": "i9", "vector": [0.0, 0.0]}, load_embeddings),
+}
+
+
+@pytest.mark.parametrize("kind", LOADS)
+def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path, kind):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    bad_row, failing_load = _FAILING_ROWS[kind]
+    text = path.read_text()
+    path.write_text(text + json.dumps(bad_row) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
-        load_records(path, strict=True)
+        failing_load(path)
     assert not _sidecar(path).exists()
-    read, write = os.pipe()
-    with os.fdopen(write, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_row(0)) + "\n")
-    assert len(load_records(f"/dev/fd/{read}").records) == 1
+    path.write_text(text, encoding="utf-8")
+    read, write_end = os.pipe()
+    with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _values(load(f"/dev/fd/{read}")) == _values(load(path))  # the pipe loses no line
     os.close(read)
+
+
+def _forge_rows(path, cls, change):
+    """Rewrite ``path``'s ``read_rows`` sidecar for ``cls`` with a matching header and
+    ``change`` applied to its ``(line_no, row)`` list."""
+    header = records_module._sidecar_header(("read_rows", cls.__qualname__), hashlib.sha256(path.read_bytes()).digest())
+    blob = _sidecar(path).read_bytes()
+    assert blob.startswith(header)
+    _sidecar(path).write_bytes(header + marshal.dumps(change(marshal.loads(blob[len(header):]))))
+
+
+def _set_row(rows, at=0, **values):
+    """``rows`` with the row at ``at`` given ``values``."""
+    line_no, row = rows[at]
+    rows[at] = (line_no, {**row, **values})
+    return rows
+
+
+_ROW_CLASSES = {"metadata": ItemMetadata, "embeddings": records_module._EmbeddingRow}
+
+
+@pytest.mark.parametrize("kind", SIDE_INPUTS)
+def test_a_warm_side_input_load_builds_every_kept_row_without_parsing(tmp_path, monkeypatch, kind):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    cold = _values(load(path))
+    assert _sidecar(path).is_file()
+    built = []
+    from_row = records_module.from_row
+    monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+    monkeypatch.setattr(records_module, "from_row", lambda *a, **k: built.append(a[1]["item_id"]) or from_row(*a, **k))
+    assert _values(load(path)) == cold
+    assert built == ["i0", "i1", "i2", "i3"]
+
+
+def test_a_forged_side_input_sidecar_that_passes_every_check_is_used(tmp_path):
+    """The control for the forgeries below: each is refused for its bad value alone."""
+    metadata_path, embeddings_path = _metadata_file(tmp_path), _embeddings_file(tmp_path)
+    expected_metadata = load_metadata(metadata_path)
+    load_embeddings(embeddings_path)
+    _VALID_FORGERIES["metadata"](metadata_path)
+    _VALID_FORGERIES["embeddings"](embeddings_path)
+    assert load_metadata(metadata_path) == {
+        **expected_metadata, "i0": replace(expected_metadata["i0"], content_type="A2_factual")}
+    assert load_embeddings(embeddings_path)["i0"].tolist() == [3.0, 4.0]
+
+
+# Forged rows each fail a check that a parse applies. Those that pass some rows
+# before the bad one (a renamed first item, another first dimension) show that
+# what ``build`` did with them is undone before the file is parsed.
+ROW_FORGERIES = {
+    "metadata": {
+        "unknown content_type": partial(_set_row, at=-1, content_type="A9_bogus"),
+        "repeated item_id": partial(_set_row, at=-1, item_id="i0"),
+        "mistyped theme label": partial(_set_row, at=-1, theme_labels=["harm", 7]),
+        "unknown field": partial(_set_row, at=-1, colour="red"),
+        "rows without line numbers": lambda rows: [row for _, row in rows],
+    },
+    "embeddings": {
+        "zero vector": lambda rows: _set_row(_set_row(rows, item_id="stale"), at=-1, vector=[0.0, 0.0]),
+        "repeated item_id": partial(_set_row, at=-1, item_id="i0"),
+        "another dimension": partial(_set_row, vector=[1.0, 2.0, 3.0]),
+        "non-finite entry": partial(_set_row, at=-1, vector=[1.0, float("nan")]),
+        "rows without line numbers": lambda rows: [row for _, row in rows],
+    },
+}
+
+
+@pytest.mark.parametrize("kind, forgery", [(kind, name) for kind in ROW_FORGERIES for name in ROW_FORGERIES[kind]])
+def test_a_side_input_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, kind, forgery):
+    write, load = LOADS[kind]
+    path = write(tmp_path)
+    expected = _values(load(path))
+    _forge_rows(path, _ROW_CLASSES[kind], ROW_FORGERIES[kind][forgery])
+    assert _values(load(path)) == expected
+
+
+_COLUMN_SCORES = st.one_of(
+    st.floats(min_value=-1.0, max_value=101.0),
+    st.sampled_from([0.0, 1.0, 5.0, 100.0, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["A", "B", "C"]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    scale=st.sampled_from(records_module.SCALE_KINDS + ("unknown",)),
+    cells=st.lists(st.tuples(
+        _COLUMN_SCORES,
+        st.one_of(st.none(), st.integers(-2, 3)),
+        st.one_of(st.none(), st.floats(min_value=-1.0, max_value=3.0), st.sampled_from([float("nan"), float("inf")])),
+    ), min_size=1, max_size=5),
+)
+def test_the_column_check_accepts_exactly_the_columns_every_record_accepts(scale, cells):
+    def built(score, position, weight):
+        try:
+            return AnnotationRecord("r", "a", "i", "p", score, scale, position_index=position, weight=weight)
+        except DataFormatError:
+            return None
+
+    expected = [built(*cell) for cell in cells]
+    scores, positions, weights = zip(*cells)
+    given_fields = {
+        "record_id": ("r",) * len(cells), "annotator_id": ("a",) * len(cells), "item_id": ("i",) * len(cells),
+        "prompt_text": ("p",) * len(cells), "score": scores, "scale_kind": (scale,) * len(cells),
+        "position_index": None if set(positions) == {None} else positions,
+        "weight": None if set(weights) == {None} else weights,
+    }
+    columns = tuple(given_fields.get(name) for name in records_module._RECORD_FIELDS)
+    loaded = records_module._records_from_columns(columns, scale, None)
+    if None in expected:
+        assert loaded is None
+    else:
+        assert loaded == expected and all(type(r) is AnnotationRecord for r in loaded)
 
 
 def test_to_json_encodes_a_nested_dataclass_as_its_row():
@@ -717,3 +905,26 @@ def test_to_json_encodes_a_set_sorted_and_nothing_else_it_has_no_form_for():
     for value in (object(), stats.TestResult, 1j):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             to_json(value)
+
+
+def test_a_row_encoder_writes_what_to_json_writes():
+    t_vs_one = stats.TestResult(statistic=2.5, p_value=0.03, df=9.0, kind="one_sample")
+    report = PopulationReport(
+        n_annotators=4, median_ratio=float("nan"), t_vs_one=t_vs_one, median_split=None,
+        mean_diff_low_minus_high=float("inf"), pearson_r_ratio_vs_rating=-float("inf"), n_low=2, n_high=2,
+    )
+    rows = [
+        report,
+        {"labels": frozenset({"b", "c", "a"}), "nested": {"z": [1, 2.5, None, True]}},
+        {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0},
+        {"text": "naïve café, 雪, \U0001f600, \"quoted\" and \\ back\n"},
+        "a bare string", 7, None,
+    ]
+    encode = records_module.row_encoder()
+    assert [encode(row) for row in rows] == [to_json(row) for row in rows]
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        records_module.row_encoder()({"loop": loop})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        records_module.row_encoder()({"what": object()})
