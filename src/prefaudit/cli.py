@@ -504,6 +504,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+class _NonNegative(argparse.Action):
+    """Store a ``finite_float`` that is >= 0, else refuse it naming the flag: ``--tau``
+    and ``--delta-threshold`` are written into profiles and flags, whose declared
+    domains hold no negative value. ``_apply_config_file`` runs it on config values."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be finite and >= 0, got {value!r}")
+        setattr(namespace, self.dest, value)
+
+
 # The baseline and the modal labels are exact; these flags stay accepted and
 # are echoed into the outputs (ratio records carry resamples_used and seed).
 _EXACT_BASELINE_ECHO = "recorded in the output only; the exact baseline draws nothing"
@@ -531,14 +542,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subparsers.add_parser("repeats", help="repeat audit: flags, prevalence, filter ladder")
     _add_io(p, embeddings=True)
     p.add_argument("--sim-threshold", type=finite_float, default=0.9)
-    p.add_argument("--delta-threshold", type=finite_float, default=15.0)
+    p.add_argument("--delta-threshold", type=finite_float, action=_NonNegative, default=15.0)
     p.add_argument("--flags-output", help="write flags JSONL here")
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_repeats)
 
     p = subparsers.add_parser("diagnose", help="per-annotator consistency profiles")
     _add_io(p, metadata=True)
-    p.add_argument("--tau", type=finite_float, default=None)
+    p.add_argument("--tau", type=finite_float, action=_NonNegative, default=None)
     p.add_argument("--pairs", help="equivalent pairs JSONL to include in framing consistency")
     p.add_argument("--reliability-mode", choices=diagnostics.RELIABILITY_MODES, default="weighted")
     p.add_argument("--weights", help="w1,w2,w3,w4 for the weighted mode")
@@ -582,7 +593,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subparsers.add_parser("weights", help="reliability weights and weighted export")
     _add_io(p, metadata=True)
     p.add_argument("--profiles", help="profiles (JSONL or CSV) from a diagnose run (else recomputed)")
-    p.add_argument("--tau", type=finite_float, default=None)
+    p.add_argument("--tau", type=finite_float, action=_NonNegative, default=None)
     p.add_argument("--weight-mode", choices=weighting.WEIGHT_MODES, default="linear")
     p.add_argument("--threshold", type=finite_float, default=0.5)
     p.add_argument("--midpoint", type=finite_float, default=0.5)
@@ -640,12 +651,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
 def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) -> list[str]:
     """Pull ``--config PATH`` or ``--config=PATH`` out of argv (any position, no
-    abbreviation) and install the file's values as defaults."""
+    abbreviation) and install the file's values as defaults of every parser, each
+    read as its option's flag reads it (see ``_config_value``)."""
     pre = argparse.ArgumentParser(prog="prefaudit", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)
     if known.config is None:
         return argv
+    options = {action.dest: action for parser in parsers for action in parser._actions}
     defaults = {}
     for line_no, raw in enumerate(records.read_text(known.config).splitlines(), start=1):
         line = raw.strip()
@@ -654,21 +667,36 @@ def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) 
         if "=" not in line:
             raise DataFormatError(f"{known.config}: line {line_no}: config line is not key=value: {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        value = text = text.strip("'\"")
-        for cast in (int, float):
-            try:
-                value = cast(text)
-                break
-            except ValueError:
-                continue
-        if type(value) is float and not math.isfinite(value):
-            raise DataFormatError(f"{known.config}: line {line_no}: {key} must be a finite number, got {text!r}")
-        if value in ("true", "false"):
-            value = value == "true"
-        defaults[key.replace("-", "_")] = value
+        try:
+            defaults[key.replace("-", "_")] = _config_value(options, key, text.strip("'\""))
+        except argparse.ArgumentTypeError as exc:
+            raise DataFormatError(f"{known.config}: line {line_no}: {exc}") from None
     for parser in parsers:
         parser.set_defaults(**defaults)
     return argv
+
+
+def _config_value(options: dict[str, argparse.Action], key: str, text: str):
+    """The value of config line ``key = text``, read as the option's flag reads it:
+    a switch takes ``true`` or ``false``, and an option without a ``type`` the text."""
+    option = options.get(key.replace("-", "_"))
+    if option is None:
+        raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
+    if option.nargs == 0:
+        if text not in ("true", "false"):
+            raise argparse.ArgumentTypeError(f"{key} must be true or false, got {text!r}")
+        return text == "true"
+    if option.type is None:
+        return text
+    try:
+        value = option.type(text)
+        option(None, argparse.Namespace(), value)
+        return value
+    except (argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
+        why = getattr(exc, "message", exc)  # an ArgumentError's text, less the flag it names
+    except ValueError:
+        why = f"invalid {option.type.__name__} value: {text!r}"
+    raise argparse.ArgumentTypeError(f"{key} {why}")
 
 
 def run(argv: Optional[list[str]] = None) -> int:

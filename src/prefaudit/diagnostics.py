@@ -17,19 +17,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Annotated, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError, InsufficientSupportError
+from .errors import DegenerateDataError, InsufficientSupportError
 from .pairing import PromptPair
 from .ratio import RatioConfig, group_ratio
 from .records import (
+    COUNT,
+    NONNEGATIVE,
     ORDER_TAG_AB,
     ORDER_TAG_BA,
     SCALE_BINARY,
+    UNIT,
     AnnotationRecord,
     Dataset,
+    check_domains,
     default_tau,
     score_value,
 )
@@ -48,22 +52,18 @@ class ConsistencyProfile:
     """Per-annotator consistency scores with their supporting pair counts."""
 
     annotator_id: str
-    temp: Optional[float] = None
-    frame: Optional[float] = None
-    order: Optional[float] = None
-    cross: Optional[float] = None
-    n_temp_pairs: int = 0
-    n_frame_pairs: int = 0
-    n_order_pairs: int = 0
-    n_cross_items: int = 0
-    reliability: Optional[float] = None
-    tau_used: float = 15.0
+    temp: Annotated[Optional[float], UNIT] = None
+    frame: Annotated[Optional[float], UNIT] = None
+    order: Annotated[Optional[float], UNIT] = None
+    cross: Annotated[Optional[float], UNIT] = None
+    n_temp_pairs: Annotated[int, COUNT] = 0
+    n_frame_pairs: Annotated[int, COUNT] = 0
+    n_order_pairs: Annotated[int, COUNT] = 0
+    n_cross_items: Annotated[int, COUNT] = 0
+    reliability: Annotated[Optional[float], UNIT] = None
+    tau_used: Annotated[float, NONNEGATIVE] = 15.0
 
-    def __post_init__(self):
-        for name in ("temp", "frame", "order", "cross", "reliability"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:  # NaN fails both comparisons
-                raise DataFormatError(f"{name} must be a finite number in [0, 1], got {value!r}")
+    __post_init__ = check_domains  # the declared domains are its only rule
 
     def components(self) -> dict[str, float]:
         out = {}
@@ -74,12 +74,10 @@ class ConsistencyProfile:
         return out
 
 
-def _different_times(r1: AnnotationRecord, r2: AnnotationRecord, min_gap: int = 0) -> bool:
+def _different_times(r1: AnnotationRecord, r2: AnnotationRecord) -> bool:
     if r1.session_id is not None and r2.session_id is not None and r1.session_id != r2.session_id:
         return True
-    if r1.timestamp is not None and r2.timestamp is not None:
-        return abs(r1.timestamp - r2.timestamp) > min_gap
-    return False
+    return r1.timestamp is not None and r2.timestamp is not None and r1.timestamp != r2.timestamp
 
 
 def _cell_pairs(
@@ -101,20 +99,19 @@ def temporal_consistency(
     dataset: Dataset,
     annotator_id: str,
     tau: Optional[float] = None,
-    min_gap: int = 0,
 ) -> tuple[Optional[float], int]:
     """Fraction of repeat rating pairs (same item and framing, different time)
     agreeing within tau.
 
-    "Different time" means a different session, or failing that a timestamp
-    gap above ``min_gap``. Returns (None, 0) when the annotator has no
-    qualifying repeat pairs.
+    "Different time" means a different session, or failing that a different
+    timestamp. Returns (None, 0) when the annotator has no qualifying repeat
+    pairs.
     """
     tau = default_tau(dataset.scale_kind) if tau is None else tau
     deltas = [
         abs(score_value(r1) - score_value(r2))
         for r1, r2 in _cell_pairs(dataset, annotator_id)
-        if r1.framing_id == r2.framing_id and _different_times(r1, r2, min_gap)
+        if r1.framing_id == r2.framing_id and _different_times(r1, r2)
     ]
     return _pair_fraction(deltas, tau)
 

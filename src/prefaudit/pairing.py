@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Annotated, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientSupportError
-from .records import AnnotationRecord, Dataset, score_value
+from .records import COSINE, FINITE, NONNEGATIVE, AnnotationRecord, Dataset, check_domains, codes, score_value
 
 PAIR_KINDS = ("identical", "equivalent", "directional")
 
@@ -32,16 +32,13 @@ class PromptPair:
     pair_id: str
     item_a: str
     item_b: str
-    similarity: float = 1.0
-    kind: str = "equivalent"
+    similarity: Annotated[float, COSINE] = 1.0
+    kind: Annotated[str, codes(PAIR_KINDS, "unknown pair {name} {value!r}")] = "equivalent"
     expected_direction: Optional[str] = None
     rationale_tag: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in PAIR_KINDS:
-            raise DataFormatError(f"unknown pair kind {self.kind!r}")
-        if not -1.0 <= self.similarity <= 1.0:  # a cosine similarity; NaN fails both comparisons
-            raise DataFormatError(f"similarity must be a finite number in [-1, 1], got {self.similarity!r}")
+        check_domains(self)
         if self.kind == "identical" and abs(self.similarity - 1.0) > 1e-9:
             raise DataFormatError("identical pairs must have similarity 1")
         if self.kind == "directional":
@@ -65,10 +62,12 @@ class InconsistencyFlag:
 
     annotator_id: str
     pair: PromptPair
-    score_a: float
-    score_b: float
-    delta: float
-    threshold_used: float
+    score_a: Annotated[float, FINITE]
+    score_b: Annotated[float, FINITE]
+    delta: Annotated[float, NONNEGATIVE]
+    threshold_used: Annotated[float, NONNEGATIVE]
+
+    __post_init__ = check_domains  # the declared domains are its only rule
 
 
 @dataclass
@@ -300,15 +299,11 @@ def filter_ladder(
     return LadderReport(stages=report)
 
 
-def standard_ladder_stages(
-    dataset: Dataset,
-    response_embeddings=None,
-    response_sim_threshold: float = 0.9999,
-) -> list[tuple[str, Callable[[InconsistencyFlag], bool]]]:
+def standard_ladder_stages(dataset: Dataset) -> list[tuple[str, Callable[[InconsistencyFlag], bool]]]:
     """The test-retest ladder: identical prompts, identical responses, same model.
 
-    Content identity prefers exact string equality; response identity falls
-    back to response-embedding similarity when response text is absent.
+    Content identity prefers exact string equality; responses without text
+    on both sides are not identical.
     """
 
     def _texts(flag: InconsistencyFlag, attr: str):
@@ -326,13 +321,7 @@ def standard_ladder_stages(
         if flag.pair.is_self_pair:
             return True
         ta, tb = _texts(flag, "response_text")
-        if ta is not None and tb is not None:
-            return ta == tb
-        if response_embeddings is not None:
-            a, b = flag.pair.item_a, flag.pair.item_b
-            if a in response_embeddings and b in response_embeddings:
-                return cosine_similarity(response_embeddings[a], response_embeddings[b]) >= response_sim_threshold
-        return False
+        return ta is not None and tb is not None and ta == tb
 
     def same_model(flag: InconsistencyFlag) -> bool:
         if flag.pair.is_self_pair:

@@ -19,15 +19,14 @@ baseline, so the convention cancels in the ratio.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError, InsufficientSupportError
-from .records import Dataset, score_value
+from .errors import DegenerateDataError, InsufficientSupportError
+from .records import COUNT, NONNEGATIVE, Dataset, check_domains, score_value
 from .stats import TestResult, one_sample_t, pearson_r, seeded_sampler, welch_t
 
 _RESAMPLE_CHUNK_CELLS = 50_000_000
@@ -54,19 +53,15 @@ class RatioRecord:
 
     annotator_id: str
     theme: str
-    n_items: int
-    var_within: float
-    baseline: float
-    ratio: float
+    n_items: Annotated[int, COUNT]
+    var_within: Annotated[float, NONNEGATIVE]
+    baseline: Annotated[float, NONNEGATIVE]
+    ratio: Annotated[float, NONNEGATIVE]
     resamples_used: int
     seed: int
     degenerate: bool = False
 
-    def __post_init__(self):
-        for name in ("var_within", "baseline", "ratio"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # NaN fails both comparisons
-                raise DataFormatError(f"{name} must be finite and >= 0, got {value!r}")
+    __post_init__ = check_domains  # the declared domains are its only rule
 
 
 def interpret_ratio(ratio: float, low: float = 0.75, high: float = 1.25) -> str:
@@ -162,7 +157,6 @@ def random_baseline(
     k: int,
     resamples: int,
     seed: int,
-    stream_key: Optional[str] = None,
     exclude_item_ids: Optional[set[str]] = None,
 ) -> float:
     """Expected variance of k ratings grouped at random from the annotator's history.
@@ -176,7 +170,7 @@ def random_baseline(
     history = _baseline_history(dataset, annotator_id, k, exclude_item_ids)
     if history.size == k:
         return float(history.var(ddof=0))
-    rng = seeded_sampler(seed, stream_key or f"baseline|{annotator_id}")
+    rng = seeded_sampler(seed, f"baseline|{annotator_id}")
     chunk = max(1, _RESAMPLE_CHUNK_CELLS // int(history.size))
     total = 0.0
     done = 0

@@ -34,7 +34,8 @@ from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,6 +58,29 @@ ORDER_TAG_BA = "order:BA"
 Score = Union[float, str]
 
 
+class Domain(NamedTuple):
+    """The values a field admits beyond its type, declared once on its annotation as
+    ``Annotated[T, domain]`` (see ``field_domains``): ``ok(value)`` holds for each
+    of them, and ``why``, formatted with the field's ``name`` and ``value``, is the
+    reject text of any other. None is not checked where the field's type admits it."""
+
+    ok: Callable[[object], bool]
+    why: str
+
+
+def codes(values: tuple[str, ...], why: str = "unknown {name} code {value!r}") -> Domain:
+    """The domain of a field holding one of ``values``."""
+    return Domain(values.__contains__, why)
+
+
+# NaN fails every comparison, so it falls outside each range below.
+FINITE = Domain(math.isfinite, "{name} must be finite, got {value!r}")
+NONNEGATIVE = Domain(lambda v: 0.0 <= v < math.inf, "{name} must be finite and >= 0, got {value!r}")
+COUNT = Domain(lambda v: v >= 0, "{name} must be >= 0, got {value}")
+UNIT = Domain(lambda v: 0.0 <= v <= 1.0, "{name} must be a finite number in [0, 1], got {value!r}")
+COSINE = Domain(lambda v: -1.0 <= v <= 1.0, "{name} must be a finite number in [-1, 1], got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     """One (annotator, item, condition, score) observation.
@@ -70,24 +94,21 @@ class AnnotationRecord:
     item_id: str
     prompt_text: str
     score: Score
-    scale_kind: str
+    scale_kind: Annotated[str, codes(SCALE_KINDS, "unknown {name} {value!r}")]
     response_text: Optional[str] = None
     model_id: Optional[str] = None
     session_id: Optional[str] = None
     timestamp: Optional[int] = None
-    position_index: Optional[int] = None
+    position_index: Annotated[Optional[int], COUNT] = None
     framing_id: Optional[str] = None
     condition_tag: Optional[str] = None
-    weight: Optional[float] = None
+    weight: Annotated[Optional[float], NONNEGATIVE] = None
 
     def __post_init__(self):
-        if self.scale_kind not in SCALE_KINDS:
-            raise DataFormatError(f"unknown scale_kind {self.scale_kind!r}")
-        _check_score(self.score, self.scale_kind)
-        if self.position_index is not None and not _position_ok(self.position_index):
-            raise DataFormatError(f"position_index must be >= 0, got {self.position_index}")
-        if self.weight is not None and not _weight_ok(self.weight):
-            raise DataFormatError(f"weight must be finite and >= 0, got {self.weight!r}")
+        # the score first, as its domain is the scale's; ``check_domains`` names an unknown scale
+        if self.scale_kind in SCALE_KINDS:
+            _check_score(self.score, self.scale_kind)
+        check_domains(self)
 
 
 # ``AnnotationRecord``'s fields, defaults and slot layout, not frozen: the frozen
@@ -110,8 +131,8 @@ def _new_record(*args, **kwargs) -> AnnotationRecord:
     return record
 
 
-# The domains ``AnnotationRecord.__post_init__`` checks one record at a time and
-# ``_records_from_columns`` one sidecar column at a time.
+# The score's domain, which depends on the scale: ``AnnotationRecord.__post_init__``
+# checks it one record at a time and ``_columns_in_domain`` one sidecar column at a time.
 BINARY_SCORES = ("A", "B")
 SCORE_RANGES = {SCALE_CONTINUOUS: (0.0, 100.0), SCALE_LIKERT: (1.0, 5.0)}
 
@@ -121,14 +142,6 @@ def _score_ok(score: Score, scale_kind: str) -> bool:
         return score in BINARY_SCORES
     lo, hi = SCORE_RANGES[scale_kind]
     return not isinstance(score, str) and lo <= score <= hi  # NaN and inf fall outside
-
-
-def _position_ok(position_index: int) -> bool:
-    return position_index >= 0
-
-
-def _weight_ok(weight: float) -> bool:
-    return 0.0 <= weight < math.inf  # NaN falls outside
 
 
 def _check_score(score: Score, scale_kind: str) -> None:
@@ -213,22 +226,15 @@ class ItemMetadata:
     """Analyst- or model-assigned codes for one item."""
 
     item_id: str
-    content_type: Optional[str] = None
-    response_quality: Optional[str] = None
-    eval_complexity: Optional[str] = None
-    plausible_pref: Optional[str] = None
+    content_type: Annotated[Optional[str], codes(CONTENT_TYPES)] = None
+    response_quality: Annotated[Optional[str], codes(RESPONSE_QUALITIES)] = None
+    eval_complexity: Annotated[Optional[str], codes(EVAL_COMPLEXITIES)] = None
+    plausible_pref: Annotated[Optional[str], codes(PLAUSIBLE_PREFS)] = None
     theme_labels: frozenset[str] = frozenset()
     value_dimension: Optional[str] = None
 
     def __post_init__(self):
-        for value, allowed, name in (
-            (self.content_type, CONTENT_TYPES, "content_type"),
-            (self.response_quality, RESPONSE_QUALITIES, "response_quality"),
-            (self.eval_complexity, EVAL_COMPLEXITIES, "eval_complexity"),
-            (self.plausible_pref, PLAUSIBLE_PREFS, "plausible_pref"),
-        ):
-            if value is not None and value not in allowed:
-                raise DataFormatError(f"unknown {name} code {value!r}")
+        check_domains(self)
         object.__setattr__(self, "theme_labels", frozenset(self.theme_labels))
 
 
@@ -410,6 +416,41 @@ def _row_schema(cls: type) -> tuple[dict[str, tuple], tuple[str, ...], dict[str,
         for name, types in admitted.items()
     }
     return admitted, required, containers
+
+
+@cache
+def field_domains(cls: type) -> dict[str, Domain]:
+    """Each field of ``cls`` whose annotation declares a ``Domain`` -> that domain, in
+    the order ``check_domains`` checks them: the string fields (the codes) first, so
+    an unknown code is named before a number out of range, then the rest, each in
+    field order."""
+    hints = get_type_hints(cls, include_extras=True)
+    declared = [f.name for f in fields(cls) if get_origin(hints[f.name]) is Annotated]
+    declared.sort(key=lambda name: str not in _row_schema(cls)[0][name])
+    return {name: hints[name].__metadata__[0] for name in declared}
+
+
+# A class -> its ``field_domains`` as flat ``(name, ok, why, optional)``, cheap to look
+# up and loop over per object; ``optional`` when the field's type admits None.
+_DOMAIN_CHECKS: dict[type, tuple[tuple[str, Callable[[object], bool], str, bool], ...]] = {}
+
+
+def check_domains(obj) -> None:
+    """Raise DataFormatError for the first field of ``obj``, in ``field_domains``
+    order, whose value is outside its declared domain; None passes where the
+    field's type admits it. Each row type that the CLI reads runs this as, or
+    from, its ``__post_init__``."""
+    cls = type(obj)
+    checks = _DOMAIN_CHECKS.get(cls)
+    if checks is None:
+        admitted = _row_schema(cls)[0]
+        checks = _DOMAIN_CHECKS[cls] = tuple(
+            (name, ok, why, type(None) in admitted[name]) for name, (ok, why) in field_domains(cls).items()
+        )
+    for name, ok, why, optional in checks:
+        value = getattr(obj, name)
+        if (value is not None or not optional) and not ok(value):
+            raise DataFormatError(why.format(name=name, value=value))
 
 
 def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = None):
@@ -895,7 +936,7 @@ def _load_from_sidecar(
 ) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
     """The load a ``load_records`` sidecar keeps, checked as a parse checks each row:
     the field types, the required fields, one scale and the domains
-    ``AnnotationRecord.__post_init__`` checks (see ``_records_from_columns``). None
+    ``AnnotationRecord.__post_init__`` checks (see ``_columns_in_domain``). None
     when a check fails, and when ``strict`` meets a reject, which a strict parse
     raises on."""
     columns, rejected, scale = payload
@@ -936,11 +977,12 @@ def _columns_in_domain(columns: dict[str, Optional[tuple]], scale: str) -> bool:
     """Whether every record of ``columns`` (field name -> values, None for a field no
     record sets), all of whose values have admitted types and whose scale is
     ``scale``, passes ``AnnotationRecord.__post_init__``: each column's distinct
-    values are checked with the predicates that method uses."""
-    if scale not in SCALE_KINDS or not all(_score_ok(score, scale) for score in set(columns["score"])):
-        return False
-    positions, weights = (set(columns[name] or ()) - {None} for name in ("position_index", "weight"))
-    return all(map(_position_ok, positions)) and all(map(_weight_ok, weights))
+    values are checked against its field's declared domain (``field_domains``),
+    and then every score against ``scale``'s."""
+    for name, (ok, _) in field_domains(AnnotationRecord).items():
+        if not all(map(ok, set(columns[name] or ()) - {None})):
+            return False
+    return all(_score_ok(score, scale) for score in set(columns["score"]))
 
 
 def _check_embedding_references(dataset: Dataset) -> None:

@@ -70,7 +70,6 @@ def build_weights(
     profiles: dict[str, ConsistencyProfile],
     mode: str = "linear",
     threshold: float = 0.5,
-    item_threshold: Optional[float] = None,
     midpoint: float = 0.5,
     steepness: float = 10.0,
     tau: Optional[float] = None,
@@ -89,7 +88,6 @@ def build_weights(
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if steepness <= 0:
         raise ValueError(f"steepness must be positive, got {steepness}")
-    item_threshold = threshold if item_threshold is None else item_threshold
     annotator_rel = {
         a: p.reliability for a, p in profiles.items() if p.reliability is not None
     }
@@ -104,7 +102,7 @@ def build_weights(
             unscored.add(rec.annotator_id)
         available = [r for r in (rel_a, rel_x) if r is not None]
         if mode == "binary":
-            ok = (rel_a is None or rel_a >= threshold) and (rel_x is None or rel_x >= item_threshold)
+            ok = (rel_a is None or rel_a >= threshold) and (rel_x is None or rel_x >= threshold)
             weights[rec.record_id] = 1.0 if ok else 0.0
         else:
             product = 1.0
@@ -122,7 +120,6 @@ def build_weights(
         n_unscored_annotators=len(unscored),
         params={
             "threshold": threshold,
-            "item_threshold": item_threshold,
             "midpoint": midpoint,
             "steepness": steepness,
         },

@@ -21,7 +21,7 @@ from prefaudit.records import ItemMetadata, load_metadata, load_records, save_re
 ids = st.text(min_size=1, max_size=8)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 optional_unit = st.none() | st.floats(0.0, 1.0)  # a profile score's domain
-nonnegative = st.floats(0.0, allow_infinity=False)  # a ratio record's variances and ratio
+nonnegative = st.floats(0.0, allow_infinity=False)  # variances, ratios, deltas, thresholds and tau
 cosine = st.floats(-1.0, 1.0)  # a pair's similarity
 counts = st.integers(0, 10**6)
 DIRECTIONS = {
@@ -47,13 +47,13 @@ def pairs(draw):
 
 flags = st.builds(
     InconsistencyFlag, annotator_id=ids, pair=pairs(),
-    score_a=finite, score_b=finite, delta=finite, threshold_used=finite,
+    score_a=finite, score_b=finite, delta=nonnegative, threshold_used=nonnegative,
 )
 profiles = st.builds(
     ConsistencyProfile, annotator_id=ids,
     temp=optional_unit, frame=optional_unit, order=optional_unit, cross=optional_unit,
     n_temp_pairs=counts, n_frame_pairs=counts, n_order_pairs=counts, n_cross_items=counts,
-    reliability=optional_unit, tau_used=finite,
+    reliability=optional_unit, tau_used=nonnegative,
 )
 ratio_records = st.builds(
     RatioRecord, annotator_id=ids, theme=ids, n_items=counts,

@@ -813,6 +813,40 @@ def test_a_bad_config_file_is_one_error_line_naming_the_file_and_line(tmp_path, 
     assert capsys.readouterr().err.splitlines() == [f"error: {config}: line {line}: {why}"]
 
 
+@pytest.mark.parametrize("text, why", [
+    ("tua = 5\n", "unknown config key 'tua'"),
+    ("route = yes\n", "route must be true or false, got 'yes'"),
+    ("tau = -3\n", "tau must be finite and >= 0, got -3.0"),
+    ("seed = 1.5\n", "seed invalid int value: '1.5'"),
+], ids=["unknown key", "switch not true or false", "negative tau", "non-integer seed"])
+def test_a_config_value_its_option_refuses_exits_2_naming_the_file_line_and_key(tmp_path, capsys, text, why):
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", str(config), "--input", "x.jsonl", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {config}: line 1: {why}"]
+    assert not out.exists()
+
+
+def test_a_config_value_takes_the_type_of_the_option_it_sets(dataset_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("output = 2024\nroute = true\ntau = 5\nseed = 3\nsame-annotator = false\n", encoding="utf-8")
+    assert run(["diagnose", "--config", str(config), "--input", str(dataset_path)]) == 0
+    header = json.loads((tmp_path / "2024").read_text().splitlines()[0])["#config"]
+    assert header["output"] == "2024" and header["route"] is True and header["same_annotator"] is False
+    assert repr(header["tau"]) == "5.0" and repr(header["seed"]) == "3"
+
+
+@pytest.mark.parametrize("cmd, flag", [("diagnose", "--tau"), ("weights", "--tau"), ("repeats", "--delta-threshold")])
+def test_a_negative_tau_or_delta_threshold_is_a_usage_error_naming_the_flag(dataset_path, tmp_path, capsys, cmd, flag):
+    out = tmp_path / "out"
+    assert run([cmd, "--input", str(dataset_path), flag, "-3", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"prefaudit {cmd}: error: argument {flag}: must be finite and >= 0, got -3.0\n")
+    assert not out.exists()
+
+
 def test_seeded_rerun_byte_identical(dataset_path, metadata_path, tmp_path):
     ratios = tmp_path / "ratios.jsonl"
     args = [
