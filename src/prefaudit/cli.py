@@ -32,6 +32,8 @@ from .errors import (
 )
 
 def _config_echo(args: argparse.Namespace) -> dict:
+    """The options the invoked subcommand defines, and ``cmd``: the namespace holds no
+    other value, as a config key is set only on the parsers that define it."""
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
@@ -321,6 +323,9 @@ def render_flips(report: aggregation.FlipReport) -> str:
 def _cmd_simulate(args) -> int:
     dataset = _load_dataset(args)
     ratios = load_ratio_records(args.ratios)
+    annotators = {r.annotator_id for r in ratios}
+    if annotators and annotators.isdisjoint(dataset.by_annotator):
+        raise DataFormatError(f"{args.ratios}: none of its {len(annotators)} annotators rates in --input")
     report = aggregation.pool_flip_simulation(
         dataset,
         ratios,
@@ -353,6 +358,9 @@ def _cmd_weights(args) -> int:
         steepness=args.steepness,
         tau=args.tau,
     )
+    if table.n_unscored_annotators:
+        print(f"weights: {table.n_unscored_annotators} of {len(dataset.by_annotator)} annotators in --input"
+              " have no profile reliability; their records are weighted by item reliability alone", file=sys.stderr)
     summary = weighting.export_weighted(dataset, table, args.policy, args.output)
     _write_result(args.summary_output, args, summary)
     return 0
@@ -521,25 +529,20 @@ _EXACT_BASELINE_ECHO = "recorded in the output only; the exact baseline draws no
 _EXACT_MODAL_ECHO = "recorded in the output only; modal labels are exact and draw no juries"
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The main parser plus its subcommand parsers (config defaults reach both)."""
-    # --config is applied before this parser runs; listed here for --help only
-    parser = argparse.ArgumentParser(prog="prefaudit", description=__doc__, allow_abbrev=False)
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    subparsers = parser.add_subparsers(dest="cmd")
-
-    p = subparsers.add_parser("validate", help="structural audit of a dataset")
+def _validate_options(p):
     _add_io(p, embeddings=True, metadata=True)
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_validate)
 
-    p = subparsers.add_parser("pairs", help="discover similar prompt pairs")
+
+def _pairs_options(p):
     _add_io(p, embeddings=True)
     p.add_argument("--sim-threshold", type=finite_float, default=0.9)
     p.add_argument("--same-annotator", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_pairs)
 
-    p = subparsers.add_parser("repeats", help="repeat audit: flags, prevalence, filter ladder")
+
+def _repeats_options(p):
     _add_io(p, embeddings=True)
     p.add_argument("--sim-threshold", type=finite_float, default=0.9)
     p.add_argument("--delta-threshold", type=finite_float, action=_NonNegative, default=15.0)
@@ -547,7 +550,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_repeats)
 
-    p = subparsers.add_parser("diagnose", help="per-annotator consistency profiles")
+
+def _diagnose_options(p):
     _add_io(p, metadata=True)
     p.add_argument("--tau", type=finite_float, action=_NonNegative, default=None)
     p.add_argument("--pairs", help="equivalent pairs JSONL to include in framing consistency")
@@ -562,7 +566,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=_cmd_diagnose)
 
-    p = subparsers.add_parser("classify", help="taxonomy labels for flagged inconsistencies")
+
+def _classify_options(p):
     _add_io(p, metadata=True)
     p.add_argument("--flags", required=True, help="flags JSONL from a repeats run")
     p.add_argument("--artifact-floor", type=finite_float, default=40.0)
@@ -570,7 +575,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_classify)
 
-    p = subparsers.add_parser("ratio", help="per-(annotator, theme) inconsistency ratios")
+
+def _ratio_options(p):
     _add_io(p, metadata=True)
     p.add_argument("--resamples", type=int, default=1000, help=_EXACT_BASELINE_ECHO)
     p.add_argument("--seed", type=int, default=0, help=_EXACT_BASELINE_ECHO)
@@ -580,7 +586,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--format", choices=("jsonl", "csv", "report"), default="jsonl")
     p.set_defaults(func=_cmd_ratio)
 
-    p = subparsers.add_parser("simulate", help="majority-flip stress test across annotator pools")
+
+def _simulate_options(p):
     _add_io(p, metadata=True)
     p.add_argument("--ratios", required=True, help="ratio records (JSONL or CSV) from a ratio run")
     p.add_argument("--iterations", type=int, default=1000, help=_EXACT_MODAL_ECHO)
@@ -590,7 +597,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--format", choices=("json", "report"), default="json")
     p.set_defaults(func=_cmd_simulate)
 
-    p = subparsers.add_parser("weights", help="reliability weights and weighted export")
+
+def _weights_options(p):
     _add_io(p, metadata=True)
     p.add_argument("--profiles", help="profiles (JSONL or CSV) from a diagnose run (else recomputed)")
     p.add_argument("--tau", type=finite_float, action=_NonNegative, default=None)
@@ -602,7 +610,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--summary-output", default="-")
     p.set_defaults(func=_cmd_weights)
 
-    p = subparsers.add_parser("plan", help="tiered diagnostic campaign plan")
+
+def _plan_options(p):
     p.add_argument("--tier", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--annotators", type=int, required=True)
@@ -617,7 +626,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_plan)
 
-    p = subparsers.add_parser("calibrate", help="consistency-threshold calibration")
+
+def _calibrate_options(p):
     p.add_argument("--method", choices=("empirical", "scale", "consequence"), required=True)
     p.add_argument("--scale", choices=records.SCALE_KINDS, default=records.SCALE_CONTINUOUS)
     p.add_argument("--diffs", help="file of clear-case diffs, one per line (empirical)")
@@ -626,7 +636,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = subparsers.add_parser("synth", help="synthetic dataset with known latent types")
+
+def _synth_options(p):
     p.add_argument("--per-type", type=int, default=5)
     p.add_argument("--items-per-annotator", type=int, default=100)
     p.add_argument("--repeats", type=int, default=20)
@@ -636,7 +647,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = subparsers.add_parser("themes", help="label prompts with harm themes via endpoints")
+
+def _themes_options(p):
     _add_io(p)
     p.add_argument("--labels", required=True, help="file with one theme name per line")
     p.add_argument("--endpoints", required=True, help="endpoint configuration JSON")
@@ -646,34 +658,70 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--concurrency", type=int, default=4)
     p.set_defaults(func=_cmd_themes)
 
+
+# Each subcommand -> its help line and the function that adds its options and its
+# ``func``, the function that runs it; in usage order.
+_SUBCOMMANDS = {
+    "validate": ("structural audit of a dataset", _validate_options),
+    "pairs": ("discover similar prompt pairs", _pairs_options),
+    "repeats": ("repeat audit: flags, prevalence, filter ladder", _repeats_options),
+    "diagnose": ("per-annotator consistency profiles", _diagnose_options),
+    "classify": ("taxonomy labels for flagged inconsistencies", _classify_options),
+    "ratio": ("per-(annotator, theme) inconsistency ratios", _ratio_options),
+    "simulate": ("majority-flip stress test across annotator pools", _simulate_options),
+    "weights": ("reliability weights and weighted export", _weights_options),
+    "plan": ("tiered diagnostic campaign plan", _plan_options),
+    "calibrate": ("consistency-threshold calibration", _calibrate_options),
+    "synth": ("synthetic dataset with known latent types", _synth_options),
+    "themes": ("label prompts with harm themes via endpoints", _themes_options),
+}
+
+
+def build_parser(cmd: Optional[str] = None) -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The main parser plus its subcommand parsers: every one, or ``cmd``'s alone.
+    Each ``add_argument`` costs a terminal-size query, and a run needs one subcommand's."""
+    # --config is applied before this parser runs; listed here for --help only
+    parser = argparse.ArgumentParser(prog="prefaudit", description=__doc__, allow_abbrev=False)
+    parser.add_argument("--config", help="key=value config file; flags override it")
+    # ``cmd``'s parser alone still gives the main usage line every subcommand's name
+    every = None if cmd is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subparsers = parser.add_subparsers(dest="cmd", metavar=every)
+    for name, (summary, add_options) in _SUBCOMMANDS.items():
+        if cmd in (None, name):
+            add_options(subparsers.add_parser(name, help=summary))
     return parser, list(subparsers.choices.values())
 
 
-def _apply_config_file(parsers: list[argparse.ArgumentParser], argv: list[str]) -> list[str]:
-    """Pull ``--config PATH`` or ``--config=PATH`` out of argv (any position, no
-    abbreviation) and install the file's values as defaults of every parser, each
-    read as its option's flag reads it (see ``_config_value``)."""
+def _pop_config(argv: list[str]) -> tuple[Optional[str], list[str]]:
+    """The path ``--config PATH`` or ``--config=PATH`` names (any position, no
+    abbreviation), if any, and argv without it."""
     pre = argparse.ArgumentParser(prog="prefaudit", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)
-    if known.config is None:
-        return argv
+    return known.config, argv
+
+
+def _apply_config_file(parsers: list[argparse.ArgumentParser], path: str) -> None:
+    """Install the values of config file ``path`` as defaults of the subcommand
+    ``parsers``, each key on the parsers whose options name it and each value read
+    as that option's flag reads it (see ``_config_value``). A key no parser names
+    raises, so ``parsers`` must be every subcommand's."""
     options = {action.dest: action for parser in parsers for action in parser._actions}
     defaults = {}
-    for line_no, raw in enumerate(records.read_text(known.config).splitlines(), start=1):
+    for line_no, raw in enumerate(records.read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataFormatError(f"{known.config}: line {line_no}: config line is not key=value: {raw!r}")
+            raise DataFormatError(f"{path}: line {line_no}: config line is not key=value: {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
         try:
             defaults[key.replace("-", "_")] = _config_value(options, key, text.strip("'\""))
         except argparse.ArgumentTypeError as exc:
-            raise DataFormatError(f"{known.config}: line {line_no}: {exc}") from None
+            raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
     for parser in parsers:
-        parser.set_defaults(**defaults)
-    return argv
+        own = {action.dest for action in parser._actions}
+        parser.set_defaults(**{key: value for key, value in defaults.items() if key in own})
 
 
 def _config_value(options: dict[str, argparse.Action], key: str, text: str):
@@ -702,9 +750,14 @@ def _config_value(options: dict[str, argparse.Action], key: str, text: str):
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse and execute one subcommand, mapping failures to exit codes."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, children = build_parser()
     try:
-        argv = _apply_config_file([parser, *children], argv)
+        config, argv = _pop_config(argv)
+        # The invoked subcommand's parser alone, unless a config file is to be checked
+        # against every option, or usage, --help or an invalid choice lists every one.
+        cmd = argv[0] if config is None and argv and argv[0] in _SUBCOMMANDS else None
+        parser, children = build_parser(cmd)
+        if config is not None:
+            _apply_config_file(children, config)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

@@ -111,24 +111,17 @@ class AnnotationRecord:
         check_domains(self)
 
 
-# ``AnnotationRecord``'s fields, defaults and slot layout, not frozen: the frozen
-# ``__init__`` sets each field through ``object.__setattr__``, several times the
-# cost of this class's plain slot assignments, and a load builds every record.
-_RecordTwin = make_dataclass(
-    "_RecordTwin",
-    [(f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(AnnotationRecord)],
-    slots=True,
-)
+@cache
+def _twin(cls: type) -> type:
+    """``cls``'s fields, defaults and slot layout, not frozen: the frozen ``__init__``
+    sets each field through ``object.__setattr__``, several times the cost of plain
+    slot assignments. An object built as the twin is made a ``cls`` by assigning its
+    ``__class__``, which raises TypeError should the two slot layouts ever differ."""
+    spec = [(f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(cls)]
+    return make_dataclass(f"_{cls.__name__}Twin", spec, slots=True)
 
 
-def _new_record(*args, **kwargs) -> AnnotationRecord:
-    """``AnnotationRecord(*args, **kwargs)``, built as ``_RecordTwin`` and then made an
-    ``AnnotationRecord``, with the same checks. The ``__class__`` assignment raises
-    TypeError should the two classes' slot layouts ever differ."""
-    record = _RecordTwin(*args, **kwargs)
-    record.__class__ = AnnotationRecord
-    record.__post_init__()
-    return record
+_RecordTwin = _twin(AnnotationRecord)
 
 
 # The score's domain, which depends on the scale: ``AnnotationRecord.__post_init__``
@@ -471,10 +464,17 @@ def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = N
     raise DataFormatError(_MISTYPED[admitted[0]].format(name, value))
 
 
-def from_row(cls: type, row: dict, make: Optional[Callable[..., object]] = None):
-    """``cls(**row)`` (or ``make(**row)``) once each value's type is one its field admits:
-    matched exactly, cast only on a miss. An unknown field, a missing or null required
-    field and a value that cannot be cast raise DataFormatError; ``row`` is left as given."""
+def from_row(cls: type, row: dict):
+    """``cls(**row)`` once each value's type is one its field admits: matched exactly,
+    cast only on a miss. An unknown field, a missing or null required field and a
+    value that cannot be cast raise DataFormatError; ``row`` is left as given. Runs
+    ``cls``'s generated builder (see ``_builder``)."""
+    return _builder(cls)(row)
+
+
+def _generic_from_row(cls: type, row: dict):
+    """``from_row`` one check at a time: the one home of the casts and of every
+    reject text, which the generated builders run on any row they do not pass."""
     admitted, required, containers = _row_schema(cls)
     if not row.keys() <= admitted.keys():
         raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
@@ -485,8 +485,90 @@ def from_row(cls: type, row: dict, make: Optional[Callable[..., object]] = None)
     for key, value in row.items():  # a plain loop: cheaper than a comprehension, per row read
         if type(value) not in admitted[key]:
             cast[key] = _cast(key, value, admitted[key], containers[key])
-    make = make or cls
-    return make(**{**row, **cast}) if cast else make(**row)
+    return cls(**{**row, **cast}) if cast else cls(**row)
+
+
+# Each ``__post_init__`` whose every rule a generated builder inlines -> its rules beyond
+# the declared domains, as ``(ok, field names)``. ItemMetadata's frozenset() is the
+# builder's list cast; any other ``__post_init__`` runs on the built object.
+_INLINED_POST_INITS = {
+    check_domains: (),
+    ItemMetadata.__post_init__: (),
+    AnnotationRecord.__post_init__: ((_score_ok, ("score", "scale_kind")),),
+}
+
+
+@cache
+def _builder(cls: type) -> Callable[[dict], object]:
+    """``from_row`` for ``cls``, generated once from ``_row_schema`` and ``field_domains``
+    as ``dataclasses`` generates ``__init__``. It builds the object itself when the row
+    names no unknown field and gives every required one, and each value has an admitted
+    type and lies in its field's domain. The casts of ``_cast`` are inline, save that of
+    a container entry: a list of entries of admitted types is one. Every other row, and
+    a row that ``cls.__post_init__`` refuses, goes to ``_generic_from_row``, which
+    raises the reject text, or casts the entries."""
+    admitted, required, containers = _row_schema(cls)
+    rules = _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains))
+    env = {"_cls": cls, "_names": frozenset(admitted), "_absent": object(), "_new": object.__new__}
+    miss = "return _generic_from_row(_cls, _row)"
+    body = [f"if not _row.keys() <= _names: {miss}"]
+    for f in fields(cls):
+        name, types = f.name, admitted[f.name]
+        if name in required:
+            types = tuple(t for t in types if t is not type(None))  # a null is a missing field
+        exact = [t for t in types if get_origin(t) is None]
+        env.update({f"_t_{name}_{i}": t for i, t in enumerate(exact)})
+        tests = [f"{name} is None" if t is type(None) else f"type({name}) is _t_{name}_{i}" for i, t in enumerate(exact)]
+        branches = []  # (condition, statement), tested in turn; a row no branch takes is a miss
+        if name in required or (f.default is None and type(None) in types):
+            body.append(f"{name} = _row.get({name!r})")  # absent reads as null, which either case treats alike
+        else:
+            env[f"_d_{name}"] = f.default_factory if f.default is MISSING else f.default
+            body.append(f"{name} = _row.get({name!r}, _absent)")
+            branches.append((f"{name} is _absent", f"{name} = _d_{name}{'()' if f.default is MISSING else ''}"))
+        if tests:
+            branches.append((" or ".join(tests), "pass"))
+        if containers[name] is not None:
+            env[f"_make_{name}"], inner = containers[name]
+            env.update({f"_t_{name}_e{i}": t for i, t in enumerate(inner)})
+            entry = " or ".join(f"type(_e) is _t_{name}_e{i}" for i in range(len(inner)))
+            check = f"for _e in {name}:\n    if not ({entry}): {miss}\n{name} = _make_{name}({name})"
+            branches.append((f"type({name}) is list", check))
+        if float in exact and int not in exact:
+            branches.append((f"type({name}) is int", f"{name} = float({name})"))  # OverflowError past 1e308
+        if int in exact and float not in exact:
+            branches.append((f"type({name}) is float and {name}.is_integer()", f"{name} = int({name})"))
+        for i, (condition, statement) in enumerate(branches):
+            body.append(f"{'elif' if i else 'if'} {condition}:")
+            body += [f"    {line}" for line in statement.splitlines()]
+        body.append(f"else: {miss}")
+    for name, (ok, _) in field_domains(cls).items():
+        env[f"_ok_{name}"] = ok
+        unless_null = f"{name} is not None and " if type(None) in admitted[name] else ""
+        body.append(f"if {unless_null}not _ok_{name}({name}): {miss}")
+    for i, (ok, args) in enumerate(rules or ()):
+        env[f"_rule_{i}"] = ok
+        body.append(f"if not _rule_{i}({', '.join(args)}): {miss}")
+    names = [f.name for f in fields(cls)]
+    if "__slots__" in vars(cls):
+        env["_twin"] = _twin(cls)
+        body += [f"_obj = _twin({', '.join(names)})", "_obj.__class__ = _cls"]
+    else:  # a frozen class's own ``__setattr__`` refuses, so its dict is filled directly
+        body += ["_obj = _new(_cls)", "_dict = _obj.__dict__", *(f"_dict[{name!r}] = {name}" for name in names)]
+    if rules is None:
+        body += ["try: _obj.__post_init__()", f"except DataFormatError: {miss}"]
+    src = "\n".join([
+        f"def _make({', '.join(env)}):",
+        "    def build(_row):",
+        "        try:",
+        *(f"            {line}" for line in body),
+        "            return _obj",
+        f"        except OverflowError: {miss}",
+        "    return build",
+    ])
+    scope: dict = {}
+    exec(src, globals(), scope)  # module globals, so a miss finds ``_generic_from_row`` as patched
+    return scope["_make"](**env)
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -505,7 +587,7 @@ def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
         if scale_kind is None:
             raise DataFormatError("record carries no scale_kind and no dataset-level default given")
         obj = {**obj, "scale_kind": scale_kind}
-    return from_row(AnnotationRecord, obj, _new_record)
+    return from_row(AnnotationRecord, obj)
 
 
 def records_from_rows(
@@ -952,8 +1034,9 @@ def _records_from_columns(
 ) -> Optional[list[AnnotationRecord]]:
     """The records whose fields ``columns`` holds, once every value has a type its
     field admits, every record is on ``scale`` and ``_columns_in_domain`` holds;
-    None when one does not. Each is built as ``_new_record`` builds one, less its
-    per-record ``__post_init__``, which the column checks stand in for."""
+    None when one does not. Each is built as ``_RecordTwin`` and made an
+    ``AnnotationRecord``, with no per-record ``__post_init__``, which the column
+    checks stand in for."""
     admitted, required, _ = _row_schema(AnnotationRecord)
     if type(columns) is not tuple or len(columns) != len(_RECORD_FIELDS) or scale_kind not in (None, scale):
         return None
@@ -1037,8 +1120,12 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     one line per item. A vector ``EmbeddingTable.add`` rejects raises naming the
     file and the line."""
     table = EmbeddingTable(dimension=0, entries={})
-    build = partial(from_row, _EmbeddingRow, make=table.add)
-    read_rows(path, _EmbeddingRow, build, unique="item_id", sidecar=True, restart=table.entries.clear)
+
+    def add(row: dict) -> None:
+        entry = from_row(_EmbeddingRow, row)
+        table.add(entry.item_id, entry.vector)
+
+    read_rows(path, _EmbeddingRow, add, unique="item_id", sidecar=True, restart=table.entries.clear)
     if not table.entries:
         raise DataFormatError(f"{path}: no embedding rows")
     return table

@@ -1,5 +1,6 @@
 """CLI: exit codes, config echo, subcommand pipelines, report rendering."""
 
+import argparse
 import gc
 import json
 import math
@@ -528,6 +529,33 @@ def test_weights_subcommand(dataset_path, tmp_path):
     assert payload["n_retained"] == len(weighted.read_text().splitlines())
 
 
+def test_weights_names_the_annotators_without_a_profile(dataset_path, tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    _write_jsonl(profiles, [{"annotator_id": "nobody", "reliability": 0.5}])
+    weighted, summary = tmp_path / "weighted.jsonl", tmp_path / "summary.json"
+    code = run(["weights", "--input", str(dataset_path), "--profiles", str(profiles),
+                "--output", str(weighted), "--summary-output", str(summary)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "weights: 8 of 8 annotators in --input have no profile reliability;"
+        " their records are weighted by item reliability alone"
+    ]
+    assert len(weighted.read_text().splitlines()) == json.loads(summary.read_text())["result"]["n_input"] == 64
+
+
+def test_simulate_with_no_ratio_annotator_in_the_input_fails_at_once(dataset_path, tmp_path, capsys):
+    ratios = tmp_path / "ratios.jsonl"
+    rows = [{"annotator_id": annotator, "theme": "harm", "n_items": 5, "var_within": 1.0, "baseline": 1.0,
+             "ratio": 1.0, "resamples_used": 0, "seed": 0} for annotator in ("ghost-1", "ghost-2")]
+    _write_jsonl(ratios, rows)
+    out = tmp_path / "flips.json"
+    assert run(["simulate", "--input", str(dataset_path), "--ratios", str(ratios), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {ratios}: none of its 2 annotators rates in --input"
+    ]
+    assert not out.exists()
+
+
 def test_plan_subcommand_and_schedule(tmp_path):
     out = tmp_path / "plan.json"
     schedule = tmp_path / "schedule.jsonl"
@@ -601,6 +629,40 @@ def test_every_float_flag_takes_finite_numbers_only():
     _, children = cli.build_parser()
     assert not [a for child in children for a in child._actions if a.type is float]
     assert len(_float_flags()) == 20
+
+
+def _full_parser_outcome(argv, capsys):
+    """The exit code ``run`` makes of what every subcommand's parser does with argv,
+    and what it prints."""
+    parser, _ = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return 0 if exc.value.code in (0, None) else 1, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["bogus"], ["bogus", "--input", "x.jsonl"], ["--tau", "5"],
+    ["validate", "--input", "x.jsonl", "--bogus", "1"], ["diagnose", "--input", "x.jsonl", "--tau", "abc"],
+    *([cmd, "--help"] for cmd in cli._SUBCOMMANDS),
+    *([cmd] for cmd in cli._SUBCOMMANDS),  # each one's required option is missing
+], ids=" ".join)
+def test_the_invoked_subcommands_parser_alone_prints_what_every_parser_prints(capsys, argv):
+    expected = _full_parser_outcome(argv, capsys)
+    code = run(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == expected
+
+
+def test_a_validate_run_adds_its_own_options_only(dataset_path, tmp_path, monkeypatch):
+    """Every ``add_argument`` queries the terminal size; every subcommand's parser
+    together make over 130 of them, and one run needs the invoked subcommand's."""
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **k: calls.append(a) or add_argument(self, *a, **k))
+    assert run(["validate", "--input", str(dataset_path), "--output", str(tmp_path / "v.json")]) == 0
+    assert 0 < len(calls) <= 30
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -834,8 +896,9 @@ def test_a_config_value_takes_the_type_of_the_option_it_sets(dataset_path, tmp_p
     config.write_text("output = 2024\nroute = true\ntau = 5\nseed = 3\nsame-annotator = false\n", encoding="utf-8")
     assert run(["diagnose", "--config", str(config), "--input", str(dataset_path)]) == 0
     header = json.loads((tmp_path / "2024").read_text().splitlines()[0])["#config"]
-    assert header["output"] == "2024" and header["route"] is True and header["same_annotator"] is False
+    assert header["output"] == "2024" and header["route"] is True
     assert repr(header["tau"]) == "5.0" and repr(header["seed"]) == "3"
+    assert "same_annotator" not in header  # a pairs option, which diagnose never reads
 
 
 @pytest.mark.parametrize("cmd, flag", [("diagnose", "--tau"), ("weights", "--tau"), ("repeats", "--delta-threshold")])
