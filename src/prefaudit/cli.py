@@ -123,15 +123,15 @@ def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
 def _cmd_pairs(args) -> int:
     dataset = _load_dataset(args)
     pairs = pairing.find_similar_pairs(dataset, args.sim_threshold, args.same_annotator)
-    _write_jsonl(args.output, _config_echo(args), (vars(p) for p in pairs))
+    _write_jsonl(args.output, _config_echo(args), map(records.to_row, pairs))
     return 0
 
 
 # ---------------------------------------------------------------- repeats
 
 def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
-    row = {**vars(flag), **vars(flag.pair)}
-    del row["pair"]
+    row = records.to_row(flag)
+    row.update(records.to_row(row.pop("pair")))
     return row
 
 
@@ -410,10 +410,8 @@ def _cmd_calibrate(args) -> int:
         calibration = planner.calibrate_empirical(diffs, k=args.k, scale_kind=args.scale)
     elif args.method == "scale":
         calibration = planner.calibrate_scale(args.scale)
-    elif args.method == "consequence":
+    else:  # consequence: a config value, like the flag, is one of --method's choices
         calibration = planner.calibrate_consequence(args.scale, args.flip_margin)
-    else:
-        raise ValueError(f"unknown calibration method {args.method!r}")
     _write_result(args.output, args, calibration)
     return 0
 
@@ -701,13 +699,18 @@ def _pop_config(argv: list[str]) -> tuple[Optional[str], list[str]]:
     return known.config, argv
 
 
-def _apply_config_file(parsers: list[argparse.ArgumentParser], path: str) -> None:
+def _apply_config_file(parsers: list[argparse.ArgumentParser], path: str, cmd: Optional[str]) -> None:
     """Install the values of config file ``path`` as defaults of the subcommand
     ``parsers``, each key on the parsers whose options name it and each value read
-    as that option's flag reads it (see ``_config_value``). A key no parser names
-    raises, so ``parsers`` must be every subcommand's."""
-    options = {action.dest: action for parser in parsers for action in parser._actions}
-    defaults = {}
+    as that parser's option reads it (see ``_config_value``). A key no option names
+    raises (``-h`` names none), and so does a value that the option of ``cmd``, the
+    invoked subcommand, refuses, or that every option of its name refuses: ``--format``
+    takes other choices in other subcommands. ``parsers`` must be every subcommand's."""
+    options = {
+        parser.prog.split()[-1]: {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        for parser in parsers
+    }
+    defaults: dict[str, dict] = {name: {} for name in options}
     for line_no, raw in enumerate(records.read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -715,29 +718,36 @@ def _apply_config_file(parsers: list[argparse.ArgumentParser], path: str) -> Non
         if "=" not in line:
             raise DataFormatError(f"{path}: line {line_no}: config line is not key=value: {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        try:
-            defaults[key.replace("-", "_")] = _config_value(options, key, text.strip("'\""))
-        except argparse.ArgumentTypeError as exc:
-            raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
+        dest, text = key.replace("-", "_"), text.strip("'\"")
+        named = [name for name, own in options.items() if dest in own]
+        if not named:
+            raise DataFormatError(f"{path}: line {line_no}: unknown config key {key!r}")
+        refused = {}
+        for name in named:
+            try:
+                defaults[name][dest] = _config_value(options[name][dest], key, text)
+            except argparse.ArgumentTypeError as exc:
+                refused[name] = exc
+        why = refused.get(cmd) or (refused[named[0]] if len(refused) == len(named) else None)
+        if why is not None:
+            raise DataFormatError(f"{path}: line {line_no}: {why}")
     for parser in parsers:
-        own = {action.dest for action in parser._actions}
-        parser.set_defaults(**{key: value for key, value in defaults.items() if key in own})
+        parser.set_defaults(**defaults[parser.prog.split()[-1]])
 
 
-def _config_value(options: dict[str, argparse.Action], key: str, text: str):
-    """The value of config line ``key = text``, read as the option's flag reads it:
-    a switch takes ``true`` or ``false``, and an option without a ``type`` the text."""
-    option = options.get(key.replace("-", "_"))
-    if option is None:
-        raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
+def _config_value(option: argparse.Action, key: str, text: str):
+    """The value of config line ``key = text``, read as ``option``'s flag reads it: a
+    switch takes ``true`` or ``false``, and an option without a ``type`` the text;
+    a value outside the option's ``choices`` is refused."""
     if option.nargs == 0:
         if text not in ("true", "false"):
             raise argparse.ArgumentTypeError(f"{key} must be true or false, got {text!r}")
         return text == "true"
-    if option.type is None:
-        return text
     try:
-        value = option.type(text)
+        value = text if option.type is None else option.type(text)
+        if option.choices is not None and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
         option(None, argparse.Namespace(), value)
         return value
     except (argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
@@ -752,12 +762,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config, argv = _pop_config(argv)
+        cmd = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
         # The invoked subcommand's parser alone, unless a config file is to be checked
         # against every option, or usage, --help or an invalid choice lists every one.
-        cmd = argv[0] if config is None and argv and argv[0] in _SUBCOMMANDS else None
-        parser, children = build_parser(cmd)
+        parser, children = build_parser(None if config is not None else cmd)
         if config is not None:
-            _apply_config_file(children, config)
+            _apply_config_file(children, config, cmd)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

@@ -47,7 +47,7 @@ DEFAULT_T_TEMP = 0.5
 DEFAULT_T_FRAME = 0.55
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsistencyProfile:
     """Per-annotator consistency scores with their supporting pair counts."""
 

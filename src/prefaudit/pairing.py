@@ -25,7 +25,7 @@ IDENTICAL_SIM = 1.0 - 1e-9
 MAX_EXACT_ITEMS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptPair:
     """Two items linked by semantic similarity (or one repeated item)."""
 
@@ -56,7 +56,7 @@ class PromptPair:
         return self.item_a == self.item_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InconsistencyFlag:
     """One (annotator, pair) whose ratings diverge beyond the threshold."""
 

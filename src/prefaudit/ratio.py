@@ -43,7 +43,7 @@ class RatioConfig:
     exclude_theme_from_history: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioRecord:
     """One scored (annotator, theme) cell.
 

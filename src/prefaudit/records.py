@@ -28,7 +28,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, make_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -113,15 +113,19 @@ class AnnotationRecord:
 
 @cache
 def _twin(cls: type) -> type:
-    """``cls``'s fields, defaults and slot layout, not frozen: the frozen ``__init__``
-    sets each field through ``object.__setattr__``, several times the cost of plain
-    slot assignments. An object built as the twin is made a ``cls`` by assigning its
-    ``__class__``, which raises TypeError should the two slot layouts ever differ."""
-    spec = [(f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(cls)]
-    return make_dataclass(f"_{cls.__name__}Twin", spec, slots=True)
-
-
-_RecordTwin = _twin(AnnotationRecord)
+    """A class with ``cls``'s slot layout, not frozen, whose ``__init__`` sets each
+    field, in field order, as a plain slot assignment: the frozen ``__init__`` sets
+    each through ``object.__setattr__``, several times the cost. An object built as
+    the twin is made a ``cls`` by assigning its ``__class__``, which raises TypeError
+    should the two slot layouts ever differ. Every row type ``from_row`` builds is
+    slotted; a ``cls`` without slots of its own raises TypeError naming it."""
+    slots = cls.__dict__.get("__slots__")
+    if slots is None:
+        raise TypeError(f"from_row builds slotted dataclasses only, and {cls.__qualname__} has no __slots__")
+    names = _field_names(cls)
+    scope: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    self.{n} = {n}\n" for n in names), scope)
+    return type(f"_{cls.__name__}Twin", (), {"__slots__": slots, "__init__": scope["__init__"]})
 
 
 # The score's domain, which depends on the scale: ``AnnotationRecord.__post_init__``
@@ -214,7 +218,7 @@ class EmbeddingTable:
         return self.entries[item_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemMetadata:
     """Analyst- or model-assigned codes for one item."""
 
@@ -506,10 +510,11 @@ def _builder(cls: type) -> Callable[[dict], object]:
     type and lies in its field's domain. The casts of ``_cast`` are inline, save that of
     a container entry: a list of entries of admitted types is one. Every other row, and
     a row that ``cls.__post_init__`` refuses, goes to ``_generic_from_row``, which
-    raises the reject text, or casts the entries."""
+    raises the reject text, or casts the entries. The object is built as ``_twin(cls)``
+    and made a ``cls`` by assigning its ``__class__``."""
     admitted, required, containers = _row_schema(cls)
     rules = _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains))
-    env = {"_cls": cls, "_names": frozenset(admitted), "_absent": object(), "_new": object.__new__}
+    env = {"_cls": cls, "_names": frozenset(admitted), "_absent": object(), "_twin": _twin(cls)}
     miss = "return _generic_from_row(_cls, _row)"
     body = [f"if not _row.keys() <= _names: {miss}"]
     for f in fields(cls):
@@ -549,12 +554,7 @@ def _builder(cls: type) -> Callable[[dict], object]:
     for i, (ok, args) in enumerate(rules or ()):
         env[f"_rule_{i}"] = ok
         body.append(f"if not _rule_{i}({', '.join(args)}): {miss}")
-    names = [f.name for f in fields(cls)]
-    if "__slots__" in vars(cls):
-        env["_twin"] = _twin(cls)
-        body += [f"_obj = _twin({', '.join(names)})", "_obj.__class__ = _cls"]
-    else:  # a frozen class's own ``__setattr__`` refuses, so its dict is filled directly
-        body += ["_obj = _new(_cls)", "_dict = _obj.__dict__", *(f"_dict[{name!r}] = {name}" for name in names)]
+    body += [f"_obj = _twin({', '.join(f.name for f in fields(cls))})", "_obj.__class__ = _cls"]
     if rules is None:
         body += ["try: _obj.__post_init__()", f"except DataFormatError: {miss}"]
     src = "\n".join([
@@ -594,22 +594,16 @@ def records_from_rows(
     rows: Iterable[tuple[int, dict]],
     scale_kind: Optional[str] = None,
     strict: bool = False,
+    rejects: Optional[list[RejectedRow]] = None,
 ) -> tuple[list[AnnotationRecord], list[RejectedRow], str]:
     """Build records from (line_no, raw dict) pairs.
 
-    Lenient mode collects malformed rows; strict mode raises on the first.
+    Lenient mode collects malformed rows, appended to ``rejects`` (which may
+    already hold the reader's) when given; strict mode raises on the first.
     The dataset scale is ``scale_kind`` if given, else the first valid row's.
     Rows on a different scale than the dataset's are malformed.
     """
-    rejects: list[RejectedRow] = []
-    records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
-    return records, rejects, effective_scale
-
-
-def _build_records(
-    rows: Iterable[tuple[int, dict]], scale_kind: Optional[str], strict: bool, rejects: list[RejectedRow]
-) -> tuple[list[AnnotationRecord], str]:
-    """``records_from_rows``, appending to ``rejects``, which may already hold the reader's."""
+    rejects = [] if rejects is None else rejects
     records: list[AnnotationRecord] = []
     effective_scale = scale_kind
     for line_no, obj in rows:
@@ -630,7 +624,7 @@ def _build_records(
         common = Counter(r.reason for r in rejects).most_common(1)
         why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
         raise DataFormatError(f"zero valid rows{why}")
-    return records, effective_scale or SCALE_CONTINUOUS
+    return records, rejects, effective_scale or SCALE_CONTINUOUS
 
 
 class _Hashed(io.RawIOBase):
@@ -902,7 +896,7 @@ def load_records(
         else:
             rows = _iter_csv(path, AnnotationRecord, lenient, digest)
         try:
-            records, effective_scale = _build_records(rows, scale_kind, strict, rejects)
+            records, rejects, effective_scale = records_from_rows(rows, scale_kind, strict, rejects)
         except DataFormatError as exc:
             if strict:
                 raise DataFormatError(f"{path}: {exc}") from None
@@ -1034,7 +1028,7 @@ def _records_from_columns(
 ) -> Optional[list[AnnotationRecord]]:
     """The records whose fields ``columns`` holds, once every value has a type its
     field admits, every record is on ``scale`` and ``_columns_in_domain`` holds;
-    None when one does not. Each is built as ``_RecordTwin`` and made an
+    None when one does not. Each is built as ``_twin(AnnotationRecord)`` and made an
     ``AnnotationRecord``, with no per-record ``__post_init__``, which the column
     checks stand in for."""
     admitted, required, _ = _row_schema(AnnotationRecord)
@@ -1050,7 +1044,7 @@ def _records_from_columns(
     by_name = dict(zip(_RECORD_FIELDS, columns))
     if n == 0 or by_name["scale_kind"].count(scale) != n or not _columns_in_domain(by_name, scale):
         return None
-    records = list(map(_RecordTwin, *(repeat(None, n) if col is None else col for col in columns)))
+    records = list(map(_twin(AnnotationRecord), *(repeat(None, n) if col is None else col for col in columns)))
     for record in records:
         record.__class__ = AnnotationRecord
     return records
@@ -1109,7 +1103,7 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
     return len(dataset.records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _EmbeddingRow:
     item_id: str
     vector: list[float]

@@ -218,18 +218,21 @@ def generate(
     )
 
 
+# How far from its anchor's true score a rating may fall before it counts as an anchor failure.
+ANCHOR_TOLERANCE = 15.0
+
+
 def route_annotators(
     synthetic: SyntheticDataset,
     tau: float = 15.0,
     thresholds: RoutingThresholds = RoutingThresholds(),
-    anchor_tolerance: float = 15.0,
 ) -> dict[str, str]:
     """Run the diagnostic-and-routing pipeline over a synthetic dataset."""
     dataset = synthetic.dataset
     routes: dict[str, str] = {}
     for annotator_id in dataset.annotator_ids:
         profile = build_profile(dataset, annotator_id, tau)
-        rate, _n = anchor_failure_rate(dataset, annotator_id, synthetic.anchor_scores, anchor_tolerance)
+        rate, _n = anchor_failure_rate(dataset, annotator_id, synthetic.anchor_scores, ANCHOR_TOLERANCE)
         routes[annotator_id] = decision_procedure(profile, thresholds, artifact_rate=rate)
     return routes
 

@@ -107,14 +107,12 @@ def classify_directional_pair(
     return PairClassification(category, "directional_scheme", abs(score_a - score_b), flag)
 
 
-def classify_pair(flag: InconsistencyFlag, **kwargs) -> PairClassification:
+def classify_pair(flag: InconsistencyFlag) -> PairClassification:
     """Dispatch on the pair kind: identical and equivalent pairs share the
     equivalent scheme; directional pairs use the directional scheme."""
     if flag.pair.kind == "directional":
-        return classify_directional_pair(
-            flag.score_a, flag.score_b, flag.pair.expected_direction, flag=flag, **kwargs
-        )
-    return classify_equivalent_pair(flag.score_a, flag.score_b, flag=flag, **kwargs)
+        return classify_directional_pair(flag.score_a, flag.score_b, flag.pair.expected_direction, flag=flag)
+    return classify_equivalent_pair(flag.score_a, flag.score_b, flag=flag)
 
 
 def score_pattern(score_a: float, score_b: float) -> list[str]:
@@ -141,13 +139,16 @@ def score_pattern(score_a: float, score_b: float) -> list[str]:
     return codes
 
 
+# Rule 5: both scores inside this band (or a C4 pattern), at most this far apart.
+MODERATE_BOUNDS = (21.0, 79.0)
+UNCRYSTALLIZED_MAX_DELTA = 30.0
+
+
 def classify_flag(
     flag: InconsistencyFlag,
     metadata: Optional[ItemMetadata] = None,
     pair_classification: Optional[PairClassification] = None,
     artifact_floor: float = 40.0,
-    moderate_bounds: tuple[float, float] = (21.0, 79.0),
-    uncrystallized_max_delta: float = 30.0,
 ) -> TaxonomyLabel:
     """Label one flagged inconsistency through the rule cascade.
 
@@ -183,7 +184,7 @@ def classify_flag(
     ):
         trace.append("rule4:excessive_or_conflicting_criteria")
         return TaxonomyLabel("constructed_preference", tuple(trace), flag)
-    lo, hi = moderate_bounds
+    lo, hi = MODERATE_BOUNDS
     # "moderate" admits both scores inside the middle band, or a same-side
     # pattern (C4): scores like 63/85 stay on one side of the midpoint with a
     # moderate gap and signal ambivalence, not absence of attitude
@@ -193,7 +194,7 @@ def classify_flag(
         and meta.content_type == "A4_value_laden"
         and meta.plausible_pref == "E3_plausible"
         and moderate_pattern
-        and flag.delta <= uncrystallized_max_delta
+        and flag.delta <= UNCRYSTALLIZED_MAX_DELTA
     ):
         trace.append("rule5:moderate_scores_on_value_laden_content")
         return TaxonomyLabel("genuine_uncrystallized", tuple(trace), flag)

@@ -41,7 +41,7 @@ Return ONLY valid JSON with exactly these keys:
 }}"""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointConfig:
     endpoint_id: str
     base_url: str
@@ -277,23 +277,13 @@ def label_corpus(
             labels, endpoint_outcomes = outcome
             resolved[prompt] = labels
             status[prompt] = "ok"
-            for eo in endpoint_outcomes:
-                if eo.warning:
-                    warnings.append(eo.warning)
+            warnings.extend(eo.warning for eo in endpoint_outcomes if eo.warning)
             if cache is not None:
                 cache.put(prompt, labels)
-    report = CorpusLabelReport(
-        patch={},
-        prompt_status=status,
-        n_transport_prompts=len(pending),
-        warnings=warnings,
-    )
-    for prompt, labels in resolved.items():
-        for item_id in prompts[prompt]:
-            report.patch[item_id] = labels
+    patch = {item_id: labels for prompt, labels in resolved.items() for item_id in prompts[prompt]}
     if cache is not None:
         cache.save()
-    return report
+    return CorpusLabelReport(patch, status, n_transport_prompts=len(pending), warnings=warnings)
 
 
 def apply_theme_patch(dataset: Dataset, patch: dict[str, frozenset[str]]) -> Dataset:

@@ -76,7 +76,7 @@ def _write(path, rows):
 @round_trip
 @given(st.lists(pairs(), max_size=5))
 def test_pairs_round_trip(artifact, written):
-    assert load_pairs(_write(artifact, [vars(p) for p in written])) == written
+    assert load_pairs(_write(artifact, [to_row(p) for p in written])) == written
 
 
 @round_trip

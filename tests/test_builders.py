@@ -18,6 +18,7 @@ from prefaudit.errors import DataFormatError
 from prefaudit.pairing import PAIR_KINDS, InconsistencyFlag, PromptPair
 from prefaudit.ratio import RatioRecord
 from prefaudit.records import AnnotationRecord, ItemMetadata, field_domains, from_row
+from prefaudit.themes import EndpointConfig
 
 PAIR = PromptPair("i1|i2", "i1", "i2", 0.5, "equivalent")
 CODES = (
@@ -51,7 +52,7 @@ DROP = object()  # a field the row leaves out
 
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """What no row type the CLI reads has: a required field that admits None, and a
     default factory."""
@@ -175,6 +176,7 @@ CLEAN = {
                   "ratio": 0.5, "resamples_used": 1000, "seed": 7, "degenerate": True},
     records._EmbeddingRow: {"item_id": "i1", "vector": [0.5, -1.0]},
     Probe: {"name": "x"},
+    EndpointConfig: {"endpoint_id": "ep1", "base_url": "http://localhost/1"},
 }
 
 
@@ -190,11 +192,23 @@ def test_a_clean_row_never_reaches_the_generic_path(monkeypatch, cls):
     assert _outcome(from_row, cls, CLEAN[cls]) == expected
 
 
-def test_a_record_is_built_frozen_and_slotted():
-    record = from_row(AnnotationRecord, CLEAN[AnnotationRecord])
-    assert type(record) is AnnotationRecord and not hasattr(record, "__dict__")
-    with pytest.raises(AttributeError):
-        record.score = 1.0
+@pytest.mark.parametrize("cls", [*ROW_TYPES, EndpointConfig], ids=lambda cls: cls.__name__)
+def test_a_record_is_built_frozen_and_slotted(cls):
+    obj = from_row(cls, CLEAN[cls])
+    assert type(obj) is cls and not hasattr(obj, "__dict__")
+    name = next(iter(CLEAN[cls]))
+    if cls.__dataclass_params__.frozen:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, CLEAN[cls][name])
+
+
+def test_a_class_without_slots_is_refused_naming_it():
+    @dataclass(frozen=True)
+    class Unslotted:
+        name: str
+
+    with pytest.raises(TypeError, match="Unslotted has no __slots__"):
+        from_row(Unslotted, {"name": "x"})
 
 
 def test_a_pair_still_runs_its_cross_field_rules():

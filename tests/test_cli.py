@@ -875,19 +875,33 @@ def test_a_bad_config_file_is_one_error_line_naming_the_file_and_line(tmp_path, 
     assert capsys.readouterr().err.splitlines() == [f"error: {config}: line {line}: {why}"]
 
 
-@pytest.mark.parametrize("text, why", [
-    ("tua = 5\n", "unknown config key 'tua'"),
-    ("route = yes\n", "route must be true or false, got 'yes'"),
-    ("tau = -3\n", "tau must be finite and >= 0, got -3.0"),
-    ("seed = 1.5\n", "seed invalid int value: '1.5'"),
-], ids=["unknown key", "switch not true or false", "negative tau", "non-integer seed"])
-def test_a_config_value_its_option_refuses_exits_2_naming_the_file_line_and_key(tmp_path, capsys, text, why):
+@pytest.mark.parametrize("cmd, text, why", [
+    ("diagnose", "tua = 5\n", "unknown config key 'tua'"),
+    ("diagnose", "route = yes\n", "route must be true or false, got 'yes'"),
+    ("diagnose", "tau = -3\n", "tau must be finite and >= 0, got -3.0"),
+    ("diagnose", "seed = 1.5\n", "seed invalid int value: '1.5'"),
+    ("validate", "format = xml\n", "format invalid choice: 'xml' (choose from 'json', 'report')"),
+    ("validate", "format = csv\n", "format invalid choice: 'csv' (choose from 'json', 'report')"),
+    ("diagnose", "format = csv\n", None),  # a choice of diagnose's --format, though not of validate's
+    ("validate", "help = true\n", "unknown config key 'help'"),
+], ids=[
+    "unknown key", "switch not true or false", "negative tau", "non-integer seed", "no format's choice",
+    "another subcommand's format choice", "this subcommand's format choice", "help",
+])
+def test_a_config_value_its_option_refuses_exits_2_naming_the_file_line_and_key(
+    dataset_path, tmp_path, capsys, cmd, text, why
+):
+    """``why`` None: the value is accepted, and the run writes its output."""
     config = tmp_path / "run.cfg"
     config.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    assert run(["diagnose", "--config", str(config), "--input", "x.jsonl", "--output", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {config}: line 1: {why}"]
-    assert not out.exists()
+    code = run([cmd, "--config", str(config), "--input", str(dataset_path), "--output", str(out)])
+    if why is None:
+        assert code == 0 and capsys.readouterr().err == "" and out.exists()
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: line 1: {why}"]
+        assert not out.exists()
 
 
 def test_a_config_value_takes_the_type_of_the_option_it_sets(dataset_path, tmp_path, monkeypatch):

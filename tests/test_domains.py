@@ -26,7 +26,7 @@ FILES = {
         to_row(ItemMetadata("i1", "A1_generic", "B1_good", "D1_uni", "E1_implausible", frozenset({"harm"}))),
         ["validate", "--input", "{input}", "--metadata", "{path}"],
     ),
-    PromptPair: (vars(PAIR), ["diagnose", "--input", "{input}", "--pairs", "{path}"]),
+    PromptPair: (to_row(PAIR), ["diagnose", "--input", "{input}", "--pairs", "{path}"]),
     InconsistencyFlag: (
         _flag_row(InconsistencyFlag("a1", PAIR, 10.0, 40.0, 30.0, 15.0)),
         ["classify", "--input", "{input}", "--flags", "{path}"],

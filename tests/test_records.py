@@ -35,6 +35,8 @@ from prefaudit.records import (
     validate,
 )
 from prefaudit.ratio import PopulationReport
+from prefaudit.themes import EndpointConfig
+from test_builders import CLEAN, ROW_TYPES
 
 
 def _write_jsonl(path, rows):
@@ -667,12 +669,18 @@ def test_a_loaded_record_is_indistinguishable_from_a_constructed_one(tmp_path, m
         assert not hasattr(record, "__dict__")
 
 
-def test_the_record_twin_matches_annotation_records_layout():
-    """A field added to AnnotationRecord alone would show here, before any load fails."""
-    twin = records_module._RecordTwin
-    assert twin.__slots__ == AnnotationRecord.__slots__
-    assert [(f.name, f.default) for f in fields(twin)] == [(f.name, f.default) for f in fields(AnnotationRecord)]
-    assert not twin.__dataclass_params__.frozen
+@pytest.mark.parametrize("cls", [*ROW_TYPES, EndpointConfig], ids=lambda cls: cls.__name__)
+def test_the_record_twin_matches_annotation_records_layout(cls):
+    """Each row type's twin has its slots, is not frozen, and once given the class
+    is the object the constructor builds from the same fields."""
+    twin = records_module._twin(cls)
+    assert twin.__slots__ == cls.__slots__
+    expected = records_module._generic_from_row(cls, CLEAN[cls])  # through the constructor
+    obj = twin(*(None for _ in fields(cls)))
+    for name, value in to_row(expected).items():
+        setattr(obj, name, value)  # not frozen
+    obj.__class__ = cls
+    assert obj == expected and to_row(obj) == to_row(expected)
 
 
 def test_strict_and_lenient_loads_of_a_clean_file_share_the_sidecar(tmp_path, monkeypatch):
