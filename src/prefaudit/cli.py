@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -130,30 +130,66 @@ def _cmd_pairs(args) -> int:
 # ---------------------------------------------------------------- repeats
 
 def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
+    """One flag as a ``repeats --flags-output`` row: its own fields and its pair's."""
     row = records.to_row(flag)
     row.update(records.to_row(row.pop("pair")))
     return row
 
 
+def _flag_rows(flags: Iterable[pairing.InconsistencyFlag]) -> Iterator[dict]:
+    """``map(_flag_row, flags)``, for the writer: a run of flags on one pair reads
+    that pair's fields once, and each row is built in sorted key order, which the
+    encoder's sort then finds in place."""
+    last = None
+    for flag in flags:
+        if flag.pair is not last:
+            last = flag.pair
+            pair_items = sorted(records.to_row(last).items())
+            head = {k: v for k, v in pair_items if k < "score_a"}
+            tail = {k: v for k, v in pair_items if k >= "score_a"}  # similarity, between score_b and threshold_used
+        yield {"annotator_id": flag.annotator_id, "delta": flag.delta, **head, "score_a": flag.score_a,
+               "score_b": flag.score_b, **tail, "threshold_used": flag.threshold_used}
+
+
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
     """The flags of a ``repeats --flags-output`` file. Flags whose pair fields are
-    equal in name, type and value share one ``PromptPair``, built and checked from
-    the first such row. A field's value is keyed by its repr, which for a value
-    read from JSON or CSV also tells its type: ``true`` is not ``1.0``, and
-    ``-0.0`` is not ``0.0``."""
+    equal in name and order, type and value share one ``PromptPair``, built and
+    checked from the first such row: ``true`` is not ``1.0``, and ``-0.0`` is not
+    ``0.0``. A row whose pair fields are those of the row before takes that row's
+    pair; any other row looks its pair up by its fields' names and reprs (the
+    repr of a value read from JSON or CSV also tells its type), and builds it
+    on a miss. A file ``repeats`` wrote holds each pair's flags in one run, so
+    the lookup runs once per pair."""
     pairs: dict[tuple, pairing.PromptPair] = {}
+    last: Optional[dict] = None  # the pair fields of the row before, as read
+    last_names: tuple = ()
+    last_types: tuple = ()
+    pair = None
 
     def flag_from_row(row: dict) -> pairing.InconsistencyFlag:
+        nonlocal last, last_names, last_types, pair
         # the flag's own fields leave the row first, so the pair sees only its own
         own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
-        key = (tuple(row), tuple(map(repr, row.values())))
-        pair = pairs.get(key)
-        if pair is None:
-            pair = pairs[key] = _pair_from_row(row)
+        types = tuple(map(type, row.values()))
+        if row != last or types != last_types or tuple(row) != last_names or _signs_of_zero_differ(row, last):
+            key = (tuple(row), tuple(map(repr, row.values())))
+            last, last_names, last_types = dict(row), key[0], types
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = _pair_from_row(row)
         own["pair"] = pair
         return records.from_row(pairing.InconsistencyFlag, own)
 
     return records.read_rows(path, pairing.InconsistencyFlag, flag_from_row)
+
+
+def _signs_of_zero_differ(row: dict, other: dict) -> bool:
+    """Whether a float zero of ``row`` has the other sign from ``other``'s value of
+    that field. Between equal values of one type, read from JSON or CSV, that is
+    the one difference ``==`` misses."""
+    return 0.0 in row.values() and any(
+        type(v) is float and math.copysign(1.0, v) != math.copysign(1.0, other[k]) for k, v in row.items()
+    )
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:
@@ -178,7 +214,7 @@ def _cmd_repeats(args) -> int:
     dataset = _load_dataset(args)
     flags, summary, ladder = pairing.repeat_audit(dataset, args.sim_threshold, args.delta_threshold)
     if args.flags_output:
-        _write_jsonl(args.flags_output, _config_echo(args), map(_flag_row, flags))
+        _write_jsonl(args.flags_output, _config_echo(args), _flag_rows(flags))
     stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
     _write_result(args.output, args, {"summary": summary, "ladder": {"stages": stages}},
                   lambda _: render_prevalence(summary) + render_ladder(ladder))
@@ -242,9 +278,28 @@ def render_classification(summary: taxonomy.ClassificationSummary) -> str:
     )
 
 
+def _flags_off_input(flags: list[pairing.InconsistencyFlag], dataset: records.Dataset) -> int:
+    """How many ``flags`` name an annotator, or a pair item, that no record of
+    ``dataset`` has. A run of flags on one pair looks its items up once."""
+    items = set(map(attrgetter("item_id"), dataset.records))
+    annotators = set(map(attrgetter("annotator_id"), dataset.records))
+    absent = 0
+    last = None
+    for flag in flags:
+        if flag.pair is not last:
+            last = flag.pair
+            items_known = last.item_a in items and last.item_b in items
+        absent += not (items_known and flag.annotator_id in annotators)
+    return absent
+
+
 def _cmd_classify(args) -> int:
     dataset = _load_dataset(args)
     flags = load_flags(args.flags)
+    absent = _flags_off_input(flags, dataset)
+    if absent:
+        print(f"classify: {absent} of {len(flags)} flags name an annotator or item absent from --input;"
+              " they are labelled and counted all the same", file=sys.stderr)
     labels = taxonomy.classify_flags(flags, dataset, artifact_floor=args.artifact_floor)
     summary = taxonomy.classification_summary(labels) if labels else taxonomy.ClassificationSummary([], 0)
     if args.labels_output:

@@ -103,6 +103,8 @@ def _sorted_ratings(records: list[AnnotationRecord]) -> list[AnnotationRecord]:
 
 def _sorted_values(records: list[AnnotationRecord]) -> tuple[float, ...]:
     """The records' score values, in ``_sorted_ratings`` order."""
+    if len(records) == 1:  # most cells: one rating, nothing to sort
+        return (score_value(records[0]),)
     return tuple(map(score_value, _sorted_ratings(records)))
 
 
@@ -249,7 +251,10 @@ def flag_inconsistencies(
                 values_b = cells_b.get(annotator)
                 if values_b is None:
                     values_b = cells_b[annotator] = _sorted_values(by_ann_b[annotator])
-                best = _most_divergent(product(values_a, values_b))
+                if len(values_a) == 1 == len(values_b):
+                    best = (values_a[0], values_b[0])  # the one combination
+                else:
+                    best = _most_divergent(product(values_a, values_b))
             evaluated += 1
             annotators_evaluated.add(annotator)
             score_a, score_b = best

@@ -32,6 +32,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import make_scanner
 from operator import attrgetter
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -693,6 +694,11 @@ def iter_jsonl(
     naming the line, or, when ``rejects`` is given, is appended there instead.
     Equal string values of the file's rows are one shared object. ``digest``
     is fed the bytes read, as in ``_open_text``.
+
+    Each stripped line goes straight to the C scanner that ``json.loads`` runs,
+    which skips the checks ``json.loads`` makes on every call. A row is kept
+    when the scan takes the whole line; any other line goes to ``json.loads``,
+    which fails on it with the reject text it always gave.
     """
     strings: dict[str, str] = {}
     with _open_text(path, digest=digest) as fh:
@@ -705,18 +711,27 @@ def iter_jsonl(
                 line = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
             else:
                 try:
-                    obj = json.loads(line)
+                    obj, end = _scan_json(line, 0)
+                except (StopIteration, ValueError, RecursionError):  # no value, or a bad one
+                    end = None  # json.loads fails the same way, in its own words
+                try:
+                    if end != len(line):
+                        obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     reason = f"invalid JSON: {exc}"
                 else:
                     if isinstance(obj, dict):
-                        if obj.keys() != {"#config"}:
+                        if len(obj) != 1 or "#config" not in obj:
                             yield line_no, _shared(obj, strings)
                         continue
                     reason = "row is not an object"
             if rejects is None:
                 raise DataFormatError(f"line {line_no}: {reason}")
             rejects.append(RejectedRow(line_no, reason, line))
+
+
+# ``json.loads``' own scanner: a default JSONDecoder's, built once.
+_scan_json = make_scanner(json.JSONDecoder())
 
 
 def _shared(row: dict, strings: dict[str, str]) -> dict:

@@ -5,11 +5,14 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from prefaudit import cli, records
 from prefaudit.cli import load_flags, load_profiles, run
@@ -343,6 +346,118 @@ def test_pair_rows_differing_in_sign_of_zero_or_type_share_no_pair(tmp_path):
     _write_jsonl(path, [{"#config": {}}, {**row, "similarity": 1.0}, {**row, "similarity": True}])
     with pytest.raises(DataFormatError, match="line 3: non-numeric similarity True"):
         load_flags(path)
+
+
+_PAIR_FIELDS = {"pair_id": "i1|i2", "item_a": "i1", "item_b": "i2", "similarity": 0.5, "kind": "equivalent",
+                "expected_direction": "equal", "rationale_tag": None}
+
+
+@st.composite
+def _flag_file_rows(draw):
+    """Flag rows over two pairs, each row's pair fields drawn in one of a few
+    similarity spellings and key orders; runs of one pair and interleaved rows alike."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        pair = dict(_PAIR_FIELDS)
+        if draw(st.booleans()):
+            pair.update(pair_id="i3|i4", item_a="i3", item_b="i4")
+        pair["similarity"] = draw(st.sampled_from([1, 1.0, 0.0, -0.0, 0, 0.5]))
+        names = draw(st.sampled_from([list(pair), list(reversed(pair)), ["pair_id", "item_b", "item_a",
+                                                                          "similarity", "kind", "expected_direction", "rationale_tag"]]))
+        own = {"annotator_id": draw(st.sampled_from(["u0", "u1"])), "score_a": 5.0, "score_b": 95.0,
+               "delta": 90.0, "threshold_used": 15.0}
+        rows.append({**own, **{name: pair[name] for name in names}} if draw(st.booleans())
+                    else {**{name: pair[name] for name in names}, **own})
+    return rows
+
+
+@settings(deadline=None, max_examples=200)
+@seed(20261019)
+@given(rows=_flag_file_rows())
+def test_loaded_flags_share_a_pair_exactly_where_pair_fields_match_in_name_order_type_and_value(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("flags") / "flags.jsonl"
+    _write_jsonl(path, [{"#config": {}}, *rows])
+    flags = load_flags(path)
+    assert repr(flags) == repr(_unshared_flags(path))  # a repr tells -0.0 from 0.0
+    own = ("annotator_id", "score_a", "score_b", "delta", "threshold_used")
+    keys = [tuple((k, repr(v)) for k, v in row.items() if k not in own) for row in rows]
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert (flags[i].pair is flags[j].pair) == (keys[i] == keys[j]), (rows[i], rows[j])
+
+
+def test_flag_rows_without_pair_id_share_the_pair_built_from_the_first(tmp_path):
+    pair = {k: v for k, v in _PAIR_FIELDS.items() if k != "pair_id"}
+    own = {"annotator_id": "u0", "score_a": 5.0, "score_b": 95.0, "delta": 90.0, "threshold_used": 15.0}
+    path = tmp_path / "flags.jsonl"
+    _write_jsonl(path, [{"#config": {}}, {**own, **pair}, {**own, **pair, "annotator_id": "u1"}])
+    flags = load_flags(path)
+    assert flags[0].pair is flags[1].pair
+    assert flags[0].pair.pair_id == "i1|i2"
+    _write_jsonl(path, [{"#config": {}}, {**own, **pair, "similarity": 1}, {**own, **pair, "similarity": True}])
+    with pytest.raises(DataFormatError, match="line 3: non-numeric similarity True"):
+        load_flags(path)
+
+
+def _smoke_corpus(workload, corpus, monkeypatch):
+    """The benchmark's smoke corpus of ``workload`` in ``corpus``, its ``repeats`` stage run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+    import workloads
+
+    corpora.build(workload, "smoke", 1, corpus)
+    stage = next(s for s in workloads.STAGES[workload] if s[0] == "repeats")
+    assert run(workloads.stage_argv(stage, corpus)) == 0
+
+
+@pytest.mark.parametrize("workload", ["audit-sparse", "jury-dense"])
+def test_the_flags_writer_writes_the_bytes_of_one_flag_row_per_flag(tmp_path, monkeypatch, workload):
+    _smoke_corpus(workload, tmp_path, monkeypatch)
+    config = json.loads((tmp_path / "flags.jsonl").read_text().splitlines()[0])["#config"]
+    flags = load_flags(tmp_path / "flags.jsonl")
+    assert len(flags) >= len({f.pair for f in flags}) > 1
+    interleaved = random.Random(5).sample(flags, len(flags))
+    for order in (flags, interleaved):
+        cli._write_jsonl(str(tmp_path / "rows.jsonl"), config, cli._flag_rows(order))
+        cli._write_jsonl(str(tmp_path / "reference.jsonl"), config, map(cli._flag_row, order))
+        assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+def test_loading_repeats_flags_builds_each_distinct_pair_once(tmp_path, monkeypatch):
+    """A flags file holds many flags per pair; building a pair per flag would cost
+    a ``_pair_from_row`` each."""
+    _smoke_corpus("jury-dense", tmp_path, monkeypatch)
+    path = tmp_path / "flags.jsonl"
+    distinct = {json.loads(line)["pair_id"] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
+    calls = []
+    build = cli._pair_from_row
+    monkeypatch.setattr(cli, "_pair_from_row", lambda row: calls.append(1) or build(row))
+    flags = load_flags(path)
+    assert len(flags) > len(distinct)
+    assert 0 < len(calls) <= len(distinct)
+
+
+def test_classify_names_the_count_of_flags_off_its_input_and_labels_them_all(dataset_path, metadata_path, tmp_path, capsys):
+    flags = tmp_path / "flags.jsonl"
+    assert run(["repeats", "--input", str(dataset_path), "--flags-output", str(flags),
+                "--output", str(tmp_path / "repeats.json")]) == 0
+    rows = [json.loads(line) for line in flags.read_text().splitlines()[1:]]
+    partial = tmp_path / "partial.jsonl"
+    _write_jsonl(partial, [r for r in _records_rows() if r["annotator_id"] != "u0" and r["item_id"] != "i4"])
+    off = sum(r["annotator_id"] == "u0" or "i4" in (r["item_a"], r["item_b"]) for r in rows)
+    assert 0 < off < len(rows)
+    outcomes, errs = {}, {}
+    for name, data in (("full", dataset_path), ("partial", partial)):
+        code = run(["classify", "--input", str(data), "--metadata", str(metadata_path), "--flags", str(flags),
+                    "--labels-output", str(tmp_path / f"{name}-labels.jsonl"),
+                    "--output", str(tmp_path / f"{name}.json")])
+        labels = (tmp_path / f"{name}-labels.jsonl").read_text().splitlines()[1:]
+        outcomes[name] = (code, json.loads((tmp_path / f"{name}.json").read_text())["result"], labels)
+        errs[name] = capsys.readouterr().err
+    assert outcomes["full"] == outcomes["partial"]
+    assert outcomes["full"][1]["n_total"] == len(rows)
+    assert errs == {"full": "", "partial": f"classify: {off} of {len(rows)} flags name an annotator or item absent"
+                    " from --input; they are labelled and counted all the same\n"}
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,5 +1,6 @@
 """Ingest: loaders, validation report, round-trip, conservation."""
 
+import codecs
 import hashlib
 import json
 import marshal
@@ -11,7 +12,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_of, rec
@@ -456,6 +457,109 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, fmt):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     dataset = load_records(path, fmt=fmt, strict=True)
     assert [r.item_id for r in dataset.records] == ["i1"]
+
+
+def _reference_iter_jsonl(path, rejects=None):
+    """``iter_jsonl`` as it was, with ``json.loads`` on every line: the reference
+    the scanner-based reader must match."""
+    strings = {}
+    with records_module._open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            reason = records_module._undecodable(line)
+            if reason is not None:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+            else:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    reason = f"invalid JSON: {exc}"
+                else:
+                    if isinstance(obj, dict):
+                        if obj.keys() != {"#config"}:
+                            yield line_no, records_module._shared(obj, strings)
+                        continue
+                    reason = "row is not an object"
+            if rejects is None:
+                raise DataFormatError(f"line {line_no}: {reason}")
+            rejects.append(records_module.RejectedRow(line_no, reason, line))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_JSON_OBJECTS = st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4)
+
+
+@st.composite
+def _jsonl_line(draw) -> bytes:
+    """One line of a JSONL file: a valid object, or one of the ways a line goes wrong."""
+    text = json.dumps(draw(_JSON_OBJECTS), ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from([
+        "valid", "padded", "truncated", "trailing", "bom", "non-object", "non-finite",
+        "deep", "long int", "not utf-8", "blank", "config",
+    ]))
+    if kind == "padded":
+        text = draw(st.sampled_from([" ", "\t", "\x0c", "\u3000"])) + text + draw(st.sampled_from(["", " ", "\r"]))
+    elif kind == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "trailing":
+        text += draw(st.sampled_from([" {}", "{}", " x", ",", " 1", "]", " null", "\ufeff"]))
+    elif kind == "bom":
+        text = "\ufeff" + text
+    elif kind == "non-object":
+        text = json.dumps(draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict))))
+    elif kind == "non-finite":
+        text = draw(st.sampled_from(["NaN", "-Infinity", '{"a": NaN}', '{"a": [Infinity, -Infinity]}', '{"a": nan}']))
+    elif kind == "deep":
+        depth = draw(st.sampled_from([3, 50, 5000]))
+        text = draw(st.sampled_from(["{}", '{{"a": {}}}'])).format("[" * depth + "]" * depth)
+    elif kind == "long int":
+        digits = "7" * draw(st.sampled_from([4300, 4301, 6000]))
+        text = draw(st.sampled_from(["{}", '{{"a": {}}}', '{{"a": -{}}}'])).format(digits)
+    elif kind == "blank":
+        text = draw(st.sampled_from(["", " ", "\t", " \t ", "\x0c"]))
+    elif kind == "config":
+        text = json.dumps({"#config": draw(_JSON_VALUES), **draw(_JSON_OBJECTS)})
+    data = text.encode("utf-8")
+    if kind == "not utf-8":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"])) + data[cut:]
+    return data
+
+
+def _reader_outcome(parse, path, lenient):
+    """What ``parse`` yields, appends to its rejects and raises, in a comparable form:
+    reprs tell ``1`` from ``1.0`` and ``True``, and ``-0.0`` from ``0.0``, and NaN equals NaN."""
+    rejects = [] if lenient else None
+    rows = []
+    try:
+        for row in parse(path, rejects):
+            rows.append(row)
+    except Exception as exc:  # DataFormatError; past the int-digits limit, a ValueError; too deep, a RecursionError
+        raised = (type(exc), str(exc))
+    else:
+        raised = None
+    return repr(rows), repr(rejects), raised
+
+
+@settings(deadline=None, max_examples=300)
+@seed(20261019)
+@given(
+    lines=st.lists(_jsonl_line(), max_size=6),
+    newline=st.sampled_from([b"\n", b"\r\n"]),
+    file_bom=st.booleans(),
+)
+def test_iter_jsonl_yields_rejects_and_raises_as_json_loads_per_line_did(tmp_path_factory, lines, newline, file_bom):
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    path.write_bytes(codecs.BOM_UTF8 * file_bom + newline.join(lines) + newline * bool(lines))
+    for lenient in (True, False):
+        expected = _reader_outcome(_reference_iter_jsonl, path, lenient)
+        assert _reader_outcome(records_module.iter_jsonl, path, lenient) == expected
 
 
 # ------------------------------------------------------------------ load sidecar
