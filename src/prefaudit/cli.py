@@ -18,9 +18,10 @@ import gc
 import math
 import sys
 from dataclasses import fields
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -38,13 +39,36 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_jsonl(path: str, config: dict, rows: Iterable) -> None:
-    """The ``#config`` header line, then each row (a dict or a dataclass) as soon as it is encoded."""
-    encode = records.row_encoder()
-    with records.open_output(path) as fh:
-        fh.write(encode({"#config": config}) + "\n")
-        for row in rows:
-            fh.write(encode(row) + "\n")
+def _write_jsonl(path: str, config: dict, rows: Iterable, kept: Optional[tuple] = None) -> None:
+    """The ``#config`` header line, then each row (a dict or a dataclass) as soon as it
+    is encoded. ``kept``, ``(cls, objects)``, the ``cls`` objects the rows were written
+    from, leaves the sidecar that ``_read_rows(path, cls)`` reads (see
+    ``records.write_jsonl``), under the same ``_row_build(cls)``."""
+    if kept is not None:
+        cls, objects = kept
+        kept = (cls, _row_build(cls), objects)
+    records.write_jsonl(path, chain([{"#config": config}], rows), kept)
+
+
+def _kept(cls: type, objects: list, pairs: Iterable[pairing.PromptPair]) -> Optional[tuple]:
+    """``_write_jsonl``'s ``kept`` for ``objects``, unless a pair of ``pairs`` has no
+    ``pair_id``: a read gives it one, so it would not read back as written."""
+    return (cls, objects) if all(pair.pair_id for pair in pairs) else None
+
+
+def _read_rows(path: str | Path, cls: type) -> list:
+    """The ``cls`` objects of a row file, built by ``_row_build(cls)``."""
+    return records.read_rows(path, cls, _row_build(cls))
+
+
+def _row_build(cls: type) -> Optional[Callable[[dict], object]]:
+    """How each row of a ``cls`` file becomes an object (None for ``records.from_row``):
+    the one ``build`` that both its reader and the sidecar its writer leaves name, so
+    the writer's sidecar is the one the read looks for. A flags builder is made per
+    file, since it keeps the pairs it has built."""
+    if cls is pairing.InconsistencyFlag:
+        return _flag_reader()
+    return {pairing.PromptPair: _pair_from_row, diagnostics.ConsistencyProfile: _profile_from_row}.get(cls)
 
 
 def _write_result(path: str, args: argparse.Namespace, result, render=None) -> None:
@@ -117,7 +141,7 @@ def _pair_from_row(row: dict) -> pairing.PromptPair:
 
 
 def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
-    return records.read_rows(path, pairing.PromptPair, _pair_from_row)
+    return _read_rows(path, pairing.PromptPair)
 
 
 def _cmd_pairs(args) -> int:
@@ -152,7 +176,12 @@ def _flag_rows(flags: Iterable[pairing.InconsistencyFlag]) -> Iterator[dict]:
 
 
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
-    """The flags of a ``repeats --flags-output`` file. Flags whose pair fields are
+    """The flags of a ``repeats --flags-output`` file (see ``_flag_reader``)."""
+    return _read_rows(path, pairing.InconsistencyFlag)
+
+
+def _flag_reader() -> Callable[[dict], pairing.InconsistencyFlag]:
+    """The builder of one flags file's flags, a row at a time. Flags whose pair fields are
     equal in name and order, type and value share one ``PromptPair``, built and
     checked from the first such row: ``true`` is not ``1.0``, and ``-0.0`` is not
     ``0.0``. A row whose pair fields are those of the row before takes that row's
@@ -180,7 +209,7 @@ def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
         own["pair"] = pair
         return records.from_row(pairing.InconsistencyFlag, own)
 
-    return records.read_rows(path, pairing.InconsistencyFlag, flag_from_row)
+    return flag_from_row
 
 
 def _signs_of_zero_differ(row: dict, other: dict) -> bool:
@@ -214,7 +243,8 @@ def _cmd_repeats(args) -> int:
     dataset = _load_dataset(args)
     flags, summary, ladder = pairing.repeat_audit(dataset, args.sim_threshold, args.delta_threshold)
     if args.flags_output:
-        _write_jsonl(args.flags_output, _config_echo(args), _flag_rows(flags))
+        kept = _kept(pairing.InconsistencyFlag, flags, map(attrgetter("pair"), flags))
+        _write_jsonl(args.flags_output, _config_echo(args), _flag_rows(flags), kept)
     stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
     _write_result(args.output, args, {"summary": summary, "ladder": {"stages": stages}},
                   lambda _: render_prevalence(summary) + render_ladder(ladder))
@@ -229,7 +259,7 @@ def _profile_from_row(row: dict) -> diagnostics.ConsistencyProfile:
 
 
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
-    profiles = records.read_rows(path, diagnostics.ConsistencyProfile, _profile_from_row)
+    profiles = _read_rows(path, diagnostics.ConsistencyProfile)
     return {p.annotator_id: p for p in profiles}
 
 
@@ -237,6 +267,10 @@ def _cmd_diagnose(args) -> int:
     dataset = _load_dataset(args)
     weights = tuple(float(w) for w in args.weights.split(",")) if args.weights else None
     pairs = load_pairs(args.pairs) if args.pairs else None
+    absent = sum(not (pair.item_a in dataset.by_item and pair.item_b in dataset.by_item) for pair in pairs or ())
+    if absent:
+        print(f"diagnose: {absent} of {len(pairs)} pairs name an item absent from --input;"
+              " they add no rating comparison", file=sys.stderr)
     profiles = diagnostics.build_profiles(
         dataset,
         tau=args.tau,
@@ -245,7 +279,8 @@ def _cmd_diagnose(args) -> int:
         reliability_mode=args.reliability_mode,
         weights=weights,
     )
-    rows = [records.to_row(profiles[a]) for a in sorted(profiles)]
+    written = [profiles[a] for a in sorted(profiles)]
+    rows = list(map(records.to_row, written))
     if args.route:
         thresholds = taxonomy.RoutingThresholds(
             t_temp=args.t_temp, t_frame=args.t_frame, t_order=args.t_order
@@ -260,7 +295,7 @@ def _cmd_diagnose(args) -> int:
         header = list(rows[0].keys()) if rows else ["annotator_id"]
         _write_csv(args.output, config, header, rows)
     else:
-        _write_jsonl(args.output, config, rows)
+        _write_jsonl(args.output, config, rows, (diagnostics.ConsistencyProfile, written))
     return 0
 
 
@@ -320,7 +355,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- ratio
 
 def load_ratio_records(path: str | Path) -> list[ratio.RatioRecord]:
-    return records.read_rows(path, ratio.RatioRecord)
+    return _read_rows(path, ratio.RatioRecord)
 
 
 def render_population(report: ratio.PopulationReport) -> str:
@@ -356,7 +391,7 @@ def _cmd_ratio(args) -> int:
     if args.format == "csv":
         _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], rows)
     else:
-        _write_jsonl(args.output, config, rows)
+        _write_jsonl(args.output, config, rows, (ratio.RatioRecord, ratios))
     if args.stats_output:
         _write_result(args.stats_output, args, ratio.population_stats(ratios, dataset), render_population)
     return 0

@@ -30,7 +30,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, product, repeat, starmap
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import attrgetter
@@ -629,20 +629,28 @@ def records_from_rows(
 
 
 class _Hashed(io.RawIOBase):
-    """``file``, whose every block read is fed to ``digest``, a hashlib object. The
-    file is opened by the caller, so one that cannot be opened leaves no half-made
-    ``_Hashed`` for the garbage collector to close."""
+    """``file``, whose every block read or written is fed to ``digest``, a hashlib
+    object. The file is opened by the caller, so one that cannot be opened leaves
+    no half-made ``_Hashed`` for the garbage collector to close."""
 
     def __init__(self, file: io.FileIO, digest):
         self._file = file
         self._digest = digest
 
     def readable(self) -> bool:
-        return True
+        return self._file.readable()
+
+    def writable(self) -> bool:
+        return self._file.writable()
 
     def readinto(self, buffer) -> int:
         n = self._file.readinto(buffer)
         self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def write(self, data) -> int:
+        n = self._file.write(data)
+        self._digest.update(memoryview(data)[:n])
         return n
 
     def close(self) -> None:
@@ -762,7 +770,7 @@ def _iter_csv(
     then one row per line. Cells are read as ``cls``'s field types; an empty
     cell is an absent field. Equal string values are shared, and a row that is
     not UTF-8 is rejected, as there."""
-    admitted = _row_schema(cls)[0]
+    admitted = _cell_types(cls)
     strings: dict[str, str] = {}
     with _open_text(path, newline="", digest=digest) as fh:
         first = fh.readline()
@@ -793,58 +801,50 @@ def read_rows(
     cls: type,
     build: Optional[Callable[[dict], object]] = None,
     unique: Optional[str] = None,
-    sidecar: bool = False,
-    restart: Optional[Callable[[], None]] = None,
 ) -> list:
     """``build`` (by default ``from_row`` for ``cls``) of each row of a JSONL file, or
     of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
     outputs do. A bad row, and a row whose string field ``unique`` repeats an earlier
     row's, raise one DataFormatError naming the file and the line (and the earlier one).
 
-    With ``sidecar``, a regular file's rows, as the parse yields them, are kept in
-    its sidecar (see ``_read_sidecar``), and a later read of the same bytes builds
-    from those instead of parsing. ``build`` and the ``unique`` check still run on
-    every row. Should a kept row fail either, ``restart`` (if given) undoes what
-    ``build`` did so far and the file is parsed, so every error names the file's
-    line. ``build`` must leave each row as given.
+    A regular file's objects are kept in its sidecar (see ``_read_sidecar``) as
+    columns (see ``_row_columns``), under a key naming ``build`` and ``cls`` (see
+    ``_rows_key``); a later read of the same bytes builds them from the columns that
+    ``_rows_from_columns`` passes, ``unique`` included, instead of parsing. ``build``
+    must return a ``cls``.
     """
     path = Path(path)
-    build = build or partial(from_row, cls)
-    key = ("read_rows", cls.__qualname__)  # never a ``load_records`` key, whose first entry is the format
-    cacheable = sidecar and path.is_file()  # hashing a pipe would consume what the parse must read
-    kept = _read_sidecar(path, key) if cacheable else None
-    if kept is not None:
-        try:
-            return _build_rows(kept, build, unique)
-        except Exception:  # a cache: whatever goes wrong with it, the file is parsed instead
-            if restart is not None:
-                restart()
-    digest = hashlib.sha256() if cacheable else None
-    rows = [] if cacheable else None
+    key = _rows_key(cls, build) if path.is_file() else None  # hashing a pipe would consume what the parse must read
+    if key is not None:
+        objects = _read_sidecar(path, key, partial(_rows_from_columns, cls, unique=unique))
+        if objects is not None:
+            return objects
+    return _parse_rows(path, cls, build, unique, key)
+
+
+def _parse_rows(
+    path: Path, cls: type, build: Optional[Callable[[dict], object]], unique: Optional[str], key: Optional[tuple]
+) -> list:
+    """``read_rows`` by a parse of the file, which, under ``key``, is kept in its sidecar."""
+    digest = None if key is None else hashlib.sha256()
     try:
         # one stream, peeked and then parsed, so a pipe loses no line to the peek
         with _open_text(path, newline="", digest=digest) as fh:
             head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
             is_csv = head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK)
-            out = _build_rows(_iter_csv(fh, cls) if is_csv else iter_jsonl(fh), build, unique, rows)
+            out = _build_rows(_iter_csv(fh, cls) if is_csv else iter_jsonl(fh), build or partial(from_row, cls), unique)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if cacheable:
-        _write_sidecar(path, key, digest.digest(), rows)
+    if key is not None:
+        _write_sidecar(path, key, digest.digest(), _row_columns(cls, out))
     return out
 
 
 _CSV_MARK = CONFIG_PREFIX.encode()
 
 
-def _build_rows(
-    rows: Iterable[tuple[int, dict]],
-    build: Callable[[dict], object],
-    unique: Optional[str],
-    kept: Optional[list] = None,
-) -> list:
-    """``read_rows``' ``build`` and ``unique`` check of each ``(line_no, row)``; each
-    row is appended to ``kept``, when given, once built."""
+def _build_rows(rows: Iterable[tuple[int, dict]], build: Callable[[dict], object], unique: Optional[str]) -> list:
+    """``read_rows``' ``build`` and ``unique`` check of each ``(line_no, row)``."""
     out = []
     first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
     for line_no, row in rows:
@@ -856,19 +856,50 @@ def _build_rows(
                     raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
         except DataFormatError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
-        if kept is not None:
-            kept.append((line_no, row))
     return out
 
 
 @contextmanager
-def open_output(path: str | Path, newline: Optional[str] = None) -> Iterator[TextIO]:
-    """Standard output for ``-``, else the file ``path``, opened for writing."""
+def open_output(path: str | Path, newline: Optional[str] = None, digest=None) -> Iterator[TextIO]:
+    """Standard output for ``-``, else the file ``path``, opened for writing as UTF-8;
+    ``digest``, when given, is fed every byte written to the file."""
     if path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+    if digest is None:
+        fh = open(path, "w", encoding="utf-8", newline=newline)
+    else:
+        fh = io.TextIOWrapper(io.BufferedWriter(_Hashed(io.FileIO(path, "w"), digest), 1 << 16),
+                              encoding="utf-8", newline=newline)
+    with fh:
         yield fh
+
+
+def write_jsonl(path: str | Path, rows: Iterable, kept: Optional[tuple] = None) -> None:
+    """Each of ``rows`` (a dict or a dataclass, as ``to_json`` encodes it) on a line of
+    its own, to the file ``path`` or, for ``-``, to standard output.
+
+    ``kept``, ``(cls, build, objects)``, leaves a file the sidecar that
+    ``read_rows(path, cls, build)`` keeps, so its next read builds no row: the
+    columns of ``objects`` (see ``_row_columns``), the ``cls`` objects the rows were
+    written from, in file order, under the SHA-256 of the bytes as they are written.
+    ``build`` must read each row back as the object it was written from. Standard
+    output or another path that is not a regular file, a write that raises, and a
+    value that a parse refuses leave no sidecar."""
+    encode = row_encoder()
+    digest = None if kept is None or path == "-" else hashlib.sha256()
+    with open_output(path, digest=digest) as fh:
+        for row in rows:
+            fh.write(encode(row) + "\n")
+    if digest is not None and Path(path).is_file():
+        cls, build, objects = kept
+        key = _rows_key(cls, build)
+        try:
+            columns = _row_columns(cls, objects, _written_key)
+        except DataFormatError:  # a value a parse refuses: the read parses the file and says so
+            return
+        if key is not None:
+            _write_sidecar(Path(path), key, digest.digest(), columns)
 
 
 def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
@@ -918,7 +949,8 @@ def load_records(
             raise
         if cacheable:
             rejected = tuple((r.line_no, r.reason, r.raw) for r in rejects)
-            _write_sidecar(path, key, digest.digest(), (_record_columns(records), rejected, effective_scale))
+            payload = (_row_columns(AnnotationRecord, records), rejected, effective_scale)
+            _write_sidecar(path, key, digest.digest(), payload)
     else:
         records, rejects, effective_scale = loaded
     if strict:
@@ -935,35 +967,53 @@ def load_records(
 
 
 # The load sidecar: a cache of one load of one file, never a second source of truth.
-_RECORD_GETTERS = [attrgetter(name) for name in _RECORD_FIELDS]
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.prefaudit")
 
 
 @cache
-def _source_digest() -> bytes:
-    """This module's source: a change to how rows become records retires every sidecar."""
-    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+def _source_digest(*files: str) -> bytes:
+    """The SHA-256 of the source ``files``."""
+    digest = hashlib.sha256()
+    for name in files:
+        digest.update(Path(name).read_bytes())
+    return digest.digest()
 
 
 def _sidecar_header(key: tuple, digest: bytes) -> bytes:
     """What a sidecar must match to be used: the interpreter and marshal format,
-    this module's source, the reader's ``key`` (``load_records``' ``(fmt,
-    scale_kind)``, or ``read_rows``' reader and class) and the SHA-256 of the
-    input's bytes. Marshal format 2 writes no back-references, so equal headers
-    are equal bytes."""
-    return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
+    the source of this module and of ``cli`` (a change to how rows become objects
+    retires every sidecar), the reader's ``key`` (``load_records``' ``(fmt,
+    scale_kind)``, or ``_rows_key``) and the SHA-256 of the input's bytes. Marshal
+    format 2 writes no back-references, so equal headers are equal bytes."""
+    sources = _source_digest(__file__, str(Path(__file__).with_name("cli.py")))
+    return marshal.dumps((sys.implementation.cache_tag, marshal.version, sources, key, digest), 2)
+
+
+def _rows_key(cls: type, build: Optional[Callable]) -> Optional[tuple]:
+    """``read_rows(path, cls, build)``'s sidecar key: ``build`` (None for ``from_row``)
+    and ``cls`` by name, and the source of the modules that define them and the row
+    types ``cls``'s fields hold. None, for no sidecar, when one of those has no
+    source file or ``build`` no name."""
+    modules = {cls.__module__, *(t.__module__ for t in _nested_rows(cls).values())}
+    try:
+        reader = None
+        if build is not None:
+            reader = f"{build.__module__}.{build.__qualname__}"
+            modules.add(build.__module__)
+        files = sorted(sys.modules[name].__file__ for name in modules)
+        return ("read_rows", reader, f"{cls.__module__}.{cls.__qualname__}", _source_digest(*files))
+    except (AttributeError, KeyError, TypeError, OSError):
+        return None
 
 
 def _write_sidecar(path: Path, key: tuple, digest: bytes, payload) -> None:
     """Keep a load of the bytes ``digest`` names in ``path``'s sidecar: the header,
     then ``payload`` as one marshal blob, which keeps its shared strings shared.
     A sidecar that cannot be written is skipped."""
-    body = marshal.dumps(payload)
     sidecar = _sidecar_path(path)
     try:
+        body = marshal.dumps(payload)
         header = _sidecar_header(key, digest)
         fd, tmp = tempfile.mkstemp(prefix=sidecar.name, suffix=".tmp", dir=sidecar.parent)
         try:
@@ -974,7 +1024,7 @@ def _write_sidecar(path: Path, key: tuple, digest: bytes, payload) -> None:
         except OSError:
             os.unlink(tmp)
             raise
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a value marshal cannot write
         pass
 
 
@@ -1016,10 +1066,143 @@ def _file_sha256(path: Path) -> bytes:
     return digest.digest()
 
 
-def _record_columns(records: list[AnnotationRecord]) -> tuple:
-    """One tuple per record field, or None for a field no record sets."""
-    columns = (tuple(map(get, records)) for get in _RECORD_GETTERS)
-    return tuple(None if col[0] is None and col.count(None) == len(col) else col for col in columns)
+@cache
+def _nested_rows(cls: type) -> dict[str, type]:
+    """Each field of ``cls`` that holds a row object (``InconsistencyFlag.pair``) -> its
+    row type. A row of ``cls`` gives that object's fields in its place."""
+    return {name: types[0] for name, types in _row_schema(cls)[0].items() if is_dataclass(types[0])}
+
+
+@cache
+def _cell_types(cls: type) -> dict[str, tuple]:
+    """The types each cell of a row of ``cls`` may read as: those of ``cls``'s fields,
+    a field that holds a row object giving way to the fields of its type."""
+    admitted = dict(_row_schema(cls)[0])
+    for name, nested in _nested_rows(cls).items():
+        del admitted[name]
+        admitted.update(_row_schema(nested)[0])
+    return admitted
+
+
+@cache
+def _column_types(cls: type) -> dict[str, frozenset]:
+    """Each field of ``cls`` -> the exact types its values may have: those its row
+    admits, a container type (``frozenset[str]``) as the container itself."""
+    return {name: frozenset(get_origin(t) or t for t in types) for name, types in _row_schema(cls)[0].items()}
+
+
+def _written_key(obj) -> tuple:
+    """The reprs of ``obj``'s fields: two objects a writer wrote with one key read back as
+    one, as ``cli.load_flags`` shares the pair of rows whose pair fields' reprs match."""
+    return tuple(map(repr, map(getattr, repeat(obj), _field_names(type(obj)))))
+
+
+def _row_columns(cls: type, objects: list, key: Callable = id) -> tuple:
+    """One entry per field of ``cls`` over ``objects``, each a ``cls``: the values as a
+    tuple, or None when every value is None. A value whose type its field does not
+    admit is cast as a parse of its JSON form casts it (see ``_cast``), which raises
+    DataFormatError for one a parse refuses. A field holding row objects is
+    ``(index, columns)``: ``columns`` those of its distinct objects in order of first
+    use, where two objects that ``key`` maps to one value are one, and ``index`` the
+    place of each value among them."""
+    admitted, _, containers = _row_schema(cls)
+    exact, nested = _column_types(cls), _nested_rows(cls)
+    out = []
+    for name in _field_names(cls):
+        col = tuple(map(attrgetter(name), objects))
+        if name in nested:
+            places: dict = {}  # an object's id -> its place
+            distinct: dict = {}  # a ``key`` -> the place of the first object it maps to
+            firsts, index, last = [], [], None
+            for obj in col:
+                if obj is not last:  # a run of one object looks its place up once
+                    last = obj
+                    place = places.get(id(obj))
+                    if place is None:
+                        place = places[id(obj)] = distinct.setdefault(key(obj), len(distinct))
+                        if place == len(firsts):
+                            firsts.append(obj)
+                index.append(place)
+            out.append((tuple(index), _row_columns(nested[name], firsts, key)))
+            continue
+        if not set(map(type, col)) <= exact[name]:
+            col = tuple(v if type(v) in exact[name] else _cast(name, v, admitted[name], containers[name]) for v in col)
+        out.append(None if col and col[0] is None and col.count(None) == len(col) else col)
+    return tuple(out)
+
+
+def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Optional[list]:
+    """The ``cls`` objects whose fields ``columns`` holds (see ``_row_columns``), checked
+    as a parse checks each row: every value of a type its field admits, container
+    entries included, and a None column only where None is admitted; every column of
+    one length and every index into a nested table an int in range; the declared
+    domains and inlined rules (``_columns_in_domain``); ``unique`` distinct. None when
+    a check fails. Each object is built as ``_twin(cls)`` and given the class; a
+    ``__post_init__`` with rules of its own (``PromptPair``'s) then runs on it, and
+    None is returned should it raise."""
+    names = _field_names(cls)
+    if type(columns) is not tuple or len(columns) != len(names):
+        return None
+    admitted, _, containers = _row_schema(cls)
+    exact, nested = _column_types(cls), _nested_rows(cls)
+    values: dict[str, Optional[tuple]] = {}
+    for name, col in zip(names, columns):
+        if name in nested:
+            if type(col) is not tuple or len(col) != 2 or type(col[0]) is not tuple:
+                return None
+            index, table = col
+            objects = _rows_from_columns(nested[name], table)
+            if objects is None or not set(map(type, index)) <= {int} or not set(index) <= set(range(len(objects))):
+                return None
+            col = tuple(map(objects.__getitem__, index))
+        elif col is None:
+            if type(None) not in admitted[name]:
+                return None
+        elif type(col) is not tuple or not set(map(type, col)) <= exact[name]:
+            return None
+        elif containers[name] is not None:
+            if not set(map(type, chain.from_iterable(filter(None, col)))) <= set(containers[name][1]):
+                return None
+        values[name] = col
+    lengths = {len(col) for col in values.values() if col is not None}
+    if len(lengths) > 1:
+        return None
+    n = lengths.pop() if lengths else 0
+    if not _columns_in_domain(cls, values, n) or (unique is not None and len(set(values[unique])) != n):
+        return None
+    objects = list(map(_twin(cls), *(repeat(None, n) if col is None else col for col in values.values())))
+    for obj in objects:
+        obj.__class__ = cls
+    if _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) is None:
+        try:
+            for obj in objects:
+                obj.__post_init__()
+        except DataFormatError:
+            return None
+    return objects
+
+
+def _columns_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> bool:
+    """Whether each of the ``n`` objects of ``columns`` (field name -> values, None for a
+    field no object sets), all of whose values have admitted types, passes what
+    ``cls.__post_init__`` checks and a generated builder inlines: each column's
+    distinct values against its field's declared domain (``field_domains``), and then
+    each rule of ``_INLINED_POST_INITS`` (a record's score against its scale) over
+    the distinct combinations of the values of the fields it reads."""
+    rules = _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) or ()
+    distinct = {name: set(columns[name] or (None,)) for name in chain(field_domains(cls), *(a for _, a in rules))}
+    for name, (ok, _) in field_domains(cls).items():
+        if not all(map(ok, distinct[name] - {None})):
+            return False
+    for ok, args in rules:
+        # the combinations of distinct values, unless two fields vary, whose pairs are fewer
+        if sum(len(distinct[name]) > 1 for name in args) > 1:
+            combinations = set(zip(*((None,) * n if columns[name] is None else columns[name] for name in args)))
+        else:
+            combinations = product(*(distinct[name] for name in args))
+        if not all(starmap(ok, combinations)):
+            return False
+    return True
 
 
 def _load_from_sidecar(
@@ -1027,7 +1210,7 @@ def _load_from_sidecar(
 ) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
     """The load a ``load_records`` sidecar keeps, checked as a parse checks each row:
     the field types, the required fields, one scale and the domains
-    ``AnnotationRecord.__post_init__`` checks (see ``_columns_in_domain``). None
+    ``AnnotationRecord.__post_init__`` checks (see ``_records_from_columns``). None
     when a check fails, and when ``strict`` meets a reject, which a strict parse
     raises on."""
     columns, rejected, scale = payload
@@ -1038,43 +1221,19 @@ def _load_from_sidecar(
     return records, rejects, scale
 
 
+_SCALE_AT = _RECORD_FIELDS.index("scale_kind")
+
+
 def _records_from_columns(
     columns: tuple, scale: str, scale_kind: Optional[str]
 ) -> Optional[list[AnnotationRecord]]:
-    """The records whose fields ``columns`` holds, once every value has a type its
-    field admits, every record is on ``scale`` and ``_columns_in_domain`` holds;
-    None when one does not. Each is built as ``_twin(AnnotationRecord)`` and made an
-    ``AnnotationRecord``, with no per-record ``__post_init__``, which the column
-    checks stand in for."""
-    admitted, required, _ = _row_schema(AnnotationRecord)
-    if type(columns) is not tuple or len(columns) != len(_RECORD_FIELDS) or scale_kind not in (None, scale):
+    """The records whose fields ``columns`` holds, once ``_rows_from_columns`` passes
+    them, there is one at least and every one is on ``scale``, which is
+    ``scale_kind`` when that is given; None when one does not."""
+    records = _rows_from_columns(AnnotationRecord, columns) if scale_kind in (None, scale) else None
+    if not records or columns[_SCALE_AT].count(scale) != len(records):
         return None
-    n = len(columns[0])
-    for name, col in zip(_RECORD_FIELDS, columns):
-        if col is None:
-            if name in required:
-                return None
-        elif type(col) is not tuple or len(col) != n or not set(map(type, col)) <= set(admitted[name]):
-            return None
-    by_name = dict(zip(_RECORD_FIELDS, columns))
-    if n == 0 or by_name["scale_kind"].count(scale) != n or not _columns_in_domain(by_name, scale):
-        return None
-    records = list(map(_twin(AnnotationRecord), *(repeat(None, n) if col is None else col for col in columns)))
-    for record in records:
-        record.__class__ = AnnotationRecord
     return records
-
-
-def _columns_in_domain(columns: dict[str, Optional[tuple]], scale: str) -> bool:
-    """Whether every record of ``columns`` (field name -> values, None for a field no
-    record sets), all of whose values have admitted types and whose scale is
-    ``scale``, passes ``AnnotationRecord.__post_init__``: each column's distinct
-    values are checked against its field's declared domain (``field_domains``),
-    and then every score against ``scale``'s."""
-    for name, (ok, _) in field_domains(AnnotationRecord).items():
-        if not all(map(ok, set(columns[name] or ()) - {None})):
-            return False
-    return all(_score_ok(score, scale) for score in set(columns["score"]))
 
 
 def _check_embedding_references(dataset: Dataset) -> None:
@@ -1130,11 +1289,17 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     file and the line."""
     table = EmbeddingTable(dimension=0, entries={})
 
-    def add(row: dict) -> None:
+    def add(row: dict) -> _EmbeddingRow:
         entry = from_row(_EmbeddingRow, row)
         table.add(entry.item_id, entry.vector)
+        return entry
 
-    read_rows(path, _EmbeddingRow, add, unique="item_id", sidecar=True, restart=table.entries.clear)
+    entries = read_rows(path, _EmbeddingRow, add, unique="item_id")
+    if entries and not table.entries:  # built from the sidecar, so ``add`` has seen no row
+        try:
+            table = EmbeddingTable.from_rows((entry.item_id, entry.vector) for entry in entries)
+        except DataFormatError:  # a vector the table refuses: the file is parsed, naming its line
+            _parse_rows(Path(path), _EmbeddingRow, add, "item_id", _rows_key(_EmbeddingRow, add))
     if not table.entries:
         raise DataFormatError(f"{path}: no embedding rows")
     return table
@@ -1142,7 +1307,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 def load_metadata(path: str | Path) -> dict[str, ItemMetadata]:
     """Load item metadata codes from JSONL keyed by item_id, one row per item."""
-    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata, unique="item_id", sidecar=True)}
+    return {meta.item_id: meta for meta in read_rows(path, ItemMetadata, unique="item_id")}
 
 
 @dataclass

@@ -6,10 +6,11 @@ import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from prefaudit import diagnostics, pairing, ratio
+from prefaudit import cli, diagnostics, pairing, ratio
+from prefaudit import records as records_module
 from prefaudit.cli import (
     _flag_row, _write_csv, _write_jsonl, load_flags, load_pairs, load_profiles, load_ratio_records, run,
 )
@@ -138,6 +139,107 @@ def test_jsonl_artifact_is_written_row_by_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+# ------------------------------------------------------- the sidecars the writers leave
+
+# Strings, numbers and pairs a parse could read back otherwise than they were
+# written: non-ASCII text and lone surrogates, which the writer escapes; an int
+# in a float field and an integral float in an int field, which a parse casts;
+# a signed zero; and equal pairs that are distinct objects.
+odd_ids = ids | st.sampled_from(["naïve café", "雪\U0001f600", "\udc80x", "\ud800"])
+# now and then no pair_id, which a read fills in, so that the writer leaves no sidecar
+pair_ids = st.integers(0, 9).flatmap(lambda i: odd_ids if i else st.just(""))
+odd_finite = finite | st.integers(-10**6, 10**6) | st.sampled_from([-0.0, 0.0])
+odd_nonnegative = nonnegative | st.integers(0, 10**6)
+odd_optional_unit = optional_unit | st.sampled_from([0, 1])
+odd_counts = counts | st.integers(0, 100).map(float)
+
+
+@st.composite
+def odd_pairs(draw):
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    return PromptPair(
+        pair_id=draw(pair_ids),
+        item_a=draw(odd_ids),
+        item_b=draw(odd_ids),
+        similarity=draw(st.sampled_from([1, 1.0]) if kind == "identical" else cosine | st.sampled_from([-1, 0, 1, -0.0])),
+        kind=kind,
+        expected_direction=draw(DIRECTIONS[kind]),
+        rationale_tag=draw(st.none() | odd_ids),
+    )
+
+
+@st.composite
+def odd_flags(draw):
+    """Flags over a few pairs, some of them equal copies of others, in runs or interleaved."""
+    pool = draw(st.lists(odd_pairs(), min_size=1, max_size=3))
+    pool += [replace(pair) for pair in pool if draw(st.booleans())]  # equal, and another object
+    return [
+        InconsistencyFlag(draw(odd_ids), draw(st.sampled_from(pool)), draw(odd_finite), draw(odd_finite),
+                          draw(odd_nonnegative), draw(odd_nonnegative))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+# Each intermediate file the CLI writes: the rows it writes for some objects with the
+# ``kept`` it passes (None where it leaves no sidecar), the objects to write, and the reader.
+WRITTEN = {
+    "pairs": (lambda objs: (map(to_row, objs), None), st.lists(odd_pairs(), max_size=5), load_pairs),
+    "flags": (lambda objs: (cli._flag_rows(objs), cli._kept(InconsistencyFlag, objs, [flag.pair for flag in objs])),
+              odd_flags(), load_flags),
+    "profiles": (lambda objs: (map(to_row, objs), (ConsistencyProfile, objs)),
+                 st.lists(st.builds(
+                     ConsistencyProfile, annotator_id=odd_ids,
+                     temp=odd_optional_unit, frame=odd_optional_unit, order=odd_optional_unit, cross=odd_optional_unit,
+                     n_temp_pairs=odd_counts, n_frame_pairs=odd_counts, n_order_pairs=odd_counts,
+                     n_cross_items=odd_counts, reliability=odd_optional_unit, tau_used=odd_nonnegative,
+                 ), max_size=5), load_profiles),
+    "ratios": (lambda objs: (map(to_row, objs), (RatioRecord, objs)),
+               st.lists(st.builds(
+                   RatioRecord, annotator_id=odd_ids, theme=odd_ids, n_items=odd_counts,
+                   var_within=odd_nonnegative, baseline=odd_nonnegative, ratio=odd_nonnegative,
+                   resamples_used=odd_counts, seed=odd_counts, degenerate=st.booleans(),
+               ), max_size=5), load_ratio_records),
+}
+
+
+def _shape(loaded):
+    """What a read gave: each object's type and its fields' exact types and reprs (a
+    repr tells -0.0 from 0.0 and 1 from 1.0), and which flags share one pair."""
+    objects = list(loaded.values()) if isinstance(loaded, dict) else loaded
+    values = [(type(o), [(type(v), repr(v)) for v in to_row(o).values()]) for o in objects]
+    pairs = [o.pair for o in objects if isinstance(o, InconsistencyFlag)]
+    return values, [next(i for i, q in enumerate(pairs) if q is p) for p in pairs]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the file was parsed")
+
+
+@settings(deadline=None, max_examples=60)
+@seed(20261020)
+@given(data=st.data(), kind=st.sampled_from(list(WRITTEN)))
+def test_a_sidecar_a_writer_leaves_reads_as_a_fresh_parse_of_the_file(tmp_path_factory, data, kind):
+    write, objects, load = WRITTEN[kind]
+    written = data.draw(objects)
+    rows, kept = write(written)
+    directory = tmp_path_factory.mktemp("written")
+    path = directory / f"{kind}.jsonl"
+    _write_jsonl(str(path), {"cmd": kind}, rows, kept)
+    assert (directory / f".{kind}.jsonl.prefaudit").is_file() == (kept is not None)
+    (directory / "fresh").mkdir()
+    fresh = directory / "fresh" / path.name
+    fresh.write_bytes(path.read_bytes())
+    parsed = _shape(load(fresh))
+    with pytest.MonkeyPatch.context() as patch:
+        if kept is not None:
+            patch.setattr(records_module, "iter_jsonl", _refuse)
+            patch.setattr(records_module, "from_row", _refuse)
+        assert _shape(load(path)) == parsed
+        patch.setattr(records_module, "iter_jsonl", _refuse)
+        patch.setattr(records_module, "from_row", _refuse)
+        assert _shape(load(fresh)) == parsed  # the sidecar the parse of the copy kept
 
 
 # ------------------------------------------------------- through the subcommands

@@ -1,6 +1,7 @@
 """CLI: exit codes, config echo, subcommand pipelines, report rendering."""
 
 import argparse
+import csv
 import gc
 import json
 import math
@@ -423,11 +424,31 @@ def test_the_flags_writer_writes_the_bytes_of_one_flag_row_per_flag(tmp_path, mo
         assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
 
+def test_a_csv_copy_of_a_flags_file_loads_equal_to_it(tmp_path, monkeypatch):
+    """A flags CSV row's pair cells are typed by ``PromptPair``'s fields."""
+    _smoke_corpus("jury-dense", tmp_path, monkeypatch)
+    lines = (tmp_path / "flags.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    with (tmp_path / "flags.csv").open("w", encoding="utf-8", newline="") as fh:
+        fh.write(records.CONFIG_PREFIX + json.dumps(json.loads(lines[0])["#config"]) + "\r\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    original = load_flags(tmp_path / "flags.jsonl")
+    assert len(original) > len({f.pair for f in original}) > 1
+    copy = load_flags(tmp_path / "flags.csv")
+    assert repr(copy) == repr(original)  # a repr tells -0.0 from 0.0 and 1 from 1.0
+    first_with_pair = [[next(i for i, g in enumerate(flags) if g.pair is f.pair) for f in flags]
+                       for flags in (copy, original)]
+    assert first_with_pair[0] == first_with_pair[1]
+
+
 def test_loading_repeats_flags_builds_each_distinct_pair_once(tmp_path, monkeypatch):
     """A flags file holds many flags per pair; building a pair per flag would cost
     a ``_pair_from_row`` each."""
     _smoke_corpus("jury-dense", tmp_path, monkeypatch)
     path = tmp_path / "flags.jsonl"
+    _sidecar(path).unlink()  # a parse, not a read of the sidecar ``repeats`` left
     distinct = {json.loads(line)["pair_id"] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
     calls = []
     build = cli._pair_from_row
@@ -519,6 +540,86 @@ def test_each_benchmark_stage_leaves_little_cyclic_garbage(tmp_path, monkeypatch
             assert found < 5000, (stage[0], found)
     finally:
         gc.enable()
+
+
+_COUNTED_RUN = (
+    "import io, json, sys\n"
+    "from prefaudit import cli, records\n"
+    "decoded = []\n"
+    "open_text = records._open_text\n"
+    "def counted(path, *args, **kwargs):\n"
+    "    if not isinstance(path, io.TextIOBase):  # a stream is already open, and counted\n"
+    "        decoded.append(str(path))\n"
+    "    return open_text(path, *args, **kwargs)\n"
+    "records._open_text = counted\n"
+    "print(json.dumps([cli.run(sys.argv[1:]), decoded]))\n"
+)
+
+
+def _counted_run(cwd, *argv):
+    """``prefaudit argv`` in a fresh interpreter in ``cwd``: its exit code, and each
+    file it opened to decode (every parse of an input opens it through ``_open_text``)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _COUNTED_RUN, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_the_stage_after_a_writer_decodes_no_line_of_the_file_it_left(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+
+    corpora.build("jury-dense", "smoke", 1, tmp_path)
+    chains = [
+        (["repeats", "--input", "dataset.jsonl", "--embeddings", "emb.jsonl", "--flags-output", "flags.jsonl",
+          "--output", "repeats.json"],
+         ["classify", "--input", "dataset.jsonl", "--flags", "flags.jsonl", "--output", "classify.json"]),
+        (["ratio", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--resamples", "100",
+          "--output", "ratios.jsonl"],
+         ["simulate", "--input", "dataset.jsonl", "--ratios", "ratios.jsonl", "--output", "simulate.json"]),
+        (["diagnose", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--resamples", "100",
+          "--output", "profiles.jsonl"],
+         ["weights", "--input", "dataset.jsonl", "--profiles", "profiles.jsonl", "--output", "weighted.jsonl",
+          "--summary-output", "weights.json"]),
+    ]
+    for write, read in chains:
+        assert _counted_run(tmp_path, *write)[0] == 0
+        assert _counted_run(tmp_path, *read) == [0, []]
+    # ``pairs`` leaves no sidecar: no stage of a benchmark workload reads its output
+    assert _counted_run(tmp_path, "pairs", "--input", "dataset.jsonl", "--embeddings", "emb.jsonl",
+                        "--output", "pairs.jsonl")[0] == 0
+    assert not (tmp_path / ".pairs.jsonl.prefaudit").exists()
+    assert _counted_run(tmp_path, "diagnose", "--input", "dataset.jsonl", "--pairs", "pairs.jsonl",
+                        "--resamples", "100", "--output", "paired.jsonl") == [0, ["pairs.jsonl"]]
+    flags = tmp_path / "flags.jsonl"
+    flags.write_text("".join(flags.read_text().splitlines(keepends=True)[:-1]))  # edited after the write
+    assert _counted_run(tmp_path, *chains[0][1]) == [0, ["flags.jsonl"]]
+    sidecars = sorted(tmp_path.glob(".*.prefaudit"))
+    assert run(["repeats", "--input", str(tmp_path / "dataset.jsonl"), "--flags-output", "-",
+                "--output", str(tmp_path / "repeats.json")]) == 0
+    assert run(["ratio", "--input", str(tmp_path / "dataset.jsonl"), "--metadata", str(tmp_path / "meta.jsonl"),
+                "--format", "csv", "--output", str(tmp_path / "ratios.csv")]) == 0
+    assert sorted(tmp_path.glob(".*.prefaudit")) == sidecars  # none for standard output, nor for a CSV
+    assert not (tmp_path / ".ratios.csv.prefaudit").exists()
+
+
+def test_diagnose_counts_the_pairs_that_name_an_item_absent_from_its_input(dataset_path, tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    rows = [{"pair_id": "i1|i2", "item_a": "i1", "item_b": "i2", "similarity": 0.95},
+            {"pair_id": "i3|i4", "item_a": "i3", "item_b": "i4", "similarity": 0.91}]
+    _write_jsonl(pairs, rows)
+    out = tmp_path / "profiles.jsonl"
+    argv = ["diagnose", "--input", str(dataset_path), "--pairs", str(pairs), "--output", str(out)]
+    assert run(argv) == 0
+    expected = out.read_bytes()
+    assert capsys.readouterr().err == ""
+    stray = {"pair_id": "i1|item-zzz", "item_a": "i1", "item_b": "item-zzz", "similarity": 0.95}
+    _write_jsonl(pairs, [*rows, stray, {**stray, "item_a": "item-yyy", "item_b": "i1", "pair_id": "x"}])
+    assert run(argv) == 0
+    assert capsys.readouterr().err == (f"diagnose: 2 of {len(rows) + 2} pairs name an item absent from --input;"
+                                       " they add no rating comparison\n")
+    assert out.read_bytes() == expected
 
 
 def test_repeats_report_table(dataset_path, tmp_path):

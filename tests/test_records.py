@@ -35,7 +35,10 @@ from prefaudit.records import (
     to_row,
     validate,
 )
-from prefaudit.ratio import PopulationReport
+from prefaudit import cli
+from prefaudit.diagnostics import ConsistencyProfile
+from prefaudit.pairing import InconsistencyFlag, PromptPair
+from prefaudit.ratio import PopulationReport, RatioRecord
 from prefaudit.themes import EndpointConfig
 from test_builders import CLEAN, ROW_TYPES
 
@@ -814,8 +817,8 @@ def _parse_count(monkeypatch):
 # A forgery of each load's sidecar that passes every check, but is not the file's.
 _VALID_FORGERIES = {
     "records": lambda path: _forge(path, ("jsonl", None), lambda c, r, s: (_set(c, "score", 99.0), r, s)),
-    "metadata": lambda path: _forge_rows(path, ItemMetadata, partial(_set_row, content_type="A2_factual")),
-    "embeddings": lambda path: _forge_rows(path, records_module._EmbeddingRow, partial(_set_row, vector=[3.0, 4.0])),
+    "metadata": lambda path: _forge_rows(path, _set_cell(ItemMetadata, "content_type", "A2_factual")),
+    "embeddings": lambda path: _forge_rows(path, _set_cell(records_module._EmbeddingRow, "vector", [3.0, 4.0])),
 }
 
 
@@ -880,37 +883,63 @@ def test_a_sidecar_is_not_written_for_a_failed_load_or_a_pipe(tmp_path, kind):
     os.close(read)
 
 
-def _forge_rows(path, cls, change):
-    """Rewrite ``path``'s ``read_rows`` sidecar for ``cls`` with a matching header and
-    ``change`` applied to its ``(line_no, row)`` list."""
-    header = records_module._sidecar_header(("read_rows", cls.__qualname__), hashlib.sha256(path.read_bytes()).digest())
+def _forge_rows(path, change):
+    """Rewrite ``path``'s ``read_rows`` sidecar, its header kept, with ``change``
+    applied to its columns."""
     blob = _sidecar(path).read_bytes()
-    assert blob.startswith(header)
+    key = marshal.loads(blob)[3]  # the header comes first, and ``loads`` reads one object
+    header = records_module._sidecar_header(key, hashlib.sha256(path.read_bytes()).digest())
+    assert key[0] == "read_rows" and blob.startswith(header)
     _sidecar(path).write_bytes(header + marshal.dumps(change(marshal.loads(blob[len(header):]))))
 
 
-def _set_row(rows, at=0, **values):
-    """``rows`` with the row at ``at`` given ``values``."""
-    line_no, row = rows[at]
-    rows[at] = (line_no, {**row, **values})
-    return rows
+def _set_cell(cls, name, value, at=0):
+    """A forgery: the columns of ``cls`` with the value of ``name`` at ``at`` set to
+    ``value``; a column stored as None (no object sets the field) is filled with None first."""
+    def change(columns):
+        columns = list(columns)
+        i = records_module._field_names(cls).index(name)
+        col = list(columns[i] or [None] * len(columns[0]))
+        col[at] = value
+        columns[i] = tuple(col)
+        return tuple(columns)
+
+    return change
 
 
-_ROW_CLASSES = {"metadata": ItemMetadata, "embeddings": records_module._EmbeddingRow}
+def _in_pair_table(change):
+    """A forgery of a flags sidecar: ``change`` applied to the columns of its pairs."""
+    def forge(columns):
+        index, table = columns[1]
+        return (columns[0], (index, change(table)), *columns[2:])
+
+    return forge
+
+
+def _set_pair_index(value, at=0):
+    """A forgery of a flags sidecar: the index of the flag at ``at`` into its pair table set to ``value``."""
+    def forge(columns):
+        index, table = columns[1]
+        return (columns[0], (index[:at] + (value,) + index[at + 1:], table), *columns[2:])
+
+    return forge
+
+
+def _as_rows(cls):
+    """A forgery: the payload as row dicts, not columns."""
+    names = records_module._field_names(cls)
+    return lambda columns: [dict(zip(names, row)) for row in zip(*(col or [None] * len(columns[0]) for col in columns))]
 
 
 @pytest.mark.parametrize("kind", SIDE_INPUTS)
-def test_a_warm_side_input_load_builds_every_kept_row_without_parsing(tmp_path, monkeypatch, kind):
+def test_a_warm_side_input_load_builds_every_object_without_parsing_or_a_row(tmp_path, monkeypatch, kind):
     write, load = LOADS[kind]
     path = write(tmp_path)
     cold = _values(load(path))
     assert _sidecar(path).is_file()
-    built = []
-    from_row = records_module.from_row
     monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
-    monkeypatch.setattr(records_module, "from_row", lambda *a, **k: built.append(a[1]["item_id"]) or from_row(*a, **k))
+    monkeypatch.setattr(records_module, "from_row", _refuse)
     assert _values(load(path)) == cold
-    assert built == ["i0", "i1", "i2", "i3"]
 
 
 def test_a_forged_side_input_sidecar_that_passes_every_check_is_used(tmp_path):
@@ -925,23 +954,24 @@ def test_a_forged_side_input_sidecar_that_passes_every_check_is_used(tmp_path):
     assert load_embeddings(embeddings_path)["i0"].tolist() == [3.0, 4.0]
 
 
-# Forged rows each fail a check that a parse applies. Those that pass some rows
-# before the bad one (a renamed first item, another first dimension) show that
-# what ``build`` did with them is undone before the file is parsed.
+# Forged columns each fail a check that a parse applies. Those that pass the
+# columns and fail only the embedding table (a renamed first item, another first
+# dimension) show that the table built from them is dropped before the file is parsed.
 ROW_FORGERIES = {
     "metadata": {
-        "unknown content_type": partial(_set_row, at=-1, content_type="A9_bogus"),
-        "repeated item_id": partial(_set_row, at=-1, item_id="i0"),
-        "mistyped theme label": partial(_set_row, at=-1, theme_labels=["harm", 7]),
-        "unknown field": partial(_set_row, at=-1, colour="red"),
-        "rows without line numbers": lambda rows: [row for _, row in rows],
+        "unknown content_type": _set_cell(ItemMetadata, "content_type", "A9_bogus", at=-1),
+        "repeated item_id": _set_cell(ItemMetadata, "item_id", "i0", at=-1),
+        "mistyped theme label": _set_cell(ItemMetadata, "theme_labels", frozenset({"harm", 7}), at=-1),
+        "unknown field": lambda columns: (*columns, ("red",) * len(columns[0])),
+        "rows without line numbers": _as_rows(ItemMetadata),
     },
     "embeddings": {
-        "zero vector": lambda rows: _set_row(_set_row(rows, item_id="stale"), at=-1, vector=[0.0, 0.0]),
-        "repeated item_id": partial(_set_row, at=-1, item_id="i0"),
-        "another dimension": partial(_set_row, vector=[1.0, 2.0, 3.0]),
-        "non-finite entry": partial(_set_row, at=-1, vector=[1.0, float("nan")]),
-        "rows without line numbers": lambda rows: [row for _, row in rows],
+        "zero vector": lambda columns: _set_cell(records_module._EmbeddingRow, "vector", [0.0, 0.0], at=-1)(
+            _set_cell(records_module._EmbeddingRow, "item_id", "stale")(columns)),
+        "repeated item_id": _set_cell(records_module._EmbeddingRow, "item_id", "i0", at=-1),
+        "another dimension": _set_cell(records_module._EmbeddingRow, "vector", [1.0, 2.0, 3.0]),
+        "non-finite entry": _set_cell(records_module._EmbeddingRow, "vector", [1.0, float("nan")], at=-1),
+        "rows without line numbers": _as_rows(records_module._EmbeddingRow),
     },
 }
 
@@ -951,8 +981,131 @@ def test_a_side_input_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, kin
     write, load = LOADS[kind]
     path = write(tmp_path)
     expected = _values(load(path))
-    _forge_rows(path, _ROW_CLASSES[kind], ROW_FORGERIES[kind][forgery])
+    _forge_rows(path, ROW_FORGERIES[kind][forgery])
     assert _values(load(path)) == expected
+
+
+# ------------------------------------------------------------------ sidecars the CLI writers leave
+
+
+def _pairs_file(tmp_path):
+    pairs = [PromptPair(f"i{i}|i{i + 1}", f"i{i}", f"i{i + 1}", 0.9 + i / 100) for i in range(3)]
+    path = tmp_path / "pairs.jsonl"
+    cli._write_jsonl(str(path), {}, map(to_row, pairs), (PromptPair, pairs))
+    return path
+
+
+def _flags_file(tmp_path):
+    pairs = [PromptPair("i1|i2", "i1", "i2", 0.95), PromptPair("i3|i3", "i3", "i3", 1.0, "identical")]
+    flags = [InconsistencyFlag(f"a{i}", pairs[i // 2], 10.0, 40.0 + i, 30.0 + i, 15.0) for i in range(4)]
+    path = tmp_path / "flags.jsonl"
+    cli._write_jsonl(str(path), {}, cli._flag_rows(flags), (InconsistencyFlag, flags))
+    return path
+
+
+def _profiles_file(tmp_path):
+    profiles = [ConsistencyProfile(f"a{i}", temp=0.5, n_temp_pairs=i, reliability=0.25 * i) for i in range(3)]
+    path = tmp_path / "profiles.jsonl"
+    cli._write_jsonl(str(path), {}, map(to_row, profiles), (ConsistencyProfile, profiles))
+    return path
+
+
+def _ratios_file(tmp_path):
+    ratios = [RatioRecord(f"a{i}", "harm", 5, 1.0, 2.0, 0.5, 100, 7) for i in range(3)]
+    path = tmp_path / "ratios.jsonl"
+    cli._write_jsonl(str(path), {}, map(to_row, ratios), (RatioRecord, ratios))
+    return path
+
+
+# Each intermediate file whose writer leaves a sidecar: a writer of a small one, and its reader.
+WRITTEN = {
+    "flags": (_flags_file, cli.load_flags),
+    "pairs": (_pairs_file, cli.load_pairs),
+    "profiles": (_profiles_file, cli.load_profiles),
+    "ratios": (_ratios_file, cli.load_ratio_records),
+}
+
+
+@pytest.mark.parametrize("kind", WRITTEN)
+def test_a_file_a_writer_left_a_sidecar_beside_reads_without_parsing(tmp_path, monkeypatch, kind):
+    write, load = WRITTEN[kind]
+    path = write(tmp_path)
+    fresh = tmp_path / "fresh"  # the same bytes, parsed
+    fresh.mkdir()
+    (fresh / path.name).write_bytes(path.read_bytes())
+    parsed = load(fresh / path.name)
+    monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+    monkeypatch.setattr(records_module, "from_row", _refuse)
+    assert repr(load(path)) == repr(parsed)
+
+
+def test_a_sidecar_serves_only_the_reader_that_kept_it(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    _write_jsonl(path, [{"item_a": "i1", "item_b": "i2"}])  # no pair_id, which ``load_pairs`` fills in
+    assert cli.load_pairs(path)[0].pair_id == "i1|i2"
+    assert _sidecar(path).is_file()
+    with pytest.raises(DataFormatError, match="line 1: missing required field 'pair_id'"):
+        records_module.read_rows(path, PromptPair)
+
+
+# A forgery of each written sidecar that passes every check, but is not the file's.
+_VALID_WRITTEN_FORGERIES = {
+    "flags": (_in_pair_table(_set_cell(PromptPair, "rationale_tag", "forged")),
+              lambda flags: flags[0].pair.rationale_tag),
+    "pairs": (_set_cell(PromptPair, "similarity", -0.5), lambda pairs: pairs[0].similarity),
+    "profiles": (_set_cell(ConsistencyProfile, "cross", 0.75), lambda profiles: profiles["a0"].cross),
+    "ratios": (_set_cell(RatioRecord, "n_items", 9), lambda ratios: ratios[0].n_items),
+}
+
+
+@pytest.mark.parametrize("kind", WRITTEN)
+def test_a_forged_written_sidecar_that_passes_every_check_is_used(tmp_path, kind):
+    """The control for the forgeries below: each is refused for its bad value alone."""
+    write, load = WRITTEN[kind]
+    path = write(tmp_path)
+    change, read = _VALID_WRITTEN_FORGERIES[kind]
+    _forge_rows(path, change)
+    assert read(load(path)) in ("forged", -0.5, 0.75, 9)
+
+
+WRITTEN_FORGERIES = {
+    "flags": {
+        "pair index out of range": _set_pair_index(2),
+        "negative pair index": _set_pair_index(-1),
+        "True as a pair index": _set_pair_index(True),
+        "identical pair of similarity 0.5": _in_pair_table(_set_cell(PromptPair, "similarity", 0.5, at=1)),
+        "mistyped column": _set_cell(InconsistencyFlag, "score_a", "10.0", at=-1),
+        "negative delta": _set_cell(InconsistencyFlag, "delta", -1.0),
+        "short column": _set_cell(InconsistencyFlag, "delta", (), at=slice(0, 1)),
+    },
+    "pairs": {
+        "identical pair of similarity 0.5": lambda c: _set_cell(PromptPair, "kind", "identical")(
+            _set_cell(PromptPair, "similarity", 0.5)(c)),
+        "mistyped column": _set_cell(PromptPair, "similarity", 1, at=-1),
+        "unknown pair kind": _set_cell(PromptPair, "kind", "opposite"),
+    },
+    "profiles": {
+        "mistyped column": _set_cell(ConsistencyProfile, "n_temp_pairs", 1.0),
+        "reliability out of [0, 1]": _set_cell(ConsistencyProfile, "reliability", 1.5),
+        "missing required": _set_cell(ConsistencyProfile, "annotator_id", None),
+    },
+    "ratios": {
+        "mistyped column": _set_cell(RatioRecord, "n_items", True),
+        "negative ratio": _set_cell(RatioRecord, "ratio", -0.5),
+        "null seed": lambda c: (*c[:7], None, c[8]),
+    },
+}
+
+
+@pytest.mark.parametrize("kind, forgery", [(k, name) for k in WRITTEN_FORGERIES for name in WRITTEN_FORGERIES[k]])
+def test_a_written_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, monkeypatch, kind, forgery):
+    write, load = WRITTEN[kind]
+    path = write(tmp_path)
+    expected = repr(load(path))
+    _forge_rows(path, WRITTEN_FORGERIES[kind][forgery])
+    calls = _parse_count(monkeypatch)
+    assert repr(load(path)) == expected
+    assert calls == [1]
 
 
 _COLUMN_SCORES = st.one_of(
