@@ -44,9 +44,7 @@ def _write_jsonl(path: str, config: dict, rows: Iterable, kept: Optional[tuple] 
     is encoded. ``kept``, ``(cls, objects)``, the ``cls`` objects the rows were written
     from, leaves the sidecar that ``_read_rows(path, cls)`` reads (see
     ``records.write_jsonl``), under the same ``_row_build(cls)``."""
-    if kept is not None:
-        cls, objects = kept
-        kept = (cls, _row_build(cls), objects)
+    kept = None if kept is None else (kept[0], _row_build(kept[0]), kept[1])
     records.write_jsonl(path, chain([{"#config": config}], rows), kept)
 
 
@@ -416,6 +414,10 @@ def _cmd_simulate(args) -> int:
     annotators = {r.annotator_id for r in ratios}
     if annotators and annotators.isdisjoint(dataset.by_annotator):
         raise DataFormatError(f"{args.ratios}: none of its {len(annotators)} annotators rates in --input")
+    absent = len(annotators - dataset.by_annotator.keys())
+    if absent:
+        print(f"simulate: {absent} of {len(annotators)} annotators in --ratios are absent from --input;"
+              " they rate no prompt but count in the median split", file=sys.stderr)
     report = aggregation.pool_flip_simulation(
         dataset,
         ratios,
@@ -437,6 +439,10 @@ def _cmd_weights(args) -> int:
     dataset = _load_dataset(args)
     if args.profiles:
         profiles = load_profiles(args.profiles)
+        absent = len(profiles.keys() - dataset.by_annotator.keys())
+        if absent:
+            print(f"weights: {absent} of {len(profiles)} profiles in --profiles name an annotator absent from --input;"
+                  " their reliability weights no record", file=sys.stderr)
     else:
         profiles = diagnostics.build_profiles(dataset, tau=args.tau)
     table = weighting.build_weights(

@@ -582,15 +582,6 @@ def record_to_obj(record: AnnotationRecord) -> dict:
     return out
 
 
-def _record_from_obj(obj: dict, scale_kind: Optional[str]) -> AnnotationRecord:
-    """Validate one decoded row and build its record; ``obj`` is left as given."""
-    if not obj.get("scale_kind"):
-        if scale_kind is None:
-            raise DataFormatError("record carries no scale_kind and no dataset-level default given")
-        obj = {**obj, "scale_kind": scale_kind}
-    return from_row(AnnotationRecord, obj)
-
-
 def records_from_rows(
     rows: Iterable[tuple[int, dict]],
     scale_kind: Optional[str] = None,
@@ -605,27 +596,34 @@ def records_from_rows(
     Rows on a different scale than the dataset's are malformed.
     """
     rejects = [] if rejects is None else rejects
-    records: list[AnnotationRecord] = []
-    effective_scale = scale_kind
-    for line_no, obj in rows:
-        try:
-            rec = _record_from_obj(obj, effective_scale)
-            if effective_scale is None:
-                effective_scale = rec.scale_kind
-            elif rec.scale_kind != effective_scale:
-                raise DataFormatError(
-                    f"scale_kind {rec.scale_kind!r} differs from dataset scale {effective_scale!r}"
-                )
-            records.append(rec)
-        except DataFormatError as exc:
-            if strict:
-                raise DataFormatError(f"line {line_no}: {exc}") from exc
-            rejects.append(RejectedRow(line_no, str(exc), to_json(obj)))
+    scale = scale_kind
+
+    def build(obj: dict) -> AnnotationRecord:
+        nonlocal scale
+        if not obj.get("scale_kind"):
+            if scale is None:
+                raise DataFormatError("record carries no scale_kind and no dataset-level default given")
+            obj = {**obj, "scale_kind": scale}
+        rec = from_row(AnnotationRecord, obj)
+        if scale is None:
+            scale = rec.scale_kind
+        elif rec.scale_kind != scale:
+            raise DataFormatError(f"scale_kind {rec.scale_kind!r} differs from dataset scale {scale!r}")
+        return rec
+
+    records = _build_rows(rows, build, None, None if strict else rejects)
     if not records:
         common = Counter(r.reason for r in rejects).most_common(1)
         why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
         raise DataFormatError(f"zero valid rows{why}")
-    return records, rejects, effective_scale or SCALE_CONTINUOUS
+    return records, rejects, scale or SCALE_CONTINUOUS
+
+
+def _reject(rejects: Optional[list[RejectedRow]], line_no: int, reason: str, raw: str) -> None:
+    """A bad line: appended to a lenient reader's ``rejects``, else raised naming the line."""
+    if rejects is None:
+        raise DataFormatError(f"line {line_no}: {reason}") from None
+    rejects.append(RejectedRow(line_no, reason, raw))
 
 
 class _Hashed(io.RawIOBase):
@@ -733,9 +731,7 @@ def iter_jsonl(
                             yield line_no, _shared(obj, strings)
                         continue
                     reason = "row is not an object"
-            if rejects is None:
-                raise DataFormatError(f"line {line_no}: {reason}")
-            rejects.append(RejectedRow(line_no, reason, line))
+            _reject(rejects, line_no, reason, line)
 
 
 # ``json.loads``' own scanner: a default JSONDecoder's, built once.
@@ -791,9 +787,7 @@ def _iter_csv(
                     row = {k: _from_cell(v, admitted.get(k, (str,))) for k, v in row.items() if v}
                     yield line_no, _shared(row, strings)
                     continue
-            if rejects is None:
-                raise DataFormatError(f"line {line_no}: {reason}")
-            rejects.append(RejectedRow(line_no, reason, json.dumps(row)))
+            _reject(rejects, line_no, reason, json.dumps(row))
 
 
 def read_rows(
@@ -807,55 +801,52 @@ def read_rows(
     outputs do. A bad row, and a row whose string field ``unique`` repeats an earlier
     row's, raise one DataFormatError naming the file and the line (and the earlier one).
 
-    A regular file's objects are kept in its sidecar (see ``_read_sidecar``) as
+    A regular file's objects are kept in its sidecar (see ``_cached_load``) as
     columns (see ``_row_columns``), under a key naming ``build`` and ``cls`` (see
     ``_rows_key``); a later read of the same bytes builds them from the columns that
     ``_rows_from_columns`` passes, ``unique`` included, instead of parsing. ``build``
     must return a ``cls``.
     """
     path = Path(path)
-    key = _rows_key(cls, build) if path.is_file() else None  # hashing a pipe would consume what the parse must read
-    if key is not None:
-        objects = _read_sidecar(path, key, partial(_rows_from_columns, cls, unique=unique))
-        if objects is not None:
-            return objects
-    return _parse_rows(path, cls, build, unique, key)
+    return _cached_load(
+        path, _rows_key(cls, build), partial(_rows_from_columns, cls, unique=unique),
+        partial(_parse_rows, path, cls, build, unique), partial(_row_columns, cls),
+    )
 
 
-def _parse_rows(
-    path: Path, cls: type, build: Optional[Callable[[dict], object]], unique: Optional[str], key: Optional[tuple]
-) -> list:
-    """``read_rows`` by a parse of the file, which, under ``key``, is kept in its sidecar."""
-    digest = None if key is None else hashlib.sha256()
+def _parse_rows(path: Path, cls: type, build: Optional[Callable], unique: Optional[str], digest) -> list:
+    """``read_rows`` by a parse of the file, whose bytes are fed to ``digest`` when given."""
     try:
         # one stream, peeked and then parsed, so a pipe loses no line to the peek
         with _open_text(path, newline="", digest=digest) as fh:
             head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
             is_csv = head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK)
-            out = _build_rows(_iter_csv(fh, cls) if is_csv else iter_jsonl(fh), build or partial(from_row, cls), unique)
+            rows = _iter_csv(fh, cls) if is_csv else iter_jsonl(fh)
+            return _build_rows(rows, build or partial(from_row, cls), unique)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if key is not None:
-        _write_sidecar(path, key, digest.digest(), _row_columns(cls, out))
-    return out
 
 
 _CSV_MARK = CONFIG_PREFIX.encode()
 
 
-def _build_rows(rows: Iterable[tuple[int, dict]], build: Callable[[dict], object], unique: Optional[str]) -> list:
-    """``read_rows``' ``build`` and ``unique`` check of each ``(line_no, row)``."""
+def _build_rows(rows: Iterable[tuple[int, dict]], build: Callable[[dict], object], unique: Optional[str],
+                rejects: Optional[list[RejectedRow]] = None) -> list:
+    """``build`` of each ``(line_no, row)``, whose string field ``unique``, when given,
+    must not repeat an earlier row's. A row that ``build`` or the ``unique`` check
+    refuses is rejected as a reader rejects a bad line (see ``_reject``)."""
     out = []
     first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
     for line_no, row in rows:
         try:
-            out.append(build(row))
+            obj = build(row)
             if unique is not None:  # checked once ``build`` has made the value a string
                 first = first_line.setdefault(row[unique], line_no)
                 if first != line_no:
                     raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
+            out.append(obj)
         except DataFormatError as exc:
-            raise DataFormatError(f"line {line_no}: {exc}") from None
+            _reject(rejects, line_no, str(exc), to_json(row))
     return out
 
 
@@ -887,19 +878,17 @@ def write_jsonl(path: str | Path, rows: Iterable, kept: Optional[tuple] = None) 
     output or another path that is not a regular file, a write that raises, and a
     value that a parse refuses leave no sidecar."""
     encode = row_encoder()
-    digest = None if kept is None or path == "-" else hashlib.sha256()
+    key = None if kept is None or path == "-" else _rows_key(*kept[:2])
+    digest = None if key is None else hashlib.sha256()
     with open_output(path, digest=digest) as fh:
         for row in rows:
             fh.write(encode(row) + "\n")
     if digest is not None and Path(path).is_file():
-        cls, build, objects = kept
-        key = _rows_key(cls, build)
         try:
-            columns = _row_columns(cls, objects, _written_key)
+            columns = _row_columns(kept[0], kept[2], _written_key)
         except DataFormatError:  # a value a parse refuses: the read parses the file and says so
             return
-        if key is not None:
-            _write_sidecar(Path(path), key, digest.digest(), columns)
+        _write_sidecar(Path(path), key, digest.digest(), columns)
 
 
 def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
@@ -919,7 +908,7 @@ def load_records(
 ) -> Dataset:
     """Load a dataset from a JSONL or CSV export.
 
-    A regular file's load is kept in a sidecar next to it (see ``_read_sidecar``),
+    A regular file's load is kept in a sidecar next to it (see ``_cached_load``),
     which a later load of the same bytes with the same ``fmt`` and ``scale_kind``
     reads instead of parsing the file again: the record fields as columns, the
     rejects as ``(line_no, reason, raw)`` and the effective scale. Under ``strict``,
@@ -928,31 +917,35 @@ def load_records(
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    key = (fmt, scale_kind)  # a strict and a lenient load of a clean file build the same records
-    cacheable = path.is_file()  # hashing a pipe would consume what the parse must read
-    decode = partial(_load_from_sidecar, scale_kind=scale_kind, strict=strict)
-    loaded = _read_sidecar(path, key, decode) if cacheable else None
-    if loaded is None:
-        digest = hashlib.sha256()
+
+    def parse(digest) -> tuple[list[AnnotationRecord], list[RejectedRow], str]:
         # the reader's rejects and the record builder's land in one list, in line order
         rejects: list[RejectedRow] = []
         lenient = None if strict else rejects
-        if fmt == "jsonl":
-            rows = iter_jsonl(path, lenient, digest)
-        else:
-            rows = _iter_csv(path, AnnotationRecord, lenient, digest)
+        rows = (iter_jsonl(path, lenient, digest) if fmt == "jsonl"
+                else _iter_csv(path, AnnotationRecord, lenient, digest))
         try:
-            records, rejects, effective_scale = records_from_rows(rows, scale_kind, strict, rejects)
+            return records_from_rows(rows, scale_kind, strict, rejects)
         except DataFormatError as exc:
             if strict:
                 raise DataFormatError(f"{path}: {exc}") from None
             raise
-        if cacheable:
-            rejected = tuple((r.line_no, r.reason, r.raw) for r in rejects)
-            payload = (_row_columns(AnnotationRecord, records), rejected, effective_scale)
-            _write_sidecar(path, key, digest.digest(), payload)
-    else:
-        records, rejects, effective_scale = loaded
+
+    def keep(loaded) -> tuple:
+        records, rejects, scale = loaded
+        return _row_columns(AnnotationRecord, records), tuple((r.line_no, r.reason, r.raw) for r in rejects), scale
+
+    def decode(payload) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
+        # checked as a parse checks each row (see ``_records_from_columns``); a strict parse raises on a reject
+        columns, rejected, scale = payload
+        records = _records_from_columns(columns, scale, scale_kind)
+        rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
+        if records is None or len(rejects) != len(rejected) or (rejects and strict):
+            return None
+        return records, rejects, scale
+
+    # a strict and a lenient load of a clean file build the same records
+    records, rejects, effective_scale = _cached_load(path, (fmt, scale_kind), decode, parse, keep)
     if strict:
         _check_timestamp_order(records, raise_on_violation=True)
     dataset = Dataset(
@@ -966,51 +959,79 @@ def load_records(
     return dataset
 
 
-# The load sidecar: a cache of one load of one file, never a second source of truth.
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.prefaudit")
 
 
 @cache
-def _source_digest(*files: str) -> bytes:
-    """The SHA-256 of the source ``files``."""
+def _source_digest() -> Optional[bytes]:
+    """The SHA-256 of the source of every module of this package, read once per
+    process. None, for no sidecar, when this module's source is not among them, as
+    in an install without source, and when one cannot be read."""
+    here = Path(__file__)
+    files = sorted(here.parent.glob("*.py"))
+    if here not in files:
+        return None
     digest = hashlib.sha256()
-    for name in files:
-        digest.update(Path(name).read_bytes())
+    try:
+        for source in files:
+            digest.update(source.read_bytes())
+    except OSError:
+        return None
     return digest.digest()
 
 
 def _sidecar_header(key: tuple, digest: bytes) -> bytes:
     """What a sidecar must match to be used: the interpreter and marshal format,
-    the source of this module and of ``cli`` (a change to how rows become objects
-    retires every sidecar), the reader's ``key`` (``load_records``' ``(fmt,
-    scale_kind)``, or ``_rows_key``) and the SHA-256 of the input's bytes. Marshal
-    format 2 writes no back-references, so equal headers are equal bytes."""
-    sources = _source_digest(__file__, str(Path(__file__).with_name("cli.py")))
-    return marshal.dumps((sys.implementation.cache_tag, marshal.version, sources, key, digest), 2)
+    the source of this package (``_source_digest``: a change to any module retires
+    every sidecar), the reader's ``key`` (``load_records``' ``(fmt, scale_kind)``, or
+    ``_rows_key``) and the SHA-256 of the input's bytes. Marshal format 2 writes no
+    back-references, so equal headers are equal bytes."""
+    return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
 
 
 def _rows_key(cls: type, build: Optional[Callable]) -> Optional[tuple]:
     """``read_rows(path, cls, build)``'s sidecar key: ``build`` (None for ``from_row``)
-    and ``cls`` by name, and the source of the modules that define them and the row
-    types ``cls``'s fields hold. None, for no sidecar, when one of those has no
-    source file or ``build`` no name."""
-    modules = {cls.__module__, *(t.__module__ for t in _nested_rows(cls).values())}
+    and ``cls`` by name. None, for no sidecar, when either is defined outside this
+    package, whose source alone the header digests."""
+    reader = None if build is None else f"{getattr(build, '__module__', None)}.{getattr(build, '__qualname__', None)}"
+    row_type = f"{cls.__module__}.{cls.__qualname__}"
+    inside = all(name.startswith(f"{__package__}.") for name in filter(None, (reader, row_type)))
+    return ("read_rows", reader, row_type) if inside else None
+
+
+def _cached_load(path: Path, key: Optional[tuple], decode: Callable, parse: Callable, keep: Callable):
+    """``decode`` of the payload ``path``'s sidecar (a cache, never a second source of truth)
+    keeps under ``key`` for the file's bytes (see ``_sidecar_header``); when the sidecar is
+    missing, stale, unreadable or not the user's own (``_read_own_file``), or ``decode``
+    returns None or raises, ``parse(digest)``, which feeds ``digest`` the bytes it reads,
+    with ``keep`` of it kept in the sidecar. A ``key`` of None, an install without source
+    and a path that is not a regular file (hashing a pipe would consume what the parse
+    must read) keep no sidecar: ``parse(None)``."""
+    if key is None or _source_digest() is None or not path.is_file():
+        return parse(None)
     try:
-        reader = None
-        if build is not None:
-            reader = f"{build.__module__}.{build.__qualname__}"
-            modules.add(build.__module__)
-        files = sorted(sys.modules[name].__file__ for name in modules)
-        return ("read_rows", reader, f"{cls.__module__}.{cls.__qualname__}", _source_digest(*files))
-    except (AttributeError, KeyError, TypeError, OSError):
-        return None
+        blob = _read_own_file(_sidecar_path(path))
+        if blob is not None:
+            header = _sidecar_header(key, _file_sha256(path))
+            if blob.startswith(header):
+                loaded = decode(marshal.loads(memoryview(blob)[len(header):]))
+                if loaded is not None:
+                    return loaded
+    except Exception:  # a cache: whatever goes wrong reading it, the file is parsed instead
+        pass
+    digest = hashlib.sha256()
+    loaded = parse(digest)
+    _write_sidecar(path, key, digest.digest(), keep(loaded))
+    return loaded
 
 
 def _write_sidecar(path: Path, key: tuple, digest: bytes, payload) -> None:
     """Keep a load of the bytes ``digest`` names in ``path``'s sidecar: the header,
     then ``payload`` as one marshal blob, which keeps its shared strings shared.
-    A sidecar that cannot be written is skipped."""
+    A sidecar that cannot be written, or of an install without source, is skipped."""
+    if _source_digest() is None:
+        return
     sidecar = _sidecar_path(path)
     try:
         body = marshal.dumps(payload)
@@ -1026,23 +1047,6 @@ def _write_sidecar(path: Path, key: tuple, digest: bytes, payload) -> None:
             raise
     except (OSError, ValueError):  # ValueError: a value marshal cannot write
         pass
-
-
-def _read_sidecar(path: Path, key: tuple, decode: Callable = lambda payload: payload):
-    """``decode`` of the payload ``path``'s sidecar keeps for its current bytes and
-    ``key``. None, for a full parse, when the sidecar is missing, unreadable, not
-    the user's own (see ``_read_own_file``) or stale, and when ``decode`` returns
-    None or raises."""
-    try:
-        blob = _read_own_file(_sidecar_path(path))
-        if blob is None:
-            return None
-        header = _sidecar_header(key, _file_sha256(path))
-        if not blob.startswith(header):
-            return None
-        return decode(marshal.loads(memoryview(blob)[len(header):]))
-    except Exception:  # a cache: whatever goes wrong reading it, the file is parsed instead
-        return None
 
 
 def _read_own_file(path: Path) -> Optional[bytes]:
@@ -1205,22 +1209,6 @@ def _columns_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -
     return True
 
 
-def _load_from_sidecar(
-    payload, scale_kind: Optional[str], strict: bool
-) -> Optional[tuple[list[AnnotationRecord], list[RejectedRow], str]]:
-    """The load a ``load_records`` sidecar keeps, checked as a parse checks each row:
-    the field types, the required fields, one scale and the domains
-    ``AnnotationRecord.__post_init__`` checks (see ``_records_from_columns``). None
-    when a check fails, and when ``strict`` meets a reject, which a strict parse
-    raises on."""
-    columns, rejected, scale = payload
-    records = _records_from_columns(columns, scale, scale_kind)
-    rejects = [RejectedRow(*r) for r in rejected if tuple(map(type, r)) == (int, str, str)]
-    if records is None or len(rejects) != len(rejected) or (rejects and strict):
-        return None
-    return records, rejects, scale
-
-
 _SCALE_AT = _RECORD_FIELDS.index("scale_kind")
 
 
@@ -1267,13 +1255,11 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
     """Write records back out in the canonical schema. Returns the row count."""
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    with Path(path).open("w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
-        if fmt == "csv":
+    if fmt == "csv":
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             write_csv(fh, _RECORD_FIELDS, map(record_to_obj, dataset.records))
-        else:
-            encode = row_encoder()
-            for rec in dataset.records:
-                fh.write(encode(record_to_obj(rec)) + "\n")
+    else:
+        write_jsonl(Path(path), map(record_to_obj, dataset.records))  # a Path: ``-`` names a file here
     return len(dataset.records)
 
 
@@ -1287,6 +1273,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a JSONL embedding table: one {"item_id": ..., "vector": [...]} per line,
     one line per item. A vector ``EmbeddingTable.add`` rejects raises naming the
     file and the line."""
+    file = Path(path)
     table = EmbeddingTable(dimension=0, entries={})
 
     def add(row: dict) -> _EmbeddingRow:
@@ -1294,12 +1281,18 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         table.add(entry.item_id, entry.vector)
         return entry
 
-    entries = read_rows(path, _EmbeddingRow, add, unique="item_id")
-    if entries and not table.entries:  # built from the sidecar, so ``add`` has seen no row
-        try:
-            table = EmbeddingTable.from_rows((entry.item_id, entry.vector) for entry in entries)
-        except DataFormatError:  # a vector the table refuses: the file is parsed, naming its line
-            _parse_rows(Path(path), _EmbeddingRow, add, "item_id", _rows_key(_EmbeddingRow, add))
+    def decode(columns) -> Optional[tuple[list[_EmbeddingRow], EmbeddingTable]]:
+        entries = _rows_from_columns(_EmbeddingRow, columns, "item_id") or ()
+        try:  # no entries, or a vector the table refuses, gives a parse, which names the line
+            return entries, EmbeddingTable.from_rows(map(attrgetter("item_id", "vector"), entries))
+        except DataFormatError:
+            return None
+
+    _, table = _cached_load(
+        file, _rows_key(_EmbeddingRow, add), decode,
+        lambda digest: (_parse_rows(file, _EmbeddingRow, add, "item_id", digest), table),
+        lambda loaded: _row_columns(_EmbeddingRow, loaded[0]),
+    )
     if not table.entries:
         raise DataFormatError(f"{path}: no embedding rows")
     return table

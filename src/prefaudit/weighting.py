@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import exp
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .diagnostics import ConsistencyProfile
 from .errors import InsufficientSupportError
-from .records import Dataset, default_tau, open_output, record_to_obj, row_encoder, score_value
+from .records import Dataset, default_tau, record_to_obj, score_value, write_jsonl
 
 WEIGHT_MODES = ("binary", "linear", "sigmoid")
 EXPORT_POLICIES = ("weight", "filter", "both")
@@ -192,25 +192,26 @@ def export_weighted(
     if policy not in EXPORT_POLICIES:
         raise ValueError(f"unknown export policy {policy!r}")
     retained = 0
-    dropped = 0
-    encode = row_encoder()
-    with open_output(path) as fh:
+
+    def rows() -> Iterator[dict]:
+        nonlocal retained
         for rec in dataset.records:
             w = weights.record_weights.get(rec.record_id, 1.0)
             if policy in ("filter", "both") and w == 0.0:
-                dropped += 1
                 continue
             obj = record_to_obj(rec)
             if policy == "filter":
                 obj.pop("weight", None)
             else:
                 obj["weight"] = w
-            fh.write(encode(obj) + "\n")
             retained += 1
+            yield obj
+
+    write_jsonl(path, rows())
     return ExportSummary(
         policy=policy,
         n_input=len(dataset.records),
         n_retained=retained,
-        n_dropped=dropped,
+        n_dropped=len(dataset.records) - retained,
         path=str(path),
     )

@@ -1,12 +1,16 @@
 """CLI: exit codes, config echo, subcommand pipelines, report rendering."""
 
 import argparse
+import collections
+import compileall
 import csv
 import gc
 import json
+import marshal
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -604,6 +608,123 @@ def test_the_stage_after_a_writer_decodes_no_line_of_the_file_it_left(tmp_path, 
     assert not (tmp_path / ".ratios.csv.prefaudit").exists()
 
 
+@pytest.mark.parametrize("workload", ["audit-sparse", "jury-dense"])
+def test_a_second_pass_of_a_benchmark_workload_parses_no_row(tmp_path, monkeypatch, workload):
+    """A timed benchmark pass follows another in the same directory, so each of its
+    loads is a sidecar hit: the second run of every stage decodes no line and builds
+    no object from a row."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+    import workloads
+
+    corpora.build(workload, "smoke", 1, tmp_path)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("iter_jsonl", "_iter_csv", "from_row"):
+        monkeypatch.setattr(records, name, counted(name, getattr(records, name)))
+    passes = []
+    for _ in range(2):
+        calls.clear()
+        for stage in workloads.STAGES[workload]:
+            assert run(workloads.stage_argv(stage, tmp_path)) == 0, stage[0]
+        passes.append(dict(calls))
+    assert passes[0]["iter_jsonl"] >= 2 and passes[0]["from_row"] > 0  # the first pass parses its inputs
+    assert passes[1] == {}
+
+
+_STAGE_RUN = "import sys\nfrom prefaudit.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+
+
+def _package_copy(root: Path) -> Path:
+    """A copy of the package's source under ``root / "src"``; returns the package directory."""
+    package = root / "src" / "prefaudit"
+    shutil.copytree(Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    return package
+
+
+def _run_copy(root: Path, cwd: Path, script: str, *argv: str) -> str:
+    """``script`` with ``argv`` in a fresh interpreter that imports the package copy under ``root``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _sidecar_parts(path: Path) -> tuple:
+    """The header and the payload bytes of ``path``'s sidecar."""
+    blob = path.with_name(f".{path.name}.prefaudit").read_bytes()
+    header = marshal.loads(blob)
+    return header, blob[len(marshal.dumps(header, 2)):]
+
+
+def test_a_change_to_any_module_of_the_package_retires_every_sidecar(tmp_path, monkeypatch):
+    """The sidecar header digests the source of every module of the package, so a
+    one-byte change to ``taxonomy.py``, which reads no file, makes the next
+    ``validate`` and ``classify --flags`` parse their inputs again and rewrite the
+    records, metadata and flags sidecars, each with the columns it kept before (the
+    flags sidecar, which ``repeats`` left, is now the parse's, equal but not byte-equal)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpora
+
+    package = _package_copy(tmp_path)
+    work = tmp_path / "work"
+    corpora.build("audit-sparse", "smoke", 1, work)
+    validate = ("validate", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--output", "validate.json")
+    classify = ("classify", "--input", "dataset.jsonl", "--metadata", "meta.jsonl", "--flags", "flags.jsonl",
+                "--output", "classify.json")
+    _run_copy(tmp_path, work, _STAGE_RUN, "repeats", "--input", "dataset.jsonl", "--flags-output", "flags.jsonl",
+              "--output", "repeats.json")
+    inputs = [work / name for name in ("dataset.jsonl", "meta.jsonl", "flags.jsonl")]
+    for stage in (validate, classify):
+        _run_copy(tmp_path, work, _STAGE_RUN, *stage)
+    kept = list(map(_sidecar_parts, inputs))
+    for stage in (validate, classify):
+        _run_copy(tmp_path, work, _STAGE_RUN, *stage)
+    assert list(map(_sidecar_parts, inputs)) == kept  # a hit leaves each sidecar as it was
+    taxonomy = package / "taxonomy.py"
+    source = bytearray(taxonomy.read_bytes())
+    assert source[3:4].isalpha()  # the first letter of the module docstring
+    source[3] ^= 0x20
+    taxonomy.write_bytes(source)
+    for stage in (validate, classify):
+        _run_copy(tmp_path, work, _STAGE_RUN, *stage)
+    for path, (old_header, old_payload), (new_header, new_payload) in zip(inputs, kept, map(_sidecar_parts, inputs)):
+        assert new_header[2] != old_header[2]  # the source digest
+        assert new_header[:2] + new_header[3:] == old_header[:2] + old_header[3:]
+        assert marshal.loads(new_payload) == marshal.loads(old_payload), path.name
+
+
+_SOURCELESS_RUN = (
+    "import json, sys\n"
+    "from prefaudit import cli, records\n"
+    "assert records.__file__.endswith('.pyc'), records.__file__\n"
+    "read = []\n"
+    "own = records._read_own_file\n"
+    "records._read_own_file = lambda path: read.append(str(path)) or own(path)\n"
+    "print(json.dumps([cli.run(sys.argv[1:]), read]))\n"
+)
+
+
+def test_an_install_without_source_reads_and_keeps_no_sidecar(tmp_path, dataset_path):
+    package = _package_copy(tmp_path)
+    assert compileall.compile_dir(package, legacy=True, quiet=1)
+    for source in package.glob("*.py"):
+        source.unlink()
+    work = tmp_path / "work"
+    work.mkdir()
+    shutil.copy(dataset_path, work / "dataset.jsonl")
+    argv = ("validate", "--input", "dataset.jsonl", "--output", "validate.json")
+    for _ in range(2):
+        assert json.loads(_run_copy(tmp_path, work, _SOURCELESS_RUN, *argv)) == [0, []]
+    assert sorted(path.name for path in work.iterdir()) == ["dataset.jsonl", "validate.json"]
+
+
 def test_diagnose_counts_the_pairs_that_name_an_item_absent_from_its_input(dataset_path, tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     rows = [{"pair_id": "i1|i2", "item_a": "i1", "item_b": "i2", "similarity": 0.95},
@@ -753,8 +874,10 @@ def test_weights_names_the_annotators_without_a_profile(dataset_path, tmp_path, 
                 "--output", str(weighted), "--summary-output", str(summary)])
     assert code == 0
     assert capsys.readouterr().err.splitlines() == [
+        "weights: 1 of 1 profiles in --profiles name an annotator absent from --input;"
+        " their reliability weights no record",
         "weights: 8 of 8 annotators in --input have no profile reliability;"
-        " their records are weighted by item reliability alone"
+        " their records are weighted by item reliability alone",
     ]
     assert len(weighted.read_text().splitlines()) == json.loads(summary.read_text())["result"]["n_input"] == 64
 
@@ -770,6 +893,39 @@ def test_simulate_with_no_ratio_annotator_in_the_input_fails_at_once(dataset_pat
         f"data error: {ratios}: none of its 2 annotators rates in --input"
     ]
     assert not out.exists()
+
+
+def test_simulate_counts_the_ratio_annotators_absent_from_its_input(dataset_path, metadata_path, tmp_path, capsys):
+    ratios, flips = tmp_path / "ratios.jsonl", tmp_path / "flips.json"
+    assert run(["ratio", "--input", str(dataset_path), "--metadata", str(metadata_path), "--resamples", "200",
+                "--seed", "5", "--min-support", "5", "--output", str(ratios)]) == 0
+    argv = ["simulate", "--input", str(dataset_path), "--ratios", str(ratios), "--iterations", "200",
+            "--sample-size", "3", "--seed", "5", "--output", str(flips)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = [json.loads(line) for line in ratios.read_text().splitlines()[1:]]
+    _write_jsonl(ratios, [*rows, {**rows[0], "annotator_id": "ghost-1"}, {**rows[-1], "annotator_id": "ghost-2"}])
+    assert run(argv) == 0
+    n = len({row["annotator_id"] for row in rows}) + 2
+    assert capsys.readouterr().err == (f"simulate: 2 of {n} annotators in --ratios are absent from --input;"
+                                       " they rate no prompt but count in the median split\n")
+    assert json.loads(flips.read_text())["result"]["n_eligible"] == 4
+
+
+def test_weights_counts_the_profiles_whose_annotator_is_absent_from_its_input(dataset_path, tmp_path, capsys):
+    profiles, weighted, summary = (tmp_path / name for name in ("profiles.jsonl", "weighted.jsonl", "summary.json"))
+    assert run(["diagnose", "--input", str(dataset_path), "--output", str(profiles)]) == 0
+    argv = ["weights", "--input", str(dataset_path), "--profiles", str(profiles),
+            "--output", str(weighted), "--summary-output", str(summary)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    expected = weighted.read_bytes()
+    rows = [json.loads(line) for line in profiles.read_text().splitlines()[1:]]
+    _write_jsonl(profiles, [*rows, {"annotator_id": "ghost", "reliability": 0.0}])
+    assert run(argv) == 0
+    assert capsys.readouterr().err == (f"weights: 1 of {len(rows) + 1} profiles in --profiles name an annotator"
+                                       " absent from --input; their reliability weights no record\n")
+    assert weighted.read_bytes() == expected
 
 
 def test_plan_subcommand_and_schedule(tmp_path):

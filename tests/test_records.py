@@ -4,11 +4,13 @@ import codecs
 import hashlib
 import json
 import marshal
+import math
 import os
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from functools import partial
 
 import pytest
@@ -563,6 +565,139 @@ def test_iter_jsonl_yields_rejects_and_raises_as_json_loads_per_line_did(tmp_pat
     for lenient in (True, False):
         expected = _reader_outcome(_reference_iter_jsonl, path, lenient)
         assert _reader_outcome(records_module.iter_jsonl, path, lenient) == expected
+
+
+def _reference_records_from_rows(rows, scale_kind=None, strict=False, rejects=None):
+    """``records_from_rows`` as it was, with a row loop of its own: the reference
+    that the loop it now shares with ``read_rows`` (``_build_rows``) must match."""
+
+    def record_from_obj(obj, scale_kind):
+        if not obj.get("scale_kind"):
+            if scale_kind is None:
+                raise DataFormatError("record carries no scale_kind and no dataset-level default given")
+            obj = {**obj, "scale_kind": scale_kind}
+        return records_module.from_row(AnnotationRecord, obj)
+
+    rejects = [] if rejects is None else rejects
+    records = []
+    effective_scale = scale_kind
+    for line_no, obj in rows:
+        try:
+            rec = record_from_obj(obj, effective_scale)
+            if effective_scale is None:
+                effective_scale = rec.scale_kind
+            elif rec.scale_kind != effective_scale:
+                raise DataFormatError(
+                    f"scale_kind {rec.scale_kind!r} differs from dataset scale {effective_scale!r}"
+                )
+            records.append(rec)
+        except DataFormatError as exc:
+            if strict:
+                raise DataFormatError(f"line {line_no}: {exc}") from exc
+            rejects.append(records_module.RejectedRow(line_no, str(exc), to_json(obj)))
+    if not records:
+        common = Counter(r.reason for r in rejects).most_common(1)
+        why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
+        raise DataFormatError(f"zero valid rows{why}")
+    return records, rejects, effective_scale or records_module.SCALE_CONTINUOUS
+
+
+_ABSENT = object()
+
+
+_GOOD_SCORES = [50.0, 3, 1.0, 4.5, 5, 0]  # each in range on the continuous scale, most on the Likert one too
+_BAD_SCORES = ["A", 150.0, -1, True, "50", None, math.nan]
+
+
+@st.composite
+def _record_row(draw) -> dict:
+    """A record row: valid, or with a missing, falsy or foreign scale, a bad value, a
+    missing field or an unknown one."""
+    row = {
+        "record_id": draw(st.sampled_from(["r1", "r2"])),
+        "annotator_id": draw(st.sampled_from(["a1", "a2"])),
+        "item_id": draw(st.sampled_from(["i1", "i2"])),
+        "prompt_text": "p",
+        "score": draw(st.sampled_from(_GOOD_SCORES * 5 + _BAD_SCORES)),
+    }
+    scale = draw(st.sampled_from([_ABSENT] * 3 + [records_module.SCALE_CONTINUOUS] * 3 + [
+        records_module.SCALE_LIKERT, records_module.SCALE_BINARY, None, "", 0, False, "bogus"]))
+    if scale is not _ABSENT:
+        row["scale_kind"] = scale
+    for name, value in draw(st.lists(st.sampled_from([
+        ("weight", 0.5), ("position_index", 2.0), ("timestamp", 3), ("session_id", "s1"), ("framing_id", "f1"),
+        ("weight", -1.0), ("position_index", -1), ("timestamp", "t"), ("session_id", 3), ("unknown", 1),
+        ("record_id", _ABSENT), ("prompt_text", _ABSENT),
+    ]), max_size=1)):
+        if value is _ABSENT:
+            row.pop(name, None)
+        else:
+            row[name] = value
+    return row
+
+
+def _rows_read(items, rejects):
+    """``(line_no, row)`` of each row of ``items``, as a reader yields them; a string
+    of ``items`` is a line the reader rejects for that reason, in ``rejects`` or raised."""
+    for line_no, item in enumerate(items, start=1):
+        if isinstance(item, str):
+            if rejects is None:
+                raise DataFormatError(f"line {line_no}: {item}")
+            rejects.append(records_module.RejectedRow(line_no, item, "{"))
+        else:
+            yield line_no, dict(item)
+
+
+def _load_outcome(build, items, scale_kind, strict):
+    """What ``build`` (a ``records_from_rows``) returns, keeps as rejects and raises, as a
+    load runs it: a lenient reader's rejects and the builder's share one list."""
+    rejects = []
+    try:
+        records, kept, scale = build(_rows_read(items, None if strict else rejects), scale_kind, strict, rejects)
+    except DataFormatError as exc:
+        return repr(rejects), str(exc)
+    assert kept is rejects
+    return repr(records), repr([(r.line_no, r.reason, r.raw) for r in rejects]), scale
+
+
+@settings(deadline=None, max_examples=300)
+@seed(20261020)
+@given(
+    items=st.lists(_record_row() | st.sampled_from(["invalid JSON: x", "row is not an object"]), max_size=8),
+    scale_kind=st.sampled_from([None, None, *records_module.SCALE_KINDS]),
+)
+def test_records_from_rows_builds_rejects_and_raises_as_its_own_loop_did(items, scale_kind):
+    for strict in (False, True):
+        expected = _load_outcome(_reference_records_from_rows, items, scale_kind, strict)
+        assert _load_outcome(records_module.records_from_rows, items, scale_kind, strict) == expected
+
+
+@dataclass(frozen=True, slots=True)
+class _OutsideRow:
+    item_id: str
+    n: int = 0
+
+
+def test_a_read_rows_of_a_class_or_build_from_outside_the_package_keeps_no_sidecar(tmp_path):
+    """The sidecar header digests the package's own source, so a row type or a
+    builder defined elsewhere, whose source it does not cover, keeps no sidecar."""
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"item_id": "i1"}\n{"item_id": "i2"}\n', encoding="utf-8")
+
+    def build(row):
+        return records_module.from_row(ItemMetadata, row)
+
+    reads = [(_OutsideRow, None), (ItemMetadata, build), (ItemMetadata, partial(records_module.from_row, ItemMetadata))]
+    for cls, reader in reads:
+        assert records_module._rows_key(cls, reader) is None
+        for _ in range(2):
+            assert [row.item_id for row in records_module.read_rows(path, cls, reader)] == ["i1", "i2"]
+            assert not _sidecar(path).exists()
+    assert records_module._rows_key(ItemMetadata, None) == ("read_rows", None, "prefaudit.records.ItemMetadata")
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text('{"item_id": "i1"}\n', encoding="utf-8")
+    assert load_metadata(meta) == {"i1": ItemMetadata("i1")}
+    assert _sidecar(meta).is_file()
 
 
 # ------------------------------------------------------------------ load sidecar
