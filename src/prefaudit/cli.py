@@ -151,17 +151,10 @@ def _cmd_pairs(args) -> int:
 
 # ---------------------------------------------------------------- repeats
 
-def _flag_row(flag: pairing.InconsistencyFlag) -> dict:
-    """One flag as a ``repeats --flags-output`` row: its own fields and its pair's."""
-    row = records.to_row(flag)
-    row.update(records.to_row(row.pop("pair")))
-    return row
-
-
 def _flag_rows(flags: Iterable[pairing.InconsistencyFlag]) -> Iterator[dict]:
-    """``map(_flag_row, flags)``, for the writer: a run of flags on one pair reads
-    that pair's fields once, and each row is built in sorted key order, which the
-    encoder's sort then finds in place."""
+    """Each flag as a ``repeats --flags-output`` row, its own fields and its pair's. A
+    run of flags on one pair reads that pair's fields once, and each row is built in
+    sorted key order, which the encoder's sort then finds in place."""
     last = None
     for flag in flags:
         if flag.pair is not last:
@@ -182,41 +175,22 @@ def _flag_reader() -> Callable[[dict], pairing.InconsistencyFlag]:
     """The builder of one flags file's flags, a row at a time. Flags whose pair fields are
     equal in name and order, type and value share one ``PromptPair``, built and
     checked from the first such row: ``true`` is not ``1.0``, and ``-0.0`` is not
-    ``0.0``. A row whose pair fields are those of the row before takes that row's
-    pair; any other row looks its pair up by its fields' names and reprs (the
-    repr of a value read from JSON or CSV also tells its type), and builds it
-    on a miss. A file ``repeats`` wrote holds each pair's flags in one run, so
-    the lookup runs once per pair."""
-    pairs: dict[tuple, pairing.PromptPair] = {}
-    last: Optional[dict] = None  # the pair fields of the row before, as read
-    last_names: tuple = ()
-    last_types: tuple = ()
-    pair = None
+    ``0.0``. Each row looks its pair up by the repr of its pair fields, which tells
+    their names and order and, for a value read from JSON or CSV, its type and value;
+    a miss builds the pair."""
+    pairs: dict[str, pairing.PromptPair] = {}
 
     def flag_from_row(row: dict) -> pairing.InconsistencyFlag:
-        nonlocal last, last_names, last_types, pair
         # the flag's own fields leave the row first, so the pair sees only its own
         own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
-        types = tuple(map(type, row.values()))
-        if row != last or types != last_types or tuple(row) != last_names or _signs_of_zero_differ(row, last):
-            key = (tuple(row), tuple(map(repr, row.values())))
-            last, last_names, last_types = dict(row), key[0], types
-            pair = pairs.get(key)
-            if pair is None:
-                pair = pairs[key] = _pair_from_row(row)
+        key = repr(row)
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _pair_from_row(row)
         own["pair"] = pair
         return records.from_row(pairing.InconsistencyFlag, own)
 
     return flag_from_row
-
-
-def _signs_of_zero_differ(row: dict, other: dict) -> bool:
-    """Whether a float zero of ``row`` has the other sign from ``other``'s value of
-    that field. Between equal values of one type, read from JSON or CSV, that is
-    the one difference ``==`` misses."""
-    return 0.0 in row.values() and any(
-        type(v) is float and math.copysign(1.0, v) != math.copysign(1.0, other[k]) for k, v in row.items()
-    )
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:

@@ -77,11 +77,6 @@ def _group_ratings(dataset: Dataset, annotator_id: str, items: frozenset[str]) -
     return [score_value(r) for r in dataset.by_annotator.get(annotator_id, []) if r.item_id in items]
 
 
-def theme_ratings(dataset: Dataset, annotator_id: str, theme: str) -> list[float]:
-    """The annotator's ratings on items carrying the theme label."""
-    return _group_ratings(dataset, annotator_id, dataset.items_by_theme.get(theme, frozenset()))
-
-
 def group_variance(
     dataset: Dataset, annotator_id: str, items: frozenset[str], group: str, min_support: int = 5
 ) -> tuple[float, int]:

@@ -30,7 +30,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
-from itertools import chain, product, repeat, starmap
+from itertools import chain, islice, product, repeat, starmap
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import attrgetter
@@ -118,11 +118,12 @@ def _twin(cls: type) -> type:
     field, in field order, as a plain slot assignment: the frozen ``__init__`` sets
     each through ``object.__setattr__``, several times the cost. An object built as
     the twin is made a ``cls`` by assigning its ``__class__``, which raises TypeError
-    should the two slot layouts ever differ. Every row type ``from_row`` builds is
-    slotted; a ``cls`` without slots of its own raises TypeError naming it."""
+    should the two slot layouts ever differ. ``_rows_from_columns`` builds every object
+    of a parsed chunk or a sidecar this way, so each row type a parse builds is slotted;
+    a ``cls`` without slots of its own raises TypeError naming it."""
     slots = cls.__dict__.get("__slots__")
     if slots is None:
-        raise TypeError(f"from_row builds slotted dataclasses only, and {cls.__qualname__} has no __slots__")
+        raise TypeError(f"a parse builds slotted dataclasses only, and {cls.__qualname__} has no __slots__")
     names = _field_names(cls)
     scope: dict = {}
     exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    self.{n} = {n}\n" for n in names), scope)
@@ -472,14 +473,9 @@ def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = N
 def from_row(cls: type, row: dict):
     """``cls(**row)`` once each value's type is one its field admits: matched exactly,
     cast only on a miss. An unknown field, a missing or null required field and a
-    value that cannot be cast raise DataFormatError; ``row`` is left as given. Runs
-    ``cls``'s generated builder (see ``_builder``)."""
-    return _builder(cls)(row)
-
-
-def _generic_from_row(cls: type, row: dict):
-    """``from_row`` one check at a time: the one home of the casts and of every
-    reject text, which the generated builders run on any row they do not pass."""
+    value that cannot be cast raise DataFormatError; ``row`` is left as given. This
+    is the one home of the casts and of every reject text: a parse builds its rows
+    a chunk at a time (see ``_build_rows``) and runs this on a chunk it refuses."""
     admitted, required, containers = _row_schema(cls)
     if not row.keys() <= admitted.keys():
         raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
@@ -493,83 +489,15 @@ def _generic_from_row(cls: type, row: dict):
     return cls(**{**row, **cast}) if cast else cls(**row)
 
 
-# Each ``__post_init__`` whose every rule a generated builder inlines -> its rules beyond
-# the declared domains, as ``(ok, field names)``. ItemMetadata's frozenset() is the
-# builder's list cast; any other ``__post_init__`` runs on the built object.
+# Each ``__post_init__`` whose every rule ``_rows_from_columns`` checks itself, a column
+# at a time -> its rules beyond the declared domains, as ``(ok, field names)``.
+# ItemMetadata's frozenset() is the list cast of ``_cast_column``; any other
+# ``__post_init__`` runs on each built object.
 _INLINED_POST_INITS = {
     check_domains: (),
     ItemMetadata.__post_init__: (),
     AnnotationRecord.__post_init__: ((_score_ok, ("score", "scale_kind")),),
 }
-
-
-@cache
-def _builder(cls: type) -> Callable[[dict], object]:
-    """``from_row`` for ``cls``, generated once from ``_row_schema`` and ``field_domains``
-    as ``dataclasses`` generates ``__init__``. It builds the object itself when the row
-    names no unknown field and gives every required one, and each value has an admitted
-    type and lies in its field's domain. The casts of ``_cast`` are inline, save that of
-    a container entry: a list of entries of admitted types is one. Every other row, and
-    a row that ``cls.__post_init__`` refuses, goes to ``_generic_from_row``, which
-    raises the reject text, or casts the entries. The object is built as ``_twin(cls)``
-    and made a ``cls`` by assigning its ``__class__``."""
-    admitted, required, containers = _row_schema(cls)
-    rules = _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains))
-    env = {"_cls": cls, "_names": frozenset(admitted), "_absent": object(), "_twin": _twin(cls)}
-    miss = "return _generic_from_row(_cls, _row)"
-    body = [f"if not _row.keys() <= _names: {miss}"]
-    for f in fields(cls):
-        name, types = f.name, admitted[f.name]
-        if name in required:
-            types = tuple(t for t in types if t is not type(None))  # a null is a missing field
-        exact = [t for t in types if get_origin(t) is None]
-        env.update({f"_t_{name}_{i}": t for i, t in enumerate(exact)})
-        tests = [f"{name} is None" if t is type(None) else f"type({name}) is _t_{name}_{i}" for i, t in enumerate(exact)]
-        branches = []  # (condition, statement), tested in turn; a row no branch takes is a miss
-        if name in required or (f.default is None and type(None) in types):
-            body.append(f"{name} = _row.get({name!r})")  # absent reads as null, which either case treats alike
-        else:
-            env[f"_d_{name}"] = f.default_factory if f.default is MISSING else f.default
-            body.append(f"{name} = _row.get({name!r}, _absent)")
-            branches.append((f"{name} is _absent", f"{name} = _d_{name}{'()' if f.default is MISSING else ''}"))
-        if tests:
-            branches.append((" or ".join(tests), "pass"))
-        if containers[name] is not None:
-            env[f"_make_{name}"], inner = containers[name]
-            env.update({f"_t_{name}_e{i}": t for i, t in enumerate(inner)})
-            entry = " or ".join(f"type(_e) is _t_{name}_e{i}" for i in range(len(inner)))
-            check = f"for _e in {name}:\n    if not ({entry}): {miss}\n{name} = _make_{name}({name})"
-            branches.append((f"type({name}) is list", check))
-        if float in exact and int not in exact:
-            branches.append((f"type({name}) is int", f"{name} = float({name})"))  # OverflowError past 1e308
-        if int in exact and float not in exact:
-            branches.append((f"type({name}) is float and {name}.is_integer()", f"{name} = int({name})"))
-        for i, (condition, statement) in enumerate(branches):
-            body.append(f"{'elif' if i else 'if'} {condition}:")
-            body += [f"    {line}" for line in statement.splitlines()]
-        body.append(f"else: {miss}")
-    for name, (ok, _) in field_domains(cls).items():
-        env[f"_ok_{name}"] = ok
-        unless_null = f"{name} is not None and " if type(None) in admitted[name] else ""
-        body.append(f"if {unless_null}not _ok_{name}({name}): {miss}")
-    for i, (ok, args) in enumerate(rules or ()):
-        env[f"_rule_{i}"] = ok
-        body.append(f"if not _rule_{i}({', '.join(args)}): {miss}")
-    body += [f"_obj = _twin({', '.join(f.name for f in fields(cls))})", "_obj.__class__ = _cls"]
-    if rules is None:
-        body += ["try: _obj.__post_init__()", f"except DataFormatError: {miss}"]
-    src = "\n".join([
-        f"def _make({', '.join(env)}):",
-        "    def build(_row):",
-        "        try:",
-        *(f"            {line}" for line in body),
-        "            return _obj",
-        f"        except OverflowError: {miss}",
-        "    return build",
-    ])
-    scope: dict = {}
-    exec(src, globals(), scope)  # module globals, so a miss finds ``_generic_from_row`` as patched
-    return scope["_make"](**env)
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -611,7 +539,17 @@ def records_from_rows(
             raise DataFormatError(f"scale_kind {rec.scale_kind!r} differs from dataset scale {scale!r}")
         return rec
 
-    records = _build_rows(rows, build, None, None if strict else rejects)
+    def build_chunk(chunk: tuple[dict, ...]) -> Optional[list[AnnotationRecord]]:
+        # every row names the dataset's scale, or the first row's while there is none,
+        # which is kept once the chunk passes; any other row goes to ``build``
+        nonlocal scale
+        guess = scale or chunk[0].get("scale_kind")
+        built = _records_from_columns(_chunk_columns(AnnotationRecord, chunk), guess, scale)
+        if built is not None:
+            scale = guess
+        return built
+
+    records = _build_rows(rows, build, None, None if strict else rejects, build_chunk)
     if not records:
         common = Counter(r.reason for r in rejects).most_common(1)
         why = f"; {common[0][1]} of {len(rejects)} rejected rows: {common[0][0]}" if common else ""
@@ -822,7 +760,8 @@ def _parse_rows(path: Path, cls: type, build: Optional[Callable], unique: Option
             head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
             is_csv = head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK)
             rows = _iter_csv(fh, cls) if is_csv else iter_jsonl(fh)
-            return _build_rows(rows, build or partial(from_row, cls), unique)
+            chunked = None if build else lambda chunk: _rows_from_columns(cls, _chunk_columns(cls, chunk), unique)
+            return _build_rows(rows, build or partial(from_row, cls), unique, None, chunked)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -830,24 +769,65 @@ def _parse_rows(path: Path, cls: type, build: Optional[Callable], unique: Option
 _CSV_MARK = CONFIG_PREFIX.encode()
 
 
+# Rows a parse reads before it builds them, at once: enough that a chunk's checks
+# cost little per row, few enough that its columns add little to the peak memory.
+_CHUNK_ROWS = 1024
+
+
 def _build_rows(rows: Iterable[tuple[int, dict]], build: Callable[[dict], object], unique: Optional[str],
-                rejects: Optional[list[RejectedRow]] = None) -> list:
+                rejects: Optional[list[RejectedRow]] = None,
+                build_chunk: Optional[Callable[[tuple[dict, ...]], Optional[list]]] = None) -> list:
     """``build`` of each ``(line_no, row)``, whose string field ``unique``, when given,
     must not repeat an earlier row's. A row that ``build`` or the ``unique`` check
-    refuses is rejected as a reader rejects a bad line (see ``_reject``)."""
+    refuses is rejected as a reader rejects a bad line (see ``_reject``).
+
+    The rows are read ``_CHUNK_ROWS`` at a time. ``build_chunk``, when given, builds
+    a chunk's rows at once, or returns None for a chunk it does not pass, which
+    ``build`` then builds a row at a time. Either way the rejects keep line order:
+    the rejects a lenient reader adds while a chunk is read are merged with the
+    chunk's by line, and a reader that raises does so once the rows it gave
+    before are built, which may raise first."""
     out = []
     first_line: dict[str, int] = {}  # a value of ``unique`` -> the line that gave it
-    for line_no, row in rows:
+    rows = iter(rows)
+    while True:
+        start = len(rejects or ())
+        chunk: list[tuple[int, dict]] = []
+        fault = None
         try:
-            obj = build(row)
-            if unique is not None:  # checked once ``build`` has made the value a string
-                first = first_line.setdefault(row[unique], line_no)
-                if first != line_no:
-                    raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
-            out.append(obj)
-        except DataFormatError as exc:
-            _reject(rejects, line_no, str(exc), to_json(row))
-    return out
+            chunk.extend(islice(rows, _CHUNK_ROWS))  # keeps the rows read before a raise
+        except DataFormatError as exc:  # a strict reader's bad line: raised once the rows before it are built
+            fault = exc
+        read = len(rejects or ())  # a lenient reader's rejects, from ``start`` on
+        built = None
+        if chunk and build_chunk is not None:
+            line_nos, chunk_rows = zip(*chunk)
+            built = build_chunk(chunk_rows)
+            if built is not None and unique is not None:
+                values = [row[unique] for row in chunk_rows]
+                if first_line.keys().isdisjoint(values):
+                    first_line.update(zip(values, line_nos))
+                else:
+                    built = None
+        if built is not None:
+            out += built
+        else:
+            for line_no, row in chunk:
+                try:
+                    obj = build(row)
+                    if unique is not None:  # checked once ``build`` has made the value a string
+                        first = first_line.setdefault(row[unique], line_no)
+                        if first != line_no:
+                            raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first}")
+                    out.append(obj)
+                except DataFormatError as exc:
+                    _reject(rejects, line_no, str(exc), to_json(row))
+            if rejects and start < read < len(rejects):
+                rejects[start:] = sorted(rejects[start:], key=attrgetter("line_no"))
+        if fault is not None:
+            raise fault
+        if len(chunk) < _CHUNK_ROWS:
+            return out
 
 
 @contextmanager
@@ -1129,10 +1109,62 @@ def _row_columns(cls: type, objects: list, key: Callable = id) -> tuple:
                 index.append(place)
             out.append((tuple(index), _row_columns(nested[name], firsts, key)))
             continue
-        if not set(map(type, col)) <= exact[name]:
-            col = tuple(v if type(v) in exact[name] else _cast(name, v, admitted[name], containers[name]) for v in col)
+        col = _cast_column(name, col, exact[name], admitted[name], containers[name])
         out.append(None if col and col[0] is None and col.count(None) == len(col) else col)
     return tuple(out)
+
+
+def _cast_column(name: str, col: tuple, kept: frozenset, admitted: tuple, container: Optional[_Container]) -> tuple:
+    """``col`` with each value whose type ``kept`` lacks cast as a parse casts it (see
+    ``_cast``), which raises DataFormatError for one it cannot cast. A column of lists
+    whose every entry has a type the ``container`` admits is cast in one step."""
+    types = set(map(type, col))
+    if types <= kept:
+        return col
+    if container is not None and types == {list} and set(map(type, chain.from_iterable(col))) <= set(container[1]):
+        return tuple(map(container[0], col))
+    return tuple(v if type(v) in kept else _cast(name, v, admitted, container) for v in col)
+
+
+@cache
+def _row_fields(cls: type) -> tuple[tuple[str, object, frozenset], ...]:
+    """Each field of ``cls`` as ``_chunk_columns`` reads it: its name, what a row that
+    leaves it out gives, and the types a row's value keeps uncast. A required field
+    left out gives None, which its types lack; any other its default, whose type it
+    keeps. A default factory's field gives ``MISSING``, which ``_rows_from_columns``
+    refuses, so such a chunk is built a row at a time."""
+    admitted, required, _ = _row_schema(cls)
+    return tuple(
+        (f.name, None, frozenset(admitted[f.name]) - {type(None)}) if f.name in required
+        else (f.name, f.default, frozenset(admitted[f.name]) | {type(f.default)})
+        for f in fields(cls)
+    )
+
+
+def _chunk_columns(cls: type, rows: tuple[dict, ...]) -> Optional[tuple]:
+    """The columns (see ``_row_columns``) of the ``cls`` objects ``from_row`` would build
+    from ``rows``: new tuples, each value cast as ``from_row`` casts it and each field
+    a row leaves out its default. None when a row names an unknown field or leaves
+    out a required one, or a value cannot be cast; ``_rows_from_columns`` checks the
+    rest, as it checks a sidecar's."""
+    admitted, _, containers = _row_schema(cls)
+    named = set().union(*rows)
+    if not named <= admitted.keys():
+        return None
+    columns = []
+    try:
+        for name, absent, kept in _row_fields(cls):
+            if name in named:
+                col = tuple(map(dict.get, rows, repeat(name), repeat(absent)))
+                col = _cast_column(name, col, kept, admitted[name], containers[name])
+            elif type(absent) not in kept:  # a required field that no row gives
+                return None
+            else:
+                col = None if absent is None else (absent,) * len(rows)
+            columns.append(col)
+    except DataFormatError:
+        return None
+    return tuple(columns)
 
 
 def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Optional[list]:
@@ -1143,8 +1175,8 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     domains and inlined rules (``_columns_in_domain``); ``unique`` distinct. None when
     a check fails. Each object is built as ``_twin(cls)`` and given the class; a
     ``__post_init__`` with rules of its own (``PromptPair``'s) then runs on it, and
-    None is returned should it raise."""
-    names = _field_names(cls)
+    None is returned should it raise. A ``cls`` without slots raises TypeError."""
+    twin, names = _twin(cls), _field_names(cls)
     if type(columns) is not tuple or len(columns) != len(names):
         return None
     admitted, _, containers = _row_schema(cls)
@@ -1174,7 +1206,7 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     n = lengths.pop() if lengths else 0
     if not _columns_in_domain(cls, values, n) or (unique is not None and len(set(values[unique])) != n):
         return None
-    objects = list(map(_twin(cls), *(repeat(None, n) if col is None else col for col in values.values())))
+    objects = list(map(twin, *(repeat(None, n) if col is None else col for col in values.values())))
     for obj in objects:
         obj.__class__ = cls
     if _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) is None:

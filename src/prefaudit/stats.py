@@ -120,12 +120,6 @@ def _as_float_array(values: Sequence[float], name: str, min_n: int) -> np.ndarra
     return arr
 
 
-def sample_variance(values: Sequence[float]) -> float:
-    """Unbiased sample variance (denominator n-1)."""
-    arr = _as_float_array(values, "values", 2)
-    return float(arr.var(ddof=1))
-
-
 def welch_t(sample_a: Sequence[float], sample_b: Sequence[float], pooled: bool = False) -> TestResult:
     """Two-sample t-test; Welch (unequal variances) by default.
 

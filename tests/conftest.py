@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from prefaudit import records
 from prefaudit.records import AnnotationRecord, Dataset, ItemMetadata
 
 _counter = itertools.count()
@@ -20,6 +21,14 @@ def _collector_left_enabled():
     enabled = gc.isenabled()
     gc.enable()
     assert enabled, "the cyclic garbage collector was left disabled"
+
+
+def flag_row(flag) -> dict:
+    """One flag as a ``repeats --flags-output`` row, its own fields and its pair's: the
+    reference the flags writer (``cli._flag_rows``) must match byte for byte."""
+    row = records.to_row(flag)
+    row.update(records.to_row(row.pop("pair")))
+    return row
 
 
 def rec(

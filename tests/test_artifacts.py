@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import flag_row
 from prefaudit import cli, diagnostics, pairing, ratio
 from prefaudit import records as records_module
 from prefaudit.cli import (
-    _flag_row, _write_csv, _write_jsonl, load_flags, load_pairs, load_profiles, load_ratio_records, run,
+    _write_csv, _write_jsonl, load_flags, load_pairs, load_profiles, load_ratio_records, run,
 )
 from prefaudit.diagnostics import ConsistencyProfile
 from prefaudit.pairing import PAIR_KINDS, InconsistencyFlag, PromptPair
@@ -83,7 +84,7 @@ def test_pairs_round_trip(artifact, written):
 @round_trip
 @given(st.lists(flags, max_size=5))
 def test_flags_round_trip(artifact, written):
-    assert load_flags(_write(artifact, [_flag_row(f) for f in written])) == written
+    assert load_flags(_write(artifact, [flag_row(f) for f in written])) == written
 
 
 @round_trip

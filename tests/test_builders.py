@@ -1,10 +1,14 @@
-"""Generated row builders (``records._builder``): for each row type the CLI reads,
-``from_row`` returns what the generic path (``records._generic_from_row``) returns,
-an equal object of the same type with the same field types and hash, or raises
-what it raises."""
+"""The chunk build path (``records._build_rows``): a parse of a file, JSONL or CSV,
+transposes each chunk of rows into columns (``records._chunk_columns``) and builds
+it as a sidecar's columns are built. For each row type it builds the objects
+``from_row`` builds one row at a time, equal, of the same type with the same field
+types and hash, or raises, or rejects, what that row loop raises or rejects, in
+the same line order."""
 
-import copy
+import csv
+import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, get_origin
 
@@ -17,7 +21,11 @@ from prefaudit.diagnostics import ConsistencyProfile
 from prefaudit.errors import DataFormatError
 from prefaudit.pairing import PAIR_KINDS, InconsistencyFlag, PromptPair
 from prefaudit.ratio import RatioRecord
-from prefaudit.records import AnnotationRecord, ItemMetadata, field_domains, from_row
+from prefaudit.records import (
+    CONFIG_PREFIX, AnnotationRecord, ItemMetadata, RejectedRow, field_domains, from_row, load_records, read_rows,
+    records_from_rows, to_json,
+)
+from prefaudit.cli import run
 from prefaudit.themes import EndpointConfig
 
 PAIR = PromptPair("i1|i2", "i1", "i2", 0.5, "equivalent")
@@ -44,7 +52,7 @@ CONTAINERS = {
     frozenset: st.lists(EXACT[str], max_size=3) | st.lists(st.sampled_from(["t", 1, None]), max_size=2),
     list: st.lists(EXACT[float] | CASTABLE[float], max_size=3),
 }
-JUNK = st.sampled_from(["x", True, 1.5, 7, None, [], {}, ["a", 1], [1.5, "x"], (1.0,)])
+JUNK = st.sampled_from(["x", True, 1.5, 7, None, [], {}, ["a", 1], [1.5, "x"], [["a"]], (1.0,)])
 # Values tried against each declared domain; those of a type the field admits and
 # outside its domain are drawn.
 PROBES = (math.nan, math.inf, -math.inf, -1, -1.5, 1.5, 101.0, 7, "bogus", "A9_bogus")
@@ -138,32 +146,136 @@ def _fields(obj) -> list:
     return out
 
 
-def _outcome(build, cls, row):
-    try:
-        obj = build(cls, row)
-    except Exception as exc:  # noqa: BLE001 - both paths must raise alike, whatever they raise
-        return "raised", type(exc), str(exc)
+def _shown(obj) -> tuple:
     try:
         digest = hash(obj)
-    except TypeError:  # a class that is not frozen, or a list field
+    except TypeError:  # a list field
         digest = None
-    return "built", type(obj), _fields(obj), digest
+    return type(obj), _fields(obj), digest
 
 
-@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
-@settings(deadline=None, max_examples=150)
+# Lines a reader refuses: not JSON, not an object; blank lines it skips.
+READER_FAULTS = st.sampled_from(["{", "[1]", '"text"', ""])
+# Each row type read through ``read_rows`` with no ``build`` of its own, and the field
+# its loader keeps unique. Flags are read by ``cli``'s flags builder, a row at a time.
+READ_ROWS = {cls: "item_id" if cls in (ItemMetadata, records._EmbeddingRow) else None
+             for cls in ROW_TYPES if cls is not InconsistencyFlag}
+
+
+@st.composite
+def lines(draw, cls):
+    """A file's rows: most of them valid, some drawn from any value, and a few
+    lines the reader refuses."""
+    valid = st.fixed_dictionaries({name: _valid_values(cls, name) for name in records._row_schema(cls)[0]})
+    drawn = draw(st.lists(st.one_of(valid, valid, rows(cls), READER_FAULTS), max_size=12))
+    return [row if isinstance(row, str) else {k: v for k, v in row.items() if v is not DROP} for row in drawn]
+
+
+def _write(path, cls, items, as_csv) -> None:
+    """``items`` as a JSONL file, or as a CSV file under the CLI's config line, whose
+    refused lines have more cells than the header."""
+    if not as_csv:
+        path.write_text("".join(f"{item if isinstance(item, str) else to_json(item)}\n" for item in items))
+        return
+    header = [*records._cell_types(cls), "bogus"]
+    out = io.StringIO()
+    out.write(CONFIG_PREFIX + "{}\r\n")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for item in items:
+        cells = [item] * (len(header) + 1) if isinstance(item, str) else [item.get(name, "") for name in header]
+        writer.writerow(["" if cell is None else cell for cell in cells])
+    path.write_text(out.getvalue(), encoding="utf-8")
+
+
+def _reader(path, cls, as_csv, rejects=None):
+    return records._iter_csv(path, cls, rejects) if as_csv else records.iter_jsonl(path, rejects)
+
+
+def _read_outcome(read):
+    try:
+        return "read", [_shown(obj) for obj in read()]
+    except DataFormatError as exc:
+        return "raised", str(exc)
+
+
+def _reference_read_rows(path, cls, as_csv, unique):
+    """``read_rows`` as a row loop of its own, each row through ``from_row``."""
+    out, first = [], {}
+    try:
+        for line_no, row in _reader(path, cls, as_csv):
+            try:
+                obj = from_row(cls, row)
+                if unique is not None and first.setdefault(row[unique], line_no) != line_no:
+                    raise DataFormatError(f"{unique} {row[unique]!r} repeats line {first[row[unique]]}")
+            except DataFormatError as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
+            out.append(obj)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return out
+
+
+def _reference_records(rows, scale_kind, strict, rejects):
+    """``records_from_rows`` as a row loop of its own, each row through ``from_row``."""
+    out, scale = [], scale_kind
+    for line_no, row in rows:
+        try:
+            obj = row if row.get("scale_kind") else {**row, "scale_kind": scale}
+            if not obj["scale_kind"]:
+                raise DataFormatError("record carries no scale_kind and no dataset-level default given")
+            rec = from_row(AnnotationRecord, obj)
+            if scale is not None and rec.scale_kind != scale:
+                raise DataFormatError(f"scale_kind {rec.scale_kind!r} differs from dataset scale {scale!r}")
+            scale = rec.scale_kind
+            out.append(rec)
+        except DataFormatError as exc:
+            if strict:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
+            rejects.append(RejectedRow(line_no, str(exc), to_json(row)))
+    if not out:
+        common = Counter(r.reason for r in rejects).most_common(1)
+        why = "".join(f"; {n} of {len(rejects)} rejected rows: {reason}" for reason, n in common)
+        raise DataFormatError(f"zero valid rows{why}")
+    return out, rejects, scale
+
+
+def _records_outcome(build, path, as_csv, strict):
+    """What ``build`` (a ``records_from_rows``) of a file's rows returns, rejects and raises,
+    as a load runs it: a lenient reader's rejects and the builder's share one list."""
+    rejects = []
+    try:
+        out, kept, scale = build(_reader(path, AnnotationRecord, as_csv, None if strict else rejects),
+                                 None, strict, rejects)
+    except DataFormatError as exc:
+        return repr(rejects), str(exc)
+    assert kept is rejects
+    return [_shown(rec) for rec in out], [(r.line_no, r.reason, r.raw) for r in rejects], scale
+
+
+@pytest.mark.parametrize("cls", READ_ROWS, ids=lambda cls: cls.__name__)
+@settings(deadline=None, max_examples=100)
 @given(data=st.data())
-def test_a_generated_builder_builds_or_refuses_as_the_generic_path(cls, data):
-    row = data.draw(rows(cls))
-    given_row = copy.deepcopy(row)
-    built = _outcome(from_row, cls, row)
-    assert built == _outcome(records._generic_from_row, cls, row)
-    assert repr(row) == repr(given_row)  # the row is left as given
+def test_a_parse_builds_rejects_and_raises_as_from_row_a_row_at_a_time(tmp_path_factory, cls, data):
+    """Over chunks of three rows, so that a file of a few rows spans several."""
+    items, as_csv = data.draw(lines(cls)), data.draw(st.booleans())
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    _write(path, cls, items, as_csv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_CHUNK_ROWS", 3)
+        unique = READ_ROWS[cls]
+        expected = _read_outcome(lambda: _reference_read_rows(path, cls, as_csv, unique))
+        assert _read_outcome(lambda: read_rows(path, cls, unique=unique)) == expected
+        assert _read_outcome(lambda: read_rows(path, cls, unique=unique)) == expected  # its sidecar, if kept
+        if cls is AnnotationRecord:
+            for strict in (False, True):
+                expected = _records_outcome(_reference_records, path, as_csv, strict)
+                assert _records_outcome(records_from_rows, path, as_csv, strict) == expected
 
 
-# A row per type whose every value the generated builder takes itself, the casts
-# it inlines among them: an int for a float, an integral float for an int, a list
-# for a frozenset or a list of floats.
+# A row per type whose every value the chunk path takes without a cast, or with one
+# of its casts: an int for a float, an integral float for an int, a list for a
+# frozenset or a list of floats.
 CLEAN = {
     AnnotationRecord: {"record_id": "r1", "annotator_id": "a1", "item_id": "i1", "prompt_text": "p",
                        "score": 50, "scale_kind": "continuous_0_100", "position_index": 2.0, "weight": 1},
@@ -180,16 +292,25 @@ CLEAN = {
 }
 
 
-@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
-def test_a_clean_row_never_reaches_the_generic_path(monkeypatch, cls):
-    expected = _outcome(records._generic_from_row, cls, CLEAN[cls])
-    assert expected[0] == "built"
+def _refuse(*args):
+    raise AssertionError("a row was built by from_row")
 
-    def refuse(*args):
-        raise AssertionError("the generic path was taken")
 
-    monkeypatch.setattr(records, "_generic_from_row", refuse)
-    assert _outcome(from_row, cls, CLEAN[cls]) == expected
+@pytest.mark.parametrize("cls", [cls for cls in READ_ROWS if cls is not Probe],  # a default factory: a row at a time
+                         ids=lambda cls: cls.__name__)
+def test_a_clean_files_cold_parse_calls_no_per_row_from_row(tmp_path, monkeypatch, cls):
+    rows = [{**CLEAN[cls], **({"item_id": f"i{i}"} if "item_id" in CLEAN[cls] else {})} for i in range(5)]
+    expected = [_shown(from_row(cls, row)) for row in rows]
+    path = tmp_path / "rows.jsonl"
+    _write(path, cls, rows, False)
+    monkeypatch.setattr(records, "from_row", _refuse)
+    read = load_records(path).records if cls is AnnotationRecord else read_rows(path, cls)
+    assert [_shown(obj) for obj in read] == expected
+    for obj in read:
+        assert type(obj) is cls and not hasattr(obj, "__dict__")
+        if cls.__dataclass_params__.frozen:
+            with pytest.raises(AttributeError):
+                setattr(obj, records._field_names(cls)[0], None)
 
 
 @pytest.mark.parametrize("cls", [*ROW_TYPES, EndpointConfig], ids=lambda cls: cls.__name__)
@@ -202,17 +323,103 @@ def test_a_record_is_built_frozen_and_slotted(cls):
             setattr(obj, name, CLEAN[cls][name])
 
 
-def test_a_class_without_slots_is_refused_naming_it():
+def test_a_class_without_slots_is_refused_naming_it(tmp_path):
     @dataclass(frozen=True)
     class Unslotted:
         name: str
 
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"name": "x"}\n')
     with pytest.raises(TypeError, match="Unslotted has no __slots__"):
-        from_row(Unslotted, {"name": "x"})
+        read_rows(path, Unslotted)
 
 
-def test_a_pair_still_runs_its_cross_field_rules():
-    row = {"pair_id": "p1", "item_a": "i1", "item_b": "i2", "similarity": 0.5, "kind": "identical"}
-    with pytest.raises(DataFormatError, match="identical pairs must have similarity 1"):
-        from_row(PromptPair, row)
-    assert from_row(PromptPair, {**row, "kind": "equivalent"}).expected_direction == "equal"
+@pytest.mark.parametrize("row", [{}, {"name": None}], ids=["left-out", "null"])
+def test_a_required_field_that_admits_null_is_still_required(tmp_path, row):
+    path = tmp_path / "probes.jsonl"  # each row gives ``tags``, whose default factory a chunk does not build
+    _write(path, Probe, [{"name": "x", "tags": []}, {**row, "tags": []}, {"name": "y", "tags": []}], False)
+    with pytest.raises(DataFormatError, match="line 2: missing required field 'name'$"):
+        read_rows(path, Probe)
+
+
+def test_a_pair_still_runs_its_cross_field_rules(tmp_path):
+    row = {"pair_id": "p1", "item_a": "i1", "item_b": "i2", "similarity": 0.5, "kind": "equivalent"}
+    path = tmp_path / "pairs.jsonl"
+    _write(path, PromptPair, [row, row], False)
+    assert [pair.expected_direction for pair in read_rows(path, PromptPair)] == ["equal", "equal"]
+    _write(path, PromptPair, [row, {**row, "kind": "identical"}], False)
+    with pytest.raises(DataFormatError, match="line 2: identical pairs must have similarity 1"):
+        read_rows(path, PromptPair)
+
+
+# ------------------------------------------------------------- chunk boundaries
+
+def _meta_rows(n):
+    return [{"item_id": f"i{i}", "theme_labels": ["harm"]} for i in range(n)]
+
+
+def _record_rows(n):
+    return [{**CLEAN[AnnotationRecord], "record_id": f"r{i}"} for i in range(n)]
+
+
+@pytest.mark.parametrize("bad", [records._CHUNK_ROWS, records._CHUNK_ROWS + 1], ids=["last", "next-first"])
+def test_a_bad_row_at_a_chunk_boundary_is_named_by_its_line(tmp_path, bad):
+    """Line ``_CHUNK_ROWS`` ends the first chunk and the line after it starts the next."""
+    rows = _meta_rows(2 * records._CHUNK_ROWS + 7)
+    rows[bad - 1] = {"item_id": "bad", "content_type": "A9_bogus"}
+    path = tmp_path / "meta.jsonl"
+    _write(path, ItemMetadata, rows, False)
+    with pytest.raises(DataFormatError, match=f"meta.jsonl: line {bad}: unknown content_type code 'A9_bogus'$"):
+        read_rows(path, ItemMetadata, unique="item_id")
+    records_file = tmp_path / "records.jsonl"
+    rows = _record_rows(2 * records._CHUNK_ROWS + 7)
+    boundary = (records._CHUNK_ROWS, records._CHUNK_ROWS + 1)
+    for line in boundary:
+        rows[line - 1] = {**rows[line - 1], "score": 150}
+    _write(records_file, AnnotationRecord, rows, False)
+    loaded = load_records(records_file)
+    assert [(r.line_no, r.reason) for r in loaded.rejected] == [
+        (line, "score 150.0 outside [0, 100] for continuous_0_100") for line in boundary
+    ]
+    assert len(loaded.records) == len(rows) - 2
+    with pytest.raises(DataFormatError, match=f"line {records._CHUNK_ROWS}: score 150.0 outside"):
+        load_records(records_file, strict=True)
+
+
+def test_a_set_of_lists_is_refused_naming_its_line(tmp_path):
+    """A list entry cannot be a set member: the chunk goes a row at a time, which says so."""
+    rows = _meta_rows(3)
+    rows[1] = {"item_id": "i1", "theme_labels": [["harm"]]}
+    path = tmp_path / "meta.jsonl"
+    _write(path, ItemMetadata, rows, False)
+    with pytest.raises(DataFormatError, match=r"line 2: theme_labels must be a list of strings, got \[\['harm'\]\]$"):
+        read_rows(path, ItemMetadata, unique="item_id")
+
+
+def test_a_unique_value_repeated_in_a_later_chunk_names_both_lines(tmp_path):
+    rows = _meta_rows(records._CHUNK_ROWS + 10)
+    rows[records._CHUNK_ROWS + 4] = {"item_id": "i3"}
+    path = tmp_path / "meta.jsonl"
+    _write(path, ItemMetadata, rows, False)
+    with pytest.raises(DataFormatError, match=f"line {records._CHUNK_ROWS + 5}: item_id 'i3' repeats line 4$"):
+        read_rows(path, ItemMetadata, unique="item_id")
+
+
+def test_a_reader_fault_mid_chunk_under_strict_follows_the_rows_before_it(tmp_path):
+    """The rows a strict reader gave before its raise are built first, and may raise first;
+    a lenient read keeps the reader's and the builder's rejects in line order."""
+    rows = _record_rows(20)
+    rows[9] = "{"
+    path = tmp_path / "records.jsonl"
+    _write(path, AnnotationRecord, rows, False)
+    with pytest.raises(DataFormatError, match="records.jsonl: line 10: invalid JSON"):
+        load_records(path, strict=True)
+    rows[4] = {**rows[4], "weight": -1}
+    rows[14] = {**rows[14], "weight": -1}
+    _write(path, AnnotationRecord, rows, False)
+    rejects = []
+    with pytest.raises(DataFormatError, match="^line 5: weight must be finite and >= 0, got -1.0$"):
+        records_from_rows(records.iter_jsonl(path), strict=True, rejects=rejects)
+    assert rejects == []
+    assert [r.line_no for r in load_records(path).rejected] == [5, 10, 15]
+    assert run(["validate", "--strict", "--input", str(path)]) == 2

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import flag_row
 from prefaudit import cli, records
 from prefaudit.cli import load_flags, load_profiles, run
 from prefaudit.errors import DataFormatError
@@ -424,7 +425,7 @@ def test_the_flags_writer_writes_the_bytes_of_one_flag_row_per_flag(tmp_path, mo
     interleaved = random.Random(5).sample(flags, len(flags))
     for order in (flags, interleaved):
         cli._write_jsonl(str(tmp_path / "rows.jsonl"), config, cli._flag_rows(order))
-        cli._write_jsonl(str(tmp_path / "reference.jsonl"), config, map(cli._flag_row, order))
+        cli._write_jsonl(str(tmp_path / "reference.jsonl"), config, map(flag_row, order))
         assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
 
@@ -626,7 +627,7 @@ def test_a_second_pass_of_a_benchmark_workload_parses_no_row(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("iter_jsonl", "_iter_csv", "from_row"):
+    for name in ("iter_jsonl", "_iter_csv", "_chunk_columns", "from_row"):
         monkeypatch.setattr(records, name, counted(name, getattr(records, name)))
     passes = []
     for _ in range(2):
@@ -634,7 +635,7 @@ def test_a_second_pass_of_a_benchmark_workload_parses_no_row(tmp_path, monkeypat
         for stage in workloads.STAGES[workload]:
             assert run(workloads.stage_argv(stage, tmp_path)) == 0, stage[0]
         passes.append(dict(calls))
-    assert passes[0]["iter_jsonl"] >= 2 and passes[0]["from_row"] > 0  # the first pass parses its inputs
+    assert passes[0]["iter_jsonl"] >= 2 and passes[0]["_chunk_columns"] > 0  # the first pass parses its inputs
     assert passes[1] == {}
 
 

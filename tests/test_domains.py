@@ -7,8 +7,9 @@ import math
 
 import pytest
 
+from conftest import flag_row
 from prefaudit import records
-from prefaudit.cli import _flag_row, run
+from prefaudit.cli import run
 from prefaudit.diagnostics import ConsistencyProfile
 from prefaudit.errors import DataFormatError
 from prefaudit.pairing import InconsistencyFlag, PromptPair
@@ -28,7 +29,7 @@ FILES = {
     ),
     PromptPair: (to_row(PAIR), ["diagnose", "--input", "{input}", "--pairs", "{path}"]),
     InconsistencyFlag: (
-        _flag_row(InconsistencyFlag("a1", PAIR, 10.0, 40.0, 30.0, 15.0)),
+        flag_row(InconsistencyFlag("a1", PAIR, 10.0, 40.0, 30.0, 15.0)),
         ["classify", "--input", "{input}", "--flags", "{path}"],
     ),
     ConsistencyProfile: (

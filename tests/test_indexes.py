@@ -7,7 +7,7 @@ from conftest import dataset_of, rec
 from prefaudit.diagnostics import build_profile, cross_item_consistency
 from prefaudit.errors import InsufficientSupportError
 from prefaudit.planner import plan_tier
-from prefaudit.ratio import RatioConfig, dataset_themes, exact_baseline, theme_ratings
+from prefaudit.ratio import RatioConfig, dataset_themes, exact_baseline
 from prefaudit.records import ORDER_TAG_AB, ORDER_TAG_BA, Dataset, ItemMetadata, default_tau, score_value
 from prefaudit.synth import generate
 from prefaudit.weighting import item_reliability, item_reliability_table
@@ -128,7 +128,8 @@ def test_theme_ratings_match_a_metadata_scan(corpus):
                 for r in corpus.by_annotator[annotator_id]
                 if r.item_id in corpus.metadata and theme in corpus.metadata[r.item_id].theme_labels
             ]
-            assert theme_ratings(corpus, annotator_id, theme) == expected
+            items = corpus.items_by_theme.get(theme, frozenset())
+            assert [score_value(r) for r in corpus.by_annotator[annotator_id] if r.item_id in items] == expected
 
 
 def test_cross_item_consistency_matches_a_metadata_scan(corpus):

@@ -917,7 +917,7 @@ def test_the_record_twin_matches_annotation_records_layout(cls):
     is the object the constructor builds from the same fields."""
     twin = records_module._twin(cls)
     assert twin.__slots__ == cls.__slots__
-    expected = records_module._generic_from_row(cls, CLEAN[cls])  # through the constructor
+    expected = records_module.from_row(cls, CLEAN[cls])  # through the constructor
     obj = twin(*(None for _ in fields(cls)))
     for name, value in to_row(expected).items():
         setattr(obj, name, value)  # not frozen

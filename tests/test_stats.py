@@ -11,7 +11,6 @@ from prefaudit.stats import (
     one_sample_t,
     paired_t,
     pearson_r,
-    sample_variance,
     seeded_sampler,
     t_p_two_sided,
     t_sf,
@@ -167,7 +166,3 @@ def test_sampler_substreams_uniform_and_unrelated():
     assert chi2 < 27.88  # chi-square df=9 critical value at p=0.001
     other = seeded_sampler(123, "other-key").random(5000)
     assert abs(pearson_r(draws, other)) < 0.05
-
-
-def test_sample_variance_convention():
-    assert sample_variance([1.0, 2.0, 3.0]) == pytest.approx(1.0)
