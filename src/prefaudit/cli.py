@@ -18,10 +18,9 @@ import gc
 import math
 import sys
 from dataclasses import fields
-from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -39,19 +38,19 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_jsonl(path: str, config: dict, rows: Iterable, kept: Optional[tuple] = None) -> None:
-    """The ``#config`` header line, then each row (a dict or a dataclass) as soon as it
-    is encoded. ``kept``, ``(cls, objects)``, the ``cls`` objects the rows were written
-    from, leaves the sidecar that ``_read_rows(path, cls)`` reads (see
-    ``records.write_jsonl``), under the same ``_row_build(cls)``."""
-    kept = None if kept is None else (kept[0], _row_build(kept[0]), kept[1])
-    records.write_jsonl(path, chain([{"#config": config}], rows), kept)
+def _write_jsonl(path: str, config: dict, rows: Iterable, cls: Optional[type] = None,
+                 columns: Optional[dict] = None, kept: bool = False) -> None:
+    """The ``#config`` header line, then ``rows`` laid out by ``cls`` and ``columns`` (see
+    ``records.write_jsonl``). ``kept``, for a list of ``cls`` objects, leaves the
+    sidecar that ``_read_rows(path, cls)`` reads, under the same ``_row_build(cls)``."""
+    records.write_jsonl(path, rows, cls, columns=columns, header={"#config": config},
+                        kept=kept, build=_row_build(cls) if kept else None)
 
 
-def _kept(cls: type, objects: list, pairs: Iterable[pairing.PromptPair]) -> Optional[tuple]:
-    """``_write_jsonl``'s ``kept`` for ``objects``, unless a pair of ``pairs`` has no
-    ``pair_id``: a read gives it one, so it would not read back as written."""
-    return (cls, objects) if all(pair.pair_id for pair in pairs) else None
+def _kept(pairs: Iterable[pairing.PromptPair]) -> bool:
+    """Whether a file of rows on ``pairs`` may keep its sidecar: not when a pair has no
+    ``pair_id``, which a read gives it, so that it would not read back as written."""
+    return all(pair.pair_id for pair in pairs)
 
 
 def _read_rows(path: str | Path, cls: type) -> list:
@@ -145,26 +144,11 @@ def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
 def _cmd_pairs(args) -> int:
     dataset = _load_dataset(args)
     pairs = pairing.find_similar_pairs(dataset, args.sim_threshold, args.same_annotator)
-    _write_jsonl(args.output, _config_echo(args), map(records.to_row, pairs))
+    _write_jsonl(args.output, _config_echo(args), pairs, pairing.PromptPair)
     return 0
 
 
 # ---------------------------------------------------------------- repeats
-
-def _flag_rows(flags: Iterable[pairing.InconsistencyFlag]) -> Iterator[dict]:
-    """Each flag as a ``repeats --flags-output`` row, its own fields and its pair's. A
-    run of flags on one pair reads that pair's fields once, and each row is built in
-    sorted key order, which the encoder's sort then finds in place."""
-    last = None
-    for flag in flags:
-        if flag.pair is not last:
-            last = flag.pair
-            pair_items = sorted(records.to_row(last).items())
-            head = {k: v for k, v in pair_items if k < "score_a"}
-            tail = {k: v for k, v in pair_items if k >= "score_a"}  # similarity, between score_b and threshold_used
-        yield {"annotator_id": flag.annotator_id, "delta": flag.delta, **head, "score_a": flag.score_a,
-               "score_b": flag.score_b, **tail, "threshold_used": flag.threshold_used}
-
 
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
     """The flags of a ``repeats --flags-output`` file (see ``_flag_reader``)."""
@@ -215,8 +199,9 @@ def _cmd_repeats(args) -> int:
     dataset = _load_dataset(args)
     flags, summary, ladder = pairing.repeat_audit(dataset, args.sim_threshold, args.delta_threshold)
     if args.flags_output:
-        kept = _kept(pairing.InconsistencyFlag, flags, map(attrgetter("pair"), flags))
-        _write_jsonl(args.flags_output, _config_echo(args), _flag_rows(flags), kept)
+        # a row holds its flag's fields and its pair's (see ``records.write_jsonl``)
+        _write_jsonl(args.flags_output, _config_echo(args), flags, pairing.InconsistencyFlag,
+                     kept=_kept(map(attrgetter("pair"), flags)))
     stages = [{"stage": name, "n_pairs": count} for name, count in ladder.stages]
     _write_result(args.output, args, {"summary": summary, "ladder": {"stages": stages}},
                   lambda _: render_prevalence(summary) + render_ladder(ladder))
@@ -252,22 +237,21 @@ def _cmd_diagnose(args) -> int:
         weights=weights,
     )
     written = [profiles[a] for a in sorted(profiles)]
-    rows = list(map(records.to_row, written))
+    columns = {}
     if args.route:
         thresholds = taxonomy.RoutingThresholds(
             t_temp=args.t_temp, t_frame=args.t_frame, t_order=args.t_order
         )
-        for row in rows:
-            profile = profiles[row["annotator_id"]]
-            row["routing"] = (
-                taxonomy.decision_procedure(profile, thresholds) if profile.components() else None
-            )
+        columns["routing"] = lambda profile: (
+            taxonomy.decision_procedure(profile, thresholds) if profile.components() else None
+        )
     config = _config_echo(args)
     if args.format == "csv":
+        rows = [{**records.to_row(p), **{k: get(p) for k, get in columns.items()}} for p in written]
         header = list(rows[0].keys()) if rows else ["annotator_id"]
         _write_csv(args.output, config, header, rows)
     else:
-        _write_jsonl(args.output, config, rows, (diagnostics.ConsistencyProfile, written))
+        _write_jsonl(args.output, config, written, diagnostics.ConsistencyProfile, columns, kept=True)
     return 0
 
 
@@ -300,6 +284,15 @@ def _flags_off_input(flags: list[pairing.InconsistencyFlag], dataset: records.Da
     return absent
 
 
+# A ``classify --labels-output`` row: the flag's annotator and pair, then the label.
+_LABEL_COLUMNS = {
+    "annotator_id": lambda lab: lab.flag.annotator_id if lab.flag else None,
+    "pair_id": lambda lab: lab.flag.pair.pair_id if lab.flag else None,
+    "label": attrgetter("label"),
+    "rule_trace": attrgetter("rule_trace"),  # a tuple of strings, written as a list
+}
+
+
 def _cmd_classify(args) -> int:
     dataset = _load_dataset(args)
     flags = load_flags(args.flags)
@@ -310,16 +303,7 @@ def _cmd_classify(args) -> int:
     labels = taxonomy.classify_flags(flags, dataset, artifact_floor=args.artifact_floor)
     summary = taxonomy.classification_summary(labels) if labels else taxonomy.ClassificationSummary([], 0)
     if args.labels_output:
-        rows = (
-            {
-                "annotator_id": lab.flag.annotator_id if lab.flag else None,
-                "pair_id": lab.flag.pair.pair_id if lab.flag else None,
-                "label": lab.label,
-                "rule_trace": list(lab.rule_trace),
-            }
-            for lab in labels
-        )
-        _write_jsonl(args.labels_output, _config_echo(args), rows)
+        _write_jsonl(args.labels_output, _config_echo(args), labels, columns=_LABEL_COLUMNS)
     _write_result(args.output, args, summary, render_classification)
     return 0
 
@@ -358,12 +342,11 @@ def _cmd_ratio(args) -> int:
         exclude_theme_from_history=args.exclude_theme_history,
     )
     ratios = ratio.all_ratios(dataset, config_obj)
-    rows = map(records.to_row, ratios)
     config = _config_echo(args)
     if args.format == "csv":
-        _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], rows)
+        _write_csv(args.output, config, [f.name for f in fields(ratio.RatioRecord)], map(records.to_row, ratios))
     else:
-        _write_jsonl(args.output, config, rows, (ratio.RatioRecord, ratios))
+        _write_jsonl(args.output, config, ratios, ratio.RatioRecord, kept=True)
     if args.stats_output:
         _write_result(args.stats_output, args, ratio.population_stats(ratios, dataset), render_population)
     return 0
@@ -459,7 +442,7 @@ def _cmd_plan(args) -> int:
         if violations:
             raise InfeasiblePlanError("; ".join(violations[:5]))
         entries = sorted(schedule.entries, key=attrgetter("annotator_id", "position"))
-        _write_jsonl(args.schedule_output, _config_echo(args), entries)
+        _write_jsonl(args.schedule_output, _config_echo(args), entries, planner.ScheduleEntry)
     return 0
 
 
@@ -545,11 +528,8 @@ def _cmd_themes(args) -> int:
         concurrency_limit=args.concurrency,
         cache=cache,
     )
-    rows = (
-        {"item_id": item_id, "theme_labels": sorted(labels)}
-        for item_id, labels in sorted(report.patch.items())
-    )
-    _write_jsonl(args.output, _config_echo(args), rows)
+    columns = {"item_id": itemgetter(0), "theme_labels": lambda patch: tuple(sorted(patch[1]))}
+    _write_jsonl(args.output, _config_echo(args), sorted(report.patch.items()), columns=columns)
     if report.n_failed:
         print(f"{report.n_failed} prompts failed", file=sys.stderr)
     return 0
@@ -883,4 +863,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # ``python -m prefaudit.cli`` runs this file as ``__main__``; run the package's own
+    # module instead, so that its row builders are ``prefaudit.cli.*`` and the files
+    # they read keep their sidecars (see ``records._rows_key``), as under ``prefaudit``
+    from prefaudit.cli import main as package_main
+
+    package_main()

@@ -31,7 +31,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, islice, product, repeat, starmap
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import attrgetter
 from pathlib import Path
@@ -118,9 +118,10 @@ def _twin(cls: type) -> type:
     field, in field order, as a plain slot assignment: the frozen ``__init__`` sets
     each through ``object.__setattr__``, several times the cost. An object built as
     the twin is made a ``cls`` by assigning its ``__class__``, which raises TypeError
-    should the two slot layouts ever differ. ``_rows_from_columns`` builds every object
-    of a parsed chunk or a sidecar this way, so each row type a parse builds is slotted;
-    a ``cls`` without slots of its own raises TypeError naming it."""
+    should the two slot layouts ever differ. ``_objects_in_domain`` builds every object
+    of a parsed chunk or a sidecar this way, and each flag ``flag_inconsistencies``
+    raises, so each row type it builds is slotted; a ``cls`` without slots of its own
+    raises TypeError naming it."""
     slots = cls.__dict__.get("__slots__")
     if slots is None:
         raise TypeError(f"a parse builds slotted dataclasses only, and {cls.__qualname__} has no __slots__")
@@ -368,23 +369,9 @@ def _encode_default(value):
 
 # One JSONEncoder, where json.dumps with these options builds one per call. Its
 # encode still builds a new C encoder per call; a writer of many rows encodes
-# them through ``row_encoder`` instead.
+# them a column at a time through ``write_jsonl`` instead, to the same text.
 _ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_default)
 to_json = _ENCODER.encode
-
-
-def row_encoder() -> Callable[[object], str]:
-    """``to_json`` through one C encoder, for the rows of one writer. Each call
-    builds its own encoder with its own markers dict (which makes a circular
-    reference raise), so no two writers, nor two threads, share one. Where the
-    C encoder is missing this is ``to_json``."""
-    if c_make_encoder is None:
-        return to_json
-    encoder = c_make_encoder(
-        {}, _ENCODER.default, encode_basestring_ascii, None,
-        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True,
-    )
-    return lambda row: "".join(encoder(row, 0))
 
 
 # How a value whose type its field does not admit is reported, by the field's first type.
@@ -846,29 +833,177 @@ def open_output(path: str | Path, newline: Optional[str] = None, digest=None) ->
         yield fh
 
 
-def write_jsonl(path: str | Path, rows: Iterable, kept: Optional[tuple] = None) -> None:
-    """Each of ``rows`` (a dict or a dataclass, as ``to_json`` encodes it) on a line of
-    its own, to the file ``path`` or, for ``-``, to standard output.
+def write_jsonl(
+    path: str | Path,
+    rows: Iterable,
+    cls: Optional[type] = None,
+    *,
+    columns: Optional[dict[str, Optional[Callable[[object], object]]]] = None,
+    header: Optional[dict] = None,
+    nulls: bool = True,
+    kept: bool = False,
+    build: Optional[Callable[[dict], object]] = None,
+) -> None:
+    """Each of ``rows`` as one JSON object on a line of its own, its keys sorted, to the
+    file ``path`` or, for ``-``, to standard output; ``header``, when given, is the first
+    line. Each line is ``to_json`` of the row as a dict (see ``_chunk_lines``).
 
-    ``kept``, ``(cls, build, objects)``, leaves a file the sidecar that
-    ``read_rows(path, cls, build)`` keeps, so its next read builds no row: the
-    columns of ``objects`` (see ``_row_columns``), the ``cls`` objects the rows were
-    written from, in file order, under the SHA-256 of the bytes as they are written.
+    A row's keys are the fields of ``cls``, read from it as attributes, a field that
+    holds a row object (``InconsistencyFlag.pair``) giving that object's fields in its
+    place; then ``columns``: ``columns[key](row)`` adds the column ``key`` or replaces
+    the field of that name, and a None drops it. A None value is written ``null``,
+    or, with ``nulls`` False, its key is left out, as ``record_to_obj`` leaves it. The
+    rows are encoded ``_CHUNK_ROWS`` at a time, a column at a time.
+
+    ``kept`` leaves a file the sidecar that ``read_rows(path, cls, build)`` keeps, so
+    its next read builds no row: the columns (see ``_row_columns``) of ``rows``, which
+    are then ``cls`` objects, under the SHA-256 of the bytes as they are written.
     ``build`` must read each row back as the object it was written from. Standard
     output or another path that is not a regular file, a write that raises, and a
     value that a parse refuses leave no sidecar."""
-    encode = row_encoder()
-    key = None if kept is None or path == "-" else _rows_key(*kept[:2])
+    layout = _row_layout(cls, columns or {})
+    key = _rows_key(cls, build) if kept and path != "-" else None
     digest = None if key is None else hashlib.sha256()
+    if key is not None:
+        rows = list(rows)  # read twice: written, then kept
+    unread = iter(rows)
+    chunks = iter(lambda: list(islice(unread, _CHUNK_ROWS)), [])
     with open_output(path, digest=digest) as fh:
-        for row in rows:
-            fh.write(encode(row) + "\n")
+        if header is not None:
+            fh.write(to_json(header) + "\n")
+        for chunk in chunks:
+            _write_lines(fh, _chunk_lines(chunk, layout, "null" if nulls else None))
     if digest is not None and Path(path).is_file():
         try:
-            columns = _row_columns(kept[0], kept[2], _written_key)
+            kept_columns = _row_columns(cls, rows, _written_key)
         except DataFormatError:  # a value a parse refuses: the read parses the file and says so
             return
-        _write_sidecar(Path(path), key, digest.digest(), columns)
+        _write_sidecar(Path(path), key, digest.digest(), kept_columns)
+
+
+def _row_layout(cls: Optional[type], columns: dict) -> list[tuple[Callable, Union[str, tuple[str, ...]]]]:
+    """A ``write_jsonl`` row as segments, in sorted key order: ``(get, key)`` for the
+    column ``key`` that ``get`` reads from a row, and ``(get, names)`` for a run of keys
+    that are the fields ``names`` of the row object ``get`` reads (see ``_nested_rows``)."""
+    sources: dict[str, tuple[Callable, Optional[str]]] = {}  # a key -> (get, field of the nested object)
+    if cls is not None:
+        nested = _nested_rows(cls)
+        for name in _field_names(cls):
+            if name in nested:
+                get = attrgetter(name)
+                sources.update((inner, (get, inner)) for inner in _field_names(nested[name]))
+            else:
+                sources[name] = (attrgetter(name), None)
+    for name, get in columns.items():
+        if get is None:
+            sources.pop(name, None)
+        else:
+            sources[name] = (get, None)
+    layout: list = []
+    for name in sorted(sources):
+        get, inner = sources[name]
+        if inner is None:
+            layout.append((get, name))
+        elif layout and layout[-1][0] is get:  # the next field of the object the segment before reads
+            layout[-1] = (get, (*layout[-1][1], inner))
+        else:
+            layout.append((get, (inner,)))
+    return layout
+
+
+# Lines a writer joins into one text to write: enough that a join costs little per line,
+# few enough that the text, and the bytes it is encoded to, add little to the peak memory.
+_WRITE_LINES = 128
+
+
+def _write_lines(fh: TextIO, lines: Iterator[tuple[str, ...]]) -> None:
+    """Each of ``lines`` (see ``_chunk_lines``) to ``fh``, ``_WRITE_LINES`` at a time. The
+    chunk's texts are let go on return, before the next chunk is encoded."""
+    for block in iter(lambda: list(islice(lines, _WRITE_LINES)), []):
+        fh.write("".join(chain.from_iterable(block)))
+
+
+def _chunk_lines(rows: list, layout: list, null: Optional[str]) -> Iterator[tuple[str, ...]]:
+    """``rows``, laid out by ``_row_layout``, as lines of JSON text, each a tuple of texts
+    whose join is the line: ``to_json`` of the row as a dict, where a None value is
+    ``null``, or leaves its key out when ``null`` is None.
+
+    Each column's values are encoded in one pass (``_value_texts``). A run of fields of a
+    nested row object is encoded once per distinct object, as one piece, and indexed
+    (see ``_distinct``). A line is then each key every row gives, as a text repeated on
+    every line, and the columns' texts; a key that some rows leave out is in its value's
+    text instead."""
+    n = len(rows)
+    parts: list = []  # a line's texts, in order: each a repeat of one text, or a column's
+    found: dict = {}  # a segment's ``get`` of a nested object -> the objects' places and the distinct objects
+    ragged = False  # whether some line's first text is empty, so that the lines cannot share one separator
+    for get, keys in layout:
+        sep = ", " if parts else ""  # no separator before a line's first key
+        if type(keys) is str:
+            col = _value_texts(list(map(get, rows)), null)
+            label = encode_basestring_ascii(keys) + ": "
+            if null is None and type(col) is list:  # some value is None, whose key is left out
+                parts.append(["" if text is None else ", " + label + text for text in col])
+                ragged = ragged or not sep
+            else:
+                parts += (repeat(sep + label, n), col)
+            continue
+        if get not in found:
+            found[get] = _distinct(map(get, rows))
+        index, objects = found[get]
+        labels = [", " + encode_basestring_ascii(name) + ": " for name in keys]
+        fields_texts = zip(*(_value_texts(list(map(attrgetter(name), objects)), null) for name in keys))
+        pieces = ["".join(label + text for label, text in zip(labels, object_texts) if text is not None)
+                  for object_texts in fields_texts]
+        if not sep and all(pieces):
+            pieces = [piece[2:] for piece in pieces]
+        else:
+            ragged = ragged or not sep
+        parts.append(list(map(pieces.__getitem__, index)))
+    if not parts:
+        return repeat(("{}\n",), n)
+    if ragged:  # each text but a key every row gives starts with a separator; a line drops its first
+        return (("{", "".join(line)[2:], "}\n") for line in zip(*parts))
+    return zip(repeat("{", n), *parts, repeat("}\n", n))
+
+
+def _encode_strings(value: Union[str, tuple]) -> str:
+    """``to_json`` of a string, or of a tuple of strings."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return "[" + ", ".join(map(encode_basestring_ascii, value)) + "]"
+
+
+def _value_texts(values: list, null: Optional[str]) -> Iterable:
+    """``to_json`` of each of ``values``, a column: an iterator that encodes each value as
+    it is read, so that a writer holds only the texts of the lines it joins, or, when
+    some value is None, a list holding ``null`` in its places. A value's exact type
+    picks its way: a column of strings, or of strings and tuples of strings, encodes
+    each distinct value once; a column of finite floats takes ``float.__repr__`` and
+    one of ints ``int.__repr__``, as the C encoder does, and no number is memoised
+    (``1 == 1.0 == True``, ``0.0 == -0.0``); any other column (bools, numpy floats,
+    subclasses, lists, sets, dataclasses, NaN or an infinity) goes to ``to_json``, the
+    one definition of the text."""
+    kinds = set(map(type, values))
+    if type(None) in kinds:  # the other values are encoded apart, then put back in their places
+        if len(kinds) == 1:
+            return [null] * len(values)
+        texts = _value_texts([value for value in values if value is not None], null)  # an iterator
+        return [null if value is None else next(texts) for value in values]
+    # a float sum past the float range sends a finite column to ``to_json``, which writes the same text
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
+        return map(kinds.pop().__repr__, values)
+    if kinds == {str}:
+        encode = encode_basestring_ascii
+    elif kinds <= {str, tuple} and set(map(type, chain.from_iterable(v for v in values if type(v) is tuple))) <= {str}:
+        encode = _encode_strings
+    else:
+        return map(to_json, values)
+    distinct = set(values)
+    if len(distinct) == len(values):
+        return map(encode, values)
+    memo = dict(zip(distinct, map(encode, distinct)))
+    return map(memo.__getitem__, values)
 
 
 def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
@@ -1085,7 +1220,9 @@ def _row_columns(cls: type, objects: list, key: Callable = id) -> tuple:
     """One entry per field of ``cls`` over ``objects``, each a ``cls``: the values as a
     tuple, or None when every value is None. A value whose type its field does not
     admit is cast as a parse of its JSON form casts it (see ``_cast``), which raises
-    DataFormatError for one a parse refuses. A field holding row objects is
+    DataFormatError for one a parse refuses; so these are a sidecar's columns, never
+    a writer's text, which encodes each value as it is (an int in a float field is
+    ``1`` in the file and ``1.0`` here). A field holding row objects is
     ``(index, columns)``: ``columns`` those of its distinct objects in order of first
     use, where two objects that ``key`` maps to one value are one, and ``index`` the
     place of each value among them."""
@@ -1095,23 +1232,31 @@ def _row_columns(cls: type, objects: list, key: Callable = id) -> tuple:
     for name in _field_names(cls):
         col = tuple(map(attrgetter(name), objects))
         if name in nested:
-            places: dict = {}  # an object's id -> its place
-            distinct: dict = {}  # a ``key`` -> the place of the first object it maps to
-            firsts, index, last = [], [], None
-            for obj in col:
-                if obj is not last:  # a run of one object looks its place up once
-                    last = obj
-                    place = places.get(id(obj))
-                    if place is None:
-                        place = places[id(obj)] = distinct.setdefault(key(obj), len(distinct))
-                        if place == len(firsts):
-                            firsts.append(obj)
-                index.append(place)
+            index, firsts = _distinct(col, key)
             out.append((tuple(index), _row_columns(nested[name], firsts, key)))
             continue
         col = _cast_column(name, col, exact[name], admitted[name], containers[name])
         out.append(None if col and col[0] is None and col.count(None) == len(col) else col)
     return tuple(out)
+
+
+def _distinct(objects: Iterable, key: Callable = id) -> tuple[list[int], list]:
+    """The place of each of ``objects`` among the distinct ones, and those in order of
+    first use, where two objects that ``key`` maps to one value are one. A run of one
+    object looks its place up once."""
+    places: dict = {}  # an object's id -> its place
+    distinct: dict = {}  # a ``key`` -> the place of the first object it maps to
+    firsts, index, last = [], [], None
+    for obj in objects:
+        if obj is not last:
+            last = obj
+            place = places.get(id(obj))
+            if place is None:
+                place = places[id(obj)] = distinct.setdefault(key(obj), len(distinct))
+                if place == len(firsts):
+                    firsts.append(obj)
+        index.append(place)
+    return index, firsts
 
 
 def _cast_column(name: str, col: tuple, kept: frozenset, admitted: tuple, container: Optional[_Container]) -> tuple:
@@ -1172,11 +1317,11 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     as a parse checks each row: every value of a type its field admits, container
     entries included, and a None column only where None is admitted; every column of
     one length and every index into a nested table an int in range; the declared
-    domains and inlined rules (``_columns_in_domain``); ``unique`` distinct. None when
-    a check fails. Each object is built as ``_twin(cls)`` and given the class; a
-    ``__post_init__`` with rules of its own (``PromptPair``'s) then runs on it, and
-    None is returned should it raise. A ``cls`` without slots raises TypeError."""
-    twin, names = _twin(cls), _field_names(cls)
+    domains and inlined rules, or a ``__post_init__`` of its own (``_objects_in_domain``,
+    which builds the objects); ``unique`` distinct. None when a check fails. A ``cls``
+    without slots raises TypeError, whatever ``columns`` holds."""
+    _twin(cls)  # raises for a ``cls`` without slots
+    names = _field_names(cls)
     if type(columns) is not tuple or len(columns) != len(names):
         return None
     admitted, _, containers = _row_schema(cls)
@@ -1204,9 +1349,23 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     if len(lengths) > 1:
         return None
     n = lengths.pop() if lengths else 0
-    if not _columns_in_domain(cls, values, n) or (unique is not None and len(set(values[unique])) != n):
+    if unique is not None and len(set(values[unique])) != n:
         return None
-    objects = list(map(twin, *(repeat(None, n) if col is None else col for col in values.values())))
+    return _objects_in_domain(cls, values, n)
+
+
+def _objects_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> Optional[list]:
+    """The ``n`` ``cls`` objects whose fields ``columns`` holds (each field, in field order
+    -> its values, None for a field no object sets), each value of a type its field
+    admits; None unless every object passes what ``cls.__post_init__`` checks: the
+    declared domains and the inlined rules (``_columns_in_domain``), or, for a
+    ``__post_init__`` with rules of its own (``PromptPair``'s), that method run on each
+    object once it is built. Each object is built as ``_twin(cls)`` and given the class.
+    ``_rows_from_columns`` (a sidecar's objects, a parsed chunk's) and ``build_rows``
+    (objects a program makes) build every object through this."""
+    if not _columns_in_domain(cls, columns, n):
+        return None
+    objects = list(map(_twin(cls), *(repeat(None, n) if col is None else col for col in columns.values())))
     for obj in objects:
         obj.__class__ = cls
     if _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) is None:
@@ -1216,6 +1375,31 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
         except DataFormatError:
             return None
     return objects
+
+
+def build_rows(cls: type, rows: Iterable[tuple]) -> list:
+    """``cls(*row)`` for each of ``rows``, each the field values of one object in field
+    order, of types the fields admit. The rows are read ``_CHUNK_ROWS`` at a time and
+    each chunk is built at once through ``_objects_in_domain``, whose checks a chunk
+    that ``cls`` would refuse fails; that chunk is then built by the constructor, which
+    raises as it always does. Should reading ``rows`` raise, it raises once the rows
+    read before are built, which may raise first."""
+    out: list = []
+    unread = iter(rows)
+    names = _field_names(cls)
+    while True:
+        chunk: list[tuple] = []
+        try:
+            chunk.extend(islice(unread, _CHUNK_ROWS))  # keeps the rows read before a raise
+        except Exception:
+            for row in chunk:
+                cls(*row)
+            raise
+        if chunk:
+            built = _objects_in_domain(cls, dict(zip(names, zip(*chunk))), len(chunk))
+            out += starmap(cls, chunk) if built is None else built
+        if len(chunk) < _CHUNK_ROWS:
+            return out
 
 
 def _columns_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> bool:
@@ -1291,7 +1475,7 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             write_csv(fh, _RECORD_FIELDS, map(record_to_obj, dataset.records))
     else:
-        write_jsonl(Path(path), map(record_to_obj, dataset.records))  # a Path: ``-`` names a file here
+        write_jsonl(Path(path), dataset.records, AnnotationRecord, nulls=False)  # a Path: ``-`` names a file here
     return len(dataset.records)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import ConsistencyProfile
 from .errors import InsufficientSupportError
-from .records import Dataset, default_tau, record_to_obj, score_value, write_jsonl
+from .records import AnnotationRecord, Dataset, default_tau, score_value, write_jsonl
 
 WEIGHT_MODES = ("binary", "linear", "sigmoid")
 EXPORT_POLICIES = ("weight", "filter", "both")
@@ -192,22 +192,21 @@ def export_weighted(
     if policy not in EXPORT_POLICIES:
         raise ValueError(f"unknown export policy {policy!r}")
     retained = 0
+    record_weights = weights.record_weights
 
-    def rows() -> Iterator[dict]:
+    def weight(rec: AnnotationRecord) -> float:
+        return record_weights.get(rec.record_id, 1.0)
+
+    def exported() -> Iterator[AnnotationRecord]:
         nonlocal retained
         for rec in dataset.records:
-            w = weights.record_weights.get(rec.record_id, 1.0)
-            if policy in ("filter", "both") and w == 0.0:
+            if policy in ("filter", "both") and weight(rec) == 0.0:
                 continue
-            obj = record_to_obj(rec)
-            if policy == "filter":
-                obj.pop("weight", None)
-            else:
-                obj["weight"] = w
             retained += 1
-            yield obj
+            yield rec
 
-    write_jsonl(path, rows())
+    columns = {"weight": None if policy == "filter" else weight}
+    write_jsonl(path, exported(), AnnotationRecord, columns=columns, nulls=False)
     return ExportSummary(
         policy=policy,
         n_input=len(dataset.records),

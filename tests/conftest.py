@@ -25,7 +25,8 @@ def _collector_left_enabled():
 
 def flag_row(flag) -> dict:
     """One flag as a ``repeats --flags-output`` row, its own fields and its pair's: the
-    reference the flags writer (``cli._flag_rows``) must match byte for byte."""
+    reference whose ``records.to_json`` the flags writer (``records.write_jsonl`` of
+    ``InconsistencyFlag`` rows) must match byte for byte."""
     row = records.to_row(flag)
     row.update(records.to_row(row.pop("pair")))
     return row

@@ -4,12 +4,12 @@
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import flag_row
 from prefaudit import cli, diagnostics, pairing, ratio
 from prefaudit import records as records_module
 from prefaudit.cli import (
@@ -70,41 +70,43 @@ def artifact(tmp_path_factory):
     return tmp_path_factory.mktemp("artifacts") / "artifact.jsonl"
 
 
-def _write(path, rows):
-    _write_jsonl(str(path), {"cmd": "round-trip"}, rows)
+def _write(path, written, cls, columns=None):
+    _write_jsonl(str(path), {"cmd": "round-trip"}, written, cls, columns)
     return path
 
 
 @round_trip
 @given(st.lists(pairs(), max_size=5))
 def test_pairs_round_trip(artifact, written):
-    assert load_pairs(_write(artifact, [to_row(p) for p in written])) == written
+    assert load_pairs(_write(artifact, written, PromptPair)) == written
 
 
 @round_trip
 @given(st.lists(flags, max_size=5))
 def test_flags_round_trip(artifact, written):
-    assert load_flags(_write(artifact, [flag_row(f) for f in written])) == written
+    assert load_flags(_write(artifact, written, InconsistencyFlag)) == written
 
 
 @round_trip
 @given(st.lists(profiles, max_size=5, unique_by=lambda p: p.annotator_id))
 def test_profiles_round_trip(artifact, written):
-    read = load_profiles(_write(artifact, [to_row(p) for p in written]))
+    read = load_profiles(_write(artifact, written, ConsistencyProfile))
     assert read == {p.annotator_id: p for p in written}
 
 
 @round_trip
 @given(st.lists(ratio_records, max_size=5))
 def test_ratio_records_round_trip(artifact, written):
-    assert load_ratio_records(_write(artifact, [to_row(r) for r in written])) == written
+    assert load_ratio_records(_write(artifact, written, RatioRecord)) == written
 
 
-def _write_either(path, fmt, header, rows):
+def _write_either(path, fmt, header, written, cls, columns=None):
+    """``written`` as the CSV or the JSONL writer writes it, with the extra ``columns``."""
     if fmt == "csv":
-        _write_csv(str(path), {"cmd": "round-trip"}, header, rows)
+        rows = [{**to_row(o), **{k: get(o) for k, get in (columns or {}).items()}} for o in written]
+        _write_csv(str(path), {"cmd": "round-trip"}, header(rows), rows)
     else:
-        _write_jsonl(str(path), {"cmd": "round-trip"}, rows)
+        _write(path, written, cls, columns)
     return path
 
 
@@ -115,31 +117,56 @@ def _write_either(path, fmt, header, rows):
     st.none() | st.sampled_from(["use_as_signal", "filter_downweight"]),
 )
 def test_profiles_round_trip_in_either_format_with_or_without_routing(artifact, written, fmt, routing):
-    rows = [{**to_row(p), **({"routing": routing} if routing else {})} for p in written]
-    header = list(rows[0]) if rows else ["annotator_id"]  # as diagnose builds it
-    read = load_profiles(_write_either(artifact, fmt, header, rows))
+    columns = {"routing": lambda p: routing} if routing else None
+    header = lambda rows: list(rows[0]) if rows else ["annotator_id"]  # as diagnose builds it
+    read = load_profiles(_write_either(artifact, fmt, header, written, ConsistencyProfile, columns))
     assert read == {p.annotator_id: p for p in written}
 
 
 @round_trip
 @given(st.lists(ratio_records, max_size=5), st.sampled_from(["jsonl", "csv"]))
 def test_ratio_records_round_trip_in_either_format(artifact, written, fmt):
-    header = [f.name for f in fields(RatioRecord)]  # as ratio writes it
-    assert load_ratio_records(_write_either(artifact, fmt, header, [to_row(r) for r in written])) == written
+    header = lambda rows: [f.name for f in fields(RatioRecord)]  # as ratio writes it
+    assert load_ratio_records(_write_either(artifact, fmt, header, written, RatioRecord)) == written
 
 
-def test_jsonl_artifact_is_written_row_by_row(tmp_path):
-    """The writer holds one encoded row at a time, never the whole file."""
-    rows = ({"annotator_id": f"a{i % 32}", "pair_id": f"item-{i:06d}|item-{i + 1:06d}",
-             "label": "measurement_artifact", "rule_trace": ["repeat", "delta"]} for i in range(20_000))
-    path = tmp_path / "labels.jsonl"
+def _write_peak(path, rows, cls=None, columns=None):
+    """The tracemalloc peak of writing ``rows``, which are made beforehand."""
     tracemalloc.start()
     try:
-        _write_jsonl(str(path), {"cmd": "stream"}, rows)
-        peak = tracemalloc.get_traced_memory()[1]
+        _write_jsonl(str(path), {"cmd": "stream"}, rows, cls, columns)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size / 4
+
+
+def _label_rows(n):
+    return [{"annotator_id": f"a{i % 32}", "pair_id": f"item-{i:06d}|item-{i + 1:06d}",
+             "label": "measurement_artifact", "rule_trace": ("repeat", "delta")} for i in range(n)]
+
+
+def _flags(n):
+    """``n`` flags over 50 pairs."""
+    pool = [PromptPair(f"i{i}|j{i}", f"i{i}", f"j{i}", 0.5 + i / 100) for i in range(50)]
+    return [InconsistencyFlag(f"a{i % 64}", pool[i // 41 % 50], float(i % 100), 50.0, abs(i % 100 - 50.0), 15.0)
+            for i in range(n)]
+
+
+STREAMED = {
+    "labels": (_label_rows, None, {key: itemgetter(key) for key in ("annotator_id", "pair_id", "label", "rule_trace")}),
+    "flags": (_flags, InconsistencyFlag, None),
+}
+
+
+@pytest.mark.parametrize("kind", STREAMED)
+def test_jsonl_artifact_is_written_a_chunk_at_a_time(tmp_path, kind):
+    """Writing ten times the rows peaks less than one chunk's text higher: the writer
+    holds one chunk of rows, columns and text at a time, never the whole file's."""
+    make, cls, columns = STREAMED[kind]
+    chunk = records_module._CHUNK_ROWS
+    two = _write_peak(tmp_path / "two.jsonl", make(2 * chunk), cls, columns)
+    twenty = _write_peak(tmp_path / "twenty.jsonl", make(20 * chunk), cls, columns)
+    assert twenty - two < (tmp_path / "twenty.jsonl").stat().st_size / 20
 
 
 # ------------------------------------------------------- the sidecars the writers leave
@@ -183,20 +210,19 @@ def odd_flags(draw):
     ]
 
 
-# Each intermediate file the CLI writes: the rows it writes for some objects with the
-# ``kept`` it passes (None where it leaves no sidecar), the objects to write, and the reader.
+# Each intermediate file the CLI writes: the row type it writes, whether it leaves a sidecar
+# for some objects (as the CLI's writer decides), the objects to write, and the reader.
 WRITTEN = {
-    "pairs": (lambda objs: (map(to_row, objs), None), st.lists(odd_pairs(), max_size=5), load_pairs),
-    "flags": (lambda objs: (cli._flag_rows(objs), cli._kept(InconsistencyFlag, objs, [flag.pair for flag in objs])),
-              odd_flags(), load_flags),
-    "profiles": (lambda objs: (map(to_row, objs), (ConsistencyProfile, objs)),
+    "pairs": (PromptPair, lambda objs: False, st.lists(odd_pairs(), max_size=5), load_pairs),
+    "flags": (InconsistencyFlag, lambda objs: cli._kept(flag.pair for flag in objs), odd_flags(), load_flags),
+    "profiles": (ConsistencyProfile, lambda objs: True,
                  st.lists(st.builds(
                      ConsistencyProfile, annotator_id=odd_ids,
                      temp=odd_optional_unit, frame=odd_optional_unit, order=odd_optional_unit, cross=odd_optional_unit,
                      n_temp_pairs=odd_counts, n_frame_pairs=odd_counts, n_order_pairs=odd_counts,
                      n_cross_items=odd_counts, reliability=odd_optional_unit, tau_used=odd_nonnegative,
                  ), max_size=5), load_profiles),
-    "ratios": (lambda objs: (map(to_row, objs), (RatioRecord, objs)),
+    "ratios": (RatioRecord, lambda objs: True,
                st.lists(st.builds(
                    RatioRecord, annotator_id=odd_ids, theme=odd_ids, n_items=odd_counts,
                    var_within=odd_nonnegative, baseline=odd_nonnegative, ratio=odd_nonnegative,
@@ -222,19 +248,19 @@ def _refuse(*args, **kwargs):
 @seed(20261020)
 @given(data=st.data(), kind=st.sampled_from(list(WRITTEN)))
 def test_a_sidecar_a_writer_leaves_reads_as_a_fresh_parse_of_the_file(tmp_path_factory, data, kind):
-    write, objects, load = WRITTEN[kind]
+    cls, keeps, objects, load = WRITTEN[kind]
     written = data.draw(objects)
-    rows, kept = write(written)
+    kept = keeps(written)
     directory = tmp_path_factory.mktemp("written")
     path = directory / f"{kind}.jsonl"
-    _write_jsonl(str(path), {"cmd": kind}, rows, kept)
-    assert (directory / f".{kind}.jsonl.prefaudit").is_file() == (kept is not None)
+    _write_jsonl(str(path), {"cmd": kind}, written, cls, kept=kept)
+    assert (directory / f".{kind}.jsonl.prefaudit").is_file() == kept
     (directory / "fresh").mkdir()
     fresh = directory / "fresh" / path.name
     fresh.write_bytes(path.read_bytes())
     parsed = _shape(load(fresh))
     with pytest.MonkeyPatch.context() as patch:
-        if kept is not None:
+        if kept:
             patch.setattr(records_module, "iter_jsonl", _refuse)
             patch.setattr(records_module, "from_row", _refuse)
         assert _shape(load(path)) == parsed

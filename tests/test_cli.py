@@ -20,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import flag_row
-from prefaudit import cli, records
+from prefaudit import cli, pairing, records
 from prefaudit.cli import load_flags, load_profiles, run
 from prefaudit.errors import DataFormatError
 from prefaudit.pairing import InconsistencyFlag, PromptPair
@@ -424,9 +424,9 @@ def test_the_flags_writer_writes_the_bytes_of_one_flag_row_per_flag(tmp_path, mo
     assert len(flags) >= len({f.pair for f in flags}) > 1
     interleaved = random.Random(5).sample(flags, len(flags))
     for order in (flags, interleaved):
-        cli._write_jsonl(str(tmp_path / "rows.jsonl"), config, cli._flag_rows(order))
-        cli._write_jsonl(str(tmp_path / "reference.jsonl"), config, map(flag_row, order))
-        assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+        cli._write_jsonl(str(tmp_path / "rows.jsonl"), config, order, InconsistencyFlag)
+        reference = [records.to_json({"#config": config}), *map(records.to_json, map(flag_row, order))]
+        assert (tmp_path / "rows.jsonl").read_text() == "\n".join(reference) + "\n"
 
 
 def test_a_csv_copy_of_a_flags_file_loads_equal_to_it(tmp_path, monkeypatch):
@@ -607,6 +607,25 @@ def test_the_stage_after_a_writer_decodes_no_line_of_the_file_it_left(tmp_path, 
                 "--format", "csv", "--output", str(tmp_path / "ratios.csv")]) == 0
     assert sorted(tmp_path.glob(".*.prefaudit")) == sidecars  # none for standard output, nor for a CSV
     assert not (tmp_path / ".ratios.csv.prefaudit").exists()
+
+
+def test_python_dash_m_leaves_the_sidecar_the_console_script_leaves(dataset_path, tmp_path, monkeypatch):
+    """``python -m prefaudit.cli`` names its row builders as the package does, so the
+    flags file it writes keeps the sidecar that an in-process ``load_flags`` reads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    flags = tmp_path / "flags_m.jsonl"
+    subprocess.run([sys.executable, "-m", "prefaudit.cli", "repeats", "--input", str(dataset_path),
+                    "--flags-output", str(flags), "--output", str(tmp_path / "repeats.json")],
+                   env=env, check=True, capture_output=True)
+    assert (tmp_path / ".flags_m.jsonl.prefaudit").is_file()
+    monkeypatch.setattr(records, "iter_jsonl", _refuse_parse)
+    monkeypatch.setattr(records, "from_row", _refuse_parse)
+    assert load_flags(flags) == pairing.repeat_audit(load_records(dataset_path))[0]
+
+
+def _refuse_parse(*args, **kwargs):
+    raise AssertionError("the file was parsed")
 
 
 @pytest.mark.parametrize("workload", ["audit-sparse", "jury-dense"])

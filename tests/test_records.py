@@ -12,7 +12,9 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from functools import partial
+from operator import attrgetter, itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -1126,7 +1128,7 @@ def test_a_side_input_sidecar_that_fails_a_parse_check_is_not_used(tmp_path, kin
 def _pairs_file(tmp_path):
     pairs = [PromptPair(f"i{i}|i{i + 1}", f"i{i}", f"i{i + 1}", 0.9 + i / 100) for i in range(3)]
     path = tmp_path / "pairs.jsonl"
-    cli._write_jsonl(str(path), {}, map(to_row, pairs), (PromptPair, pairs))
+    cli._write_jsonl(str(path), {}, pairs, PromptPair, kept=True)
     return path
 
 
@@ -1134,21 +1136,21 @@ def _flags_file(tmp_path):
     pairs = [PromptPair("i1|i2", "i1", "i2", 0.95), PromptPair("i3|i3", "i3", "i3", 1.0, "identical")]
     flags = [InconsistencyFlag(f"a{i}", pairs[i // 2], 10.0, 40.0 + i, 30.0 + i, 15.0) for i in range(4)]
     path = tmp_path / "flags.jsonl"
-    cli._write_jsonl(str(path), {}, cli._flag_rows(flags), (InconsistencyFlag, flags))
+    cli._write_jsonl(str(path), {}, flags, InconsistencyFlag, kept=True)
     return path
 
 
 def _profiles_file(tmp_path):
     profiles = [ConsistencyProfile(f"a{i}", temp=0.5, n_temp_pairs=i, reliability=0.25 * i) for i in range(3)]
     path = tmp_path / "profiles.jsonl"
-    cli._write_jsonl(str(path), {}, map(to_row, profiles), (ConsistencyProfile, profiles))
+    cli._write_jsonl(str(path), {}, profiles, ConsistencyProfile, kept=True)
     return path
 
 
 def _ratios_file(tmp_path):
     ratios = [RatioRecord(f"a{i}", "harm", 5, 1.0, 2.0, 0.5, 100, 7) for i in range(3)]
     path = tmp_path / "ratios.jsonl"
-    cli._write_jsonl(str(path), {}, map(to_row, ratios), (RatioRecord, ratios))
+    cli._write_jsonl(str(path), {}, ratios, RatioRecord, kept=True)
     return path
 
 
@@ -1307,24 +1309,97 @@ def test_to_json_encodes_a_set_sorted_and_nothing_else_it_has_no_form_for():
             to_json(value)
 
 
-def test_a_row_encoder_writes_what_to_json_writes():
-    t_vs_one = stats.TestResult(statistic=2.5, p_value=0.03, df=9.0, kind="one_sample")
-    report = PopulationReport(
-        n_annotators=4, median_ratio=float("nan"), t_vs_one=t_vs_one, median_split=None,
-        mean_diff_low_minus_high=float("inf"), pearson_r_ratio_vs_rating=-float("inf"), n_low=2, n_high=2,
-    )
-    rows = [
-        report,
-        {"labels": frozenset({"b", "c", "a"}), "nested": {"z": [1, 2.5, None, True]}},
-        {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0},
-        {"text": "naïve café, 雪, \U0001f600, \"quoted\" and \\ back\n"},
-        "a bare string", 7, None,
-    ]
-    encode = records_module.row_encoder()
-    assert [encode(row) for row in rows] == [to_json(row) for row in rows]
-    loop = []
+@dataclass(frozen=True)
+class _Leaf:
+    """A row object held by ``_Outer``, whose fields sort first and in between its own."""
+
+    aa: object
+    d: object = None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    b: object
+    leaf: _Leaf
+    c: object
+    e: object = None
+
+
+_ODD_TEXT = st.text() | st.sampled_from(["naïve café", "雪\U0001f600", "\udc80x", "\ud800", '"quoted" and \\ back\n', ""])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(10**18, 10**40).map(lambda v: -v), st.floats(), _ODD_TEXT,
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+                     np.float64(2.5), np.float64("nan"), np.int64(3)]),
+)
+_ANY = _SCALARS | st.tuples(_ODD_TEXT, _ODD_TEXT) | st.lists(_SCALARS, max_size=3) | st.lists(_ODD_TEXT, max_size=2).map(tuple) \
+    | st.frozensets(_ODD_TEXT, max_size=3) | st.builds(_Leaf, _SCALARS, _SCALARS) | st.tuples(_SCALARS)
+# What one column holds: one type (each fast way of the encoder), one type or None, or any mix.
+_COLUMNS = [
+    st.floats(), st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.integers(-10**40, 10**40),
+    _ODD_TEXT, st.none() | _ODD_TEXT, st.none() | st.floats(), st.none() | st.integers(),
+    st.tuples(_ODD_TEXT, _ODD_TEXT), st.none() | st.lists(_ODD_TEXT, max_size=3).map(tuple),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0]), st.none(), _ANY,
+]
+# a row count of no row, one row and either side of a chunk's end
+_ROW_COUNTS = st.sampled_from([0, 1, 2, 7, records_module._CHUNK_ROWS, records_module._CHUNK_ROWS + 1])
+
+
+def _expected_lines(rows: list[dict], nulls: bool) -> str:
+    return "".join(to_json({k: v for k, v in row.items() if nulls or v is not None}) + "\n" for row in rows)
+
+
+def _written(path, rows, cls=None, **options) -> str:
+    records_module.write_jsonl(path, rows, cls, **options)
+    return path.read_text(encoding="utf-8", errors="surrogatepass")
+
+
+@settings(deadline=None, max_examples=150)
+@seed(20261020)
+@given(data=st.data(), nulls=st.booleans(), n=_ROW_COUNTS,
+       keys=st.lists(st.sampled_from(["a", "b", "zz", "50%", "ключ", "k\"q", "%s"]), min_size=1, max_size=4, unique=True))
+def test_the_column_encoder_writes_to_json_of_each_row(tmp_path_factory, data, nulls, n, keys):
+    """Dict rows, read through ``columns``: the key order is sorted, ``%`` in a key is
+    literal, and ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` keep their own text."""
+    kinds = {key: data.draw(st.sampled_from(_COLUMNS)) for key in keys}
+    pool = data.draw(st.lists(st.fixed_dictionaries({key: kinds[key] for key in keys}), min_size=1, max_size=6))
+    rows = [pool[i * 5 % len(pool)] for i in range(n)]
+    path = tmp_path_factory.mktemp("encoded") / "rows.jsonl"
+    columns = {key: itemgetter(key) for key in keys}
+    assert _written(path, rows, columns=columns, nulls=nulls) == _expected_lines(rows, nulls)
+
+
+@settings(deadline=None, max_examples=100)
+@seed(20261021)
+@given(data=st.data(), nulls=st.booleans(), n=_ROW_COUNTS)
+def test_the_column_encoder_inlines_a_nested_row_object(tmp_path_factory, data, nulls, n):
+    """A field holding a row object gives its fields in its place, each distinct object
+    encoded once: equal objects and the same object in runs or interleaved."""
+    leaves = data.draw(st.lists(st.builds(_Leaf, data.draw(st.sampled_from(_COLUMNS)), data.draw(st.sampled_from(_COLUMNS))),
+                                min_size=1, max_size=3))
+    leaves += [replace(leaf) for leaf in leaves]  # equal, and other objects
+    column = {name: data.draw(st.sampled_from(_COLUMNS)) for name in ("b", "c", "e")}
+    pool = [_Outer(data.draw(column["b"]), data.draw(st.sampled_from(leaves)), data.draw(column["c"]), data.draw(column["e"]))
+            for _ in range(data.draw(st.integers(1, 6)))]
+    rows = [pool[i * 5 % len(pool)] for i in range(n)]
+    path = tmp_path_factory.mktemp("encoded") / "rows.jsonl"
+    flat = [{**{k: v for k, v in to_row(row).items() if k != "leaf"}, **to_row(row.leaf)} for row in rows]
+    assert _written(path, rows, _Outer, nulls=nulls) == _expected_lines(flat, nulls)
+    # a column replaces a field, and a None drops one
+    extra = {"c": attrgetter("e"), "e": None, "new": attrgetter("b")}
+    flat = [{**row, "c": row["e"], "new": row["b"]} for row in flat]
+    for row in flat:
+        del row["e"]
+    assert _written(path, rows, _Outer, columns=extra, nulls=nulls, header={"#config": {}}) == \
+        to_json({"#config": {}}) + "\n" + _expected_lines(flat, nulls)
+
+
+def test_the_column_encoder_raises_what_to_json_raises(tmp_path):
+    loop: list = []
     loop.append(loop)
-    with pytest.raises(ValueError, match="Circular reference"):
-        records_module.row_encoder()({"loop": loop})
-    with pytest.raises(TypeError, match="is not JSON serializable"):
-        records_module.row_encoder()({"what": object()})
+    for value, error in ((loop, ValueError), (object(), TypeError), (1j, TypeError)):
+        with pytest.raises(error) as expected:
+            to_json({"value": value})
+        with pytest.raises(error) as raised:
+            records_module.write_jsonl(tmp_path / "rows.jsonl", [{"value": 1.0}] * 3 + [{"value": value}],
+                                       columns={"value": itemgetter("value")})
+        assert str(raised.value) == str(expected.value)
