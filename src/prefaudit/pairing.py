@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Annotated, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Annotated, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientSupportError
-from .records import (
-    COSINE, FINITE, NONNEGATIVE, AnnotationRecord, Dataset, build_rows, check_domains, codes, score_value,
-)
+from .records import COSINE, FINITE, NONNEGATIVE, AnnotationRecord, Dataset, check_domains, codes, score_value
 
 PAIR_KINDS = ("identical", "equivalent", "directional")
 
@@ -216,6 +214,7 @@ def flag_inconsistencies(
     on b) combination is. The flag records the most divergent combination,
     and ties at exactly the threshold count as flagged.
     """
+    flags: list[InconsistencyFlag] = []
     evaluated = 0
     annotators_evaluated: set[str] = set()
     annotators_flagged: set[str] = set()
@@ -223,52 +222,49 @@ def flag_inconsistencies(
     # a cell sits in many pairs, and is sorted and scored once
     cells: dict[str, dict[str, tuple[float, ...]]] = {}
 
-    def flagged() -> Iterator[tuple]:
-        """The fields of each flag, in field order."""
-        nonlocal evaluated
-        for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
-            item_a, item_b = pair.item_a, pair.item_b
-            by_ann_a = dataset.by_item_annotator.get(item_a)
-            by_ann_b = dataset.by_item_annotator.get(item_b)
-            if not by_ann_a or not by_ann_b:
-                raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
-            self_pair = pair.is_self_pair
-            cells_a = cells.setdefault(item_a, {})
-            cells_b = cells.setdefault(item_b, {})
+    for pair in sorted(pairs, key=lambda p: (p.item_a, p.item_b)):
+        item_a, item_b = pair.item_a, pair.item_b
+        by_ann_a = dataset.by_item_annotator.get(item_a)
+        by_ann_b = dataset.by_item_annotator.get(item_b)
+        if not by_ann_a or not by_ann_b:
+            raise DataFormatError(f"pair {pair.pair_id!r} references unrated items")
+        self_pair = pair.is_self_pair
+        cells_a = cells.setdefault(item_a, {})
+        cells_b = cells.setdefault(item_b, {})
 
-            for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
-                if self_pair:
-                    # repeats live within one framing variant; cross-variant
-                    # divergence is the framing diagnostic's business
-                    by_framing: dict[Optional[str], list[AnnotationRecord]] = {}
-                    for rec in by_ann_a[annotator]:
-                        by_framing.setdefault(rec.framing_id, []).append(rec)
-                    best = _most_divergent(chain.from_iterable(
-                        combinations(_sorted_values(group), 2) for group in by_framing.values()
-                    ))
-                    if best is None:
-                        continue
+        for annotator in sorted(by_ann_a.keys() & by_ann_b.keys()):
+            if self_pair:
+                # repeats live within one framing variant; cross-variant
+                # divergence is the framing diagnostic's business
+                by_framing: dict[Optional[str], list[AnnotationRecord]] = {}
+                for rec in by_ann_a[annotator]:
+                    by_framing.setdefault(rec.framing_id, []).append(rec)
+                best = _most_divergent(chain.from_iterable(
+                    combinations(_sorted_values(group), 2) for group in by_framing.values()
+                ))
+                if best is None:
+                    continue
+            else:
+                values_a = cells_a.get(annotator)
+                if values_a is None:
+                    values_a = cells_a[annotator] = _sorted_values(by_ann_a[annotator])
+                values_b = cells_b.get(annotator)
+                if values_b is None:
+                    values_b = cells_b[annotator] = _sorted_values(by_ann_b[annotator])
+                if len(values_a) == 1 == len(values_b):
+                    best = (values_a[0], values_b[0])  # the one combination
                 else:
-                    values_a = cells_a.get(annotator)
-                    if values_a is None:
-                        values_a = cells_a[annotator] = _sorted_values(by_ann_a[annotator])
-                    values_b = cells_b.get(annotator)
-                    if values_b is None:
-                        values_b = cells_b[annotator] = _sorted_values(by_ann_b[annotator])
-                    if len(values_a) == 1 == len(values_b):
-                        best = (values_a[0], values_b[0])  # the one combination
-                    else:
-                        best = _most_divergent(product(values_a, values_b))
-                evaluated += 1
-                annotators_evaluated.add(annotator)
-                score_a, score_b = best
-                delta = abs(score_a - score_b)
-                if delta >= delta_threshold:
-                    annotators_flagged.add(annotator)
-                    yield annotator, pair, score_a, score_b, delta, delta_threshold
+                    best = _most_divergent(product(values_a, values_b))
+            evaluated += 1
+            annotators_evaluated.add(annotator)
+            score_a, score_b = best
+            delta = abs(score_a - score_b)
+            if delta >= delta_threshold:
+                flags.append(
+                    InconsistencyFlag(annotator, pair, score_a, score_b, delta, delta_threshold)
+                )
+                annotators_flagged.add(annotator)
 
-    # built a chunk at a time, through the column check a flags sidecar passes
-    flags = build_rows(InconsistencyFlag, flagged())
     mean_delta = float(np.mean([f.delta for f in flags])) if flags else 0.0
     summary = PrevalenceSummary(
         n_evaluated_pairs=evaluated,

@@ -118,10 +118,9 @@ def _twin(cls: type) -> type:
     field, in field order, as a plain slot assignment: the frozen ``__init__`` sets
     each through ``object.__setattr__``, several times the cost. An object built as
     the twin is made a ``cls`` by assigning its ``__class__``, which raises TypeError
-    should the two slot layouts ever differ. ``_objects_in_domain`` builds every object
-    of a parsed chunk or a sidecar this way, and each flag ``flag_inconsistencies``
-    raises, so each row type it builds is slotted; a ``cls`` without slots of its own
-    raises TypeError naming it."""
+    should the two slot layouts ever differ. ``_rows_from_columns`` builds every object
+    of a parsed chunk or a sidecar this way, so each row type a parse builds is slotted;
+    a ``cls`` without slots of its own raises TypeError naming it."""
     slots = cls.__dict__.get("__slots__")
     if slots is None:
         raise TypeError(f"a parse builds slotted dataclasses only, and {cls.__qualname__} has no __slots__")
@@ -860,7 +859,10 @@ def write_jsonl(
     are then ``cls`` objects, under the SHA-256 of the bytes as they are written.
     ``build`` must read each row back as the object it was written from. Standard
     output or another path that is not a regular file, a write that raises, and a
-    value that a parse refuses leave no sidecar."""
+    value that a parse refuses leave no sidecar. With neither ``cls`` nor ``columns``
+    a row has no keys, and TypeError is raised before the file is opened."""
+    if cls is None and not columns:
+        raise TypeError("write_jsonl needs a row type or columns to lay each row out")
     layout = _row_layout(cls, columns or {})
     key = _rows_key(cls, build) if kept and path != "-" else None
     digest = None if key is None else hashlib.sha256()
@@ -873,6 +875,7 @@ def write_jsonl(
             fh.write(to_json(header) + "\n")
         for chunk in chunks:
             _write_lines(fh, _chunk_lines(chunk, layout, "null" if nulls else None))
+            del chunk  # let this chunk's rows go before the next is read
     if digest is not None and Path(path).is_file():
         try:
             kept_columns = _row_columns(cls, rows, _written_key)
@@ -940,10 +943,10 @@ def _chunk_lines(rows: list, layout: list, null: Optional[str]) -> Iterator[tupl
     for get, keys in layout:
         sep = ", " if parts else ""  # no separator before a line's first key
         if type(keys) is str:
-            col = _value_texts(list(map(get, rows)), null)
+            col, sparse = _value_texts(list(map(get, rows)), null)
             label = encode_basestring_ascii(keys) + ": "
-            if null is None and type(col) is list:  # some value is None, whose key is left out
-                parts.append(["" if text is None else ", " + label + text for text in col])
+            if null is None and sparse:  # some value is None, whose key is left out
+                parts.append(_keyed(", " + label, col))
                 ragged = ragged or not sep
             else:
                 parts += (repeat(sep + label, n), col)
@@ -952,19 +955,24 @@ def _chunk_lines(rows: list, layout: list, null: Optional[str]) -> Iterator[tupl
             found[get] = _distinct(map(get, rows))
         index, objects = found[get]
         labels = [", " + encode_basestring_ascii(name) + ": " for name in keys]
-        fields_texts = zip(*(_value_texts(list(map(attrgetter(name), objects)), null) for name in keys))
+        fields_texts = zip(*(_value_texts(list(map(attrgetter(name), objects)), null)[0] for name in keys))
         pieces = ["".join(label + text for label, text in zip(labels, object_texts) if text is not None)
                   for object_texts in fields_texts]
         if not sep and all(pieces):
             pieces = [piece[2:] for piece in pieces]
         else:
             ragged = ragged or not sep
-        parts.append(list(map(pieces.__getitem__, index)))
+        parts.append(map(pieces.__getitem__, index))
     if not parts:
         return repeat(("{}\n",), n)
     if ragged:  # each text but a key every row gives starts with a separator; a line drops its first
         return (("{", "".join(line)[2:], "}\n") for line in zip(*parts))
     return zip(repeat("{", n), *parts, repeat("}\n", n))
+
+
+def _keyed(label: str, texts: Iterator[Optional[str]]) -> Iterator[str]:
+    """Each of ``texts`` after ``label``, and a None, a value whose key is left out, as ``""``."""
+    return ("" if text is None else label + text for text in texts)
 
 
 def _encode_strings(value: Union[str, tuple]) -> str:
@@ -974,10 +982,10 @@ def _encode_strings(value: Union[str, tuple]) -> str:
     return "[" + ", ".join(map(encode_basestring_ascii, value)) + "]"
 
 
-def _value_texts(values: list, null: Optional[str]) -> Iterable:
-    """``to_json`` of each of ``values``, a column: an iterator that encodes each value as
-    it is read, so that a writer holds only the texts of the lines it joins, or, when
-    some value is None, a list holding ``null`` in its places. A value's exact type
+def _value_texts(values: list, null: Optional[str]) -> tuple[Iterator[Optional[str]], bool]:
+    """``to_json`` of each of ``values``, a column, as an iterator that encodes each value
+    as it is read, so that a writer holds only the texts of the lines it joins, with
+    ``null`` for a None; and whether some value is None. A value's exact type
     picks its way: a column of strings, or of strings and tuples of strings, encodes
     each distinct value once; a column of finite floats takes ``float.__repr__`` and
     one of ints ``int.__repr__``, as the C encoder does, and no number is memoised
@@ -987,23 +995,23 @@ def _value_texts(values: list, null: Optional[str]) -> Iterable:
     kinds = set(map(type, values))
     if type(None) in kinds:  # the other values are encoded apart, then put back in their places
         if len(kinds) == 1:
-            return [null] * len(values)
-        texts = _value_texts([value for value in values if value is not None], null)  # an iterator
-        return [null if value is None else next(texts) for value in values]
+            return repeat(null, len(values)), True
+        texts = _value_texts([value for value in values if value is not None], null)[0]
+        return (null if value is None else next(texts) for value in values), True
     # a float sum past the float range sends a finite column to ``to_json``, which writes the same text
     if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
-        return map(kinds.pop().__repr__, values)
+        return map(kinds.pop().__repr__, values), False
     if kinds == {str}:
         encode = encode_basestring_ascii
     elif kinds <= {str, tuple} and set(map(type, chain.from_iterable(v for v in values if type(v) is tuple))) <= {str}:
         encode = _encode_strings
     else:
-        return map(to_json, values)
+        return map(to_json, values), False
     distinct = set(values)
     if len(distinct) == len(values):
-        return map(encode, values)
+        return map(encode, values), False
     memo = dict(zip(distinct, map(encode, distinct)))
-    return map(memo.__getitem__, values)
+    return map(memo.__getitem__, values), False
 
 
 def write_csv(fh, header: list[str], rows: Iterable[dict]) -> None:
@@ -1317,11 +1325,11 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     as a parse checks each row: every value of a type its field admits, container
     entries included, and a None column only where None is admitted; every column of
     one length and every index into a nested table an int in range; the declared
-    domains and inlined rules, or a ``__post_init__`` of its own (``_objects_in_domain``,
-    which builds the objects); ``unique`` distinct. None when a check fails. A ``cls``
-    without slots raises TypeError, whatever ``columns`` holds."""
-    _twin(cls)  # raises for a ``cls`` without slots
-    names = _field_names(cls)
+    domains and inlined rules (``_columns_in_domain``); ``unique`` distinct. None when
+    a check fails. Each object is built as ``_twin(cls)`` and given the class; a
+    ``__post_init__`` with rules of its own (``PromptPair``'s) then runs on it, and
+    None is returned should it raise. A ``cls`` without slots raises TypeError."""
+    twin, names = _twin(cls), _field_names(cls)
     if type(columns) is not tuple or len(columns) != len(names):
         return None
     admitted, _, containers = _row_schema(cls)
@@ -1349,23 +1357,9 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     if len(lengths) > 1:
         return None
     n = lengths.pop() if lengths else 0
-    if unique is not None and len(set(values[unique])) != n:
+    if not _columns_in_domain(cls, values, n) or (unique is not None and len(set(values[unique])) != n):
         return None
-    return _objects_in_domain(cls, values, n)
-
-
-def _objects_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> Optional[list]:
-    """The ``n`` ``cls`` objects whose fields ``columns`` holds (each field, in field order
-    -> its values, None for a field no object sets), each value of a type its field
-    admits; None unless every object passes what ``cls.__post_init__`` checks: the
-    declared domains and the inlined rules (``_columns_in_domain``), or, for a
-    ``__post_init__`` with rules of its own (``PromptPair``'s), that method run on each
-    object once it is built. Each object is built as ``_twin(cls)`` and given the class.
-    ``_rows_from_columns`` (a sidecar's objects, a parsed chunk's) and ``build_rows``
-    (objects a program makes) build every object through this."""
-    if not _columns_in_domain(cls, columns, n):
-        return None
-    objects = list(map(_twin(cls), *(repeat(None, n) if col is None else col for col in columns.values())))
+    objects = list(map(twin, *(repeat(None, n) if col is None else col for col in values.values())))
     for obj in objects:
         obj.__class__ = cls
     if _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) is None:
@@ -1375,31 +1369,6 @@ def _objects_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -
         except DataFormatError:
             return None
     return objects
-
-
-def build_rows(cls: type, rows: Iterable[tuple]) -> list:
-    """``cls(*row)`` for each of ``rows``, each the field values of one object in field
-    order, of types the fields admit. The rows are read ``_CHUNK_ROWS`` at a time and
-    each chunk is built at once through ``_objects_in_domain``, whose checks a chunk
-    that ``cls`` would refuse fails; that chunk is then built by the constructor, which
-    raises as it always does. Should reading ``rows`` raise, it raises once the rows
-    read before are built, which may raise first."""
-    out: list = []
-    unread = iter(rows)
-    names = _field_names(cls)
-    while True:
-        chunk: list[tuple] = []
-        try:
-            chunk.extend(islice(unread, _CHUNK_ROWS))  # keeps the rows read before a raise
-        except Exception:
-            for row in chunk:
-                cls(*row)
-            raise
-        if chunk:
-            built = _objects_in_domain(cls, dict(zip(names, zip(*chunk))), len(chunk))
-            out += starmap(cls, chunk) if built is None else built
-        if len(chunk) < _CHUNK_ROWS:
-            return out
 
 
 def _columns_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> bool:

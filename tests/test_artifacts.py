@@ -130,6 +130,21 @@ def test_ratio_records_round_trip_in_either_format(artifact, written, fmt):
     assert load_ratio_records(_write_either(artifact, fmt, header, written, RatioRecord)) == written
 
 
+def test_jsonl_artifact_is_written_row_by_row(tmp_path):
+    """The writer reads its rows as it writes them, never the whole file at once."""
+    rows = ({"annotator_id": f"a{i % 32}", "pair_id": f"item-{i:06d}|item-{i + 1:06d}",
+             "label": "measurement_artifact", "rule_trace": ["repeat", "delta"]} for i in range(20_000))
+    path = tmp_path / "labels.jsonl"
+    columns = {key: itemgetter(key) for key in ("annotator_id", "pair_id", "label", "rule_trace")}
+    tracemalloc.start()
+    try:
+        _write_jsonl(str(path), {"cmd": "stream"}, rows, columns=columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
 def _write_peak(path, rows, cls=None, columns=None):
     """The tracemalloc peak of writing ``rows``, which are made beforehand."""
     tracemalloc.start()

@@ -1403,3 +1403,12 @@ def test_the_column_encoder_raises_what_to_json_raises(tmp_path):
             records_module.write_jsonl(tmp_path / "rows.jsonl", [{"value": 1.0}] * 3 + [{"value": value}],
                                        columns={"value": itemgetter("value")})
         assert str(raised.value) == str(expected.value)
+
+
+def test_a_row_writer_with_no_row_type_and_no_columns_is_refused(tmp_path):
+    """Such rows would each be written ``{}``: the writer raises and opens no file."""
+    path = tmp_path / "rows.jsonl"
+    for columns in (None, {}):
+        with pytest.raises(TypeError, match="row type or columns"):
+            records_module.write_jsonl(path, [{"value": 1.0}], columns=columns)
+    assert not path.exists()
