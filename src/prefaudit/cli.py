@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import aggregation, diagnostics, pairing, planner, ratio, records, synth, taxonomy, themes, weighting
 from .errors import (
@@ -42,30 +42,14 @@ def _write_jsonl(path: str, config: dict, rows: Iterable, cls: Optional[type] = 
                  columns: Optional[dict] = None, kept: bool = False) -> None:
     """The ``#config`` header line, then ``rows`` laid out by ``cls`` and ``columns`` (see
     ``records.write_jsonl``). ``kept``, for a list of ``cls`` objects, leaves the
-    sidecar that ``_read_rows(path, cls)`` reads, under the same ``_row_build(cls)``."""
-    records.write_jsonl(path, rows, cls, columns=columns, header={"#config": config},
-                        kept=kept, build=_row_build(cls) if kept else None)
+    sidecar that ``records.read_rows(path, cls)`` reads."""
+    records.write_jsonl(path, rows, cls, columns=columns, header={"#config": config}, kept=kept)
 
 
 def _kept(pairs: Iterable[pairing.PromptPair]) -> bool:
     """Whether a file of rows on ``pairs`` may keep its sidecar: not when a pair has no
     ``pair_id``, which a read gives it, so that it would not read back as written."""
     return all(pair.pair_id for pair in pairs)
-
-
-def _read_rows(path: str | Path, cls: type) -> list:
-    """The ``cls`` objects of a row file, built by ``_row_build(cls)``."""
-    return records.read_rows(path, cls, _row_build(cls))
-
-
-def _row_build(cls: type) -> Optional[Callable[[dict], object]]:
-    """How each row of a ``cls`` file becomes an object (None for ``records.from_row``):
-    the one ``build`` that both its reader and the sidecar its writer leaves name, so
-    the writer's sidecar is the one the read looks for. A flags builder is made per
-    file, since it keeps the pairs it has built."""
-    if cls is pairing.InconsistencyFlag:
-        return _flag_reader()
-    return {pairing.PromptPair: _pair_from_row, diagnostics.ConsistencyProfile: _profile_from_row}.get(cls)
 
 
 def _write_result(path: str, args: argparse.Namespace, result, render=None) -> None:
@@ -130,15 +114,8 @@ def _cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- pairs
 
-def _pair_from_row(row: dict) -> pairing.PromptPair:
-    """Analyst-coded files may leave out pair_id; similarity and kind have defaults."""
-    if not row.get("pair_id"):
-        row["pair_id"] = f"{row.get('item_a')}|{row.get('item_b')}"
-    return records.from_row(pairing.PromptPair, row)
-
-
 def load_pairs(path: str | Path) -> list[pairing.PromptPair]:
-    return _read_rows(path, pairing.PromptPair)
+    return records.read_rows(path, pairing.PromptPair)
 
 
 def _cmd_pairs(args) -> int:
@@ -151,30 +128,9 @@ def _cmd_pairs(args) -> int:
 # ---------------------------------------------------------------- repeats
 
 def load_flags(path: str | Path) -> list[pairing.InconsistencyFlag]:
-    """The flags of a ``repeats --flags-output`` file (see ``_flag_reader``)."""
-    return _read_rows(path, pairing.InconsistencyFlag)
-
-
-def _flag_reader() -> Callable[[dict], pairing.InconsistencyFlag]:
-    """The builder of one flags file's flags, a row at a time. Flags whose pair fields are
-    equal in name and order, type and value share one ``PromptPair``, built and
-    checked from the first such row: ``true`` is not ``1.0``, and ``-0.0`` is not
-    ``0.0``. Each row looks its pair up by the repr of its pair fields, which tells
-    their names and order and, for a value read from JSON or CSV, its type and value;
-    a miss builds the pair."""
-    pairs: dict[str, pairing.PromptPair] = {}
-
-    def flag_from_row(row: dict) -> pairing.InconsistencyFlag:
-        # the flag's own fields leave the row first, so the pair sees only its own
-        own = {k: row.pop(k) for k in ("annotator_id", "score_a", "score_b", "delta", "threshold_used") if k in row}
-        key = repr(row)
-        pair = pairs.get(key)
-        if pair is None:
-            pair = pairs[key] = _pair_from_row(row)
-        own["pair"] = pair
-        return records.from_row(pairing.InconsistencyFlag, own)
-
-    return flag_from_row
+    """The flags of a ``repeats --flags-output`` file; flags whose pair cells match
+    share one pair (see ``records._nested_reader``)."""
+    return records.read_rows(path, pairing.InconsistencyFlag)
 
 
 def render_prevalence(summary: pairing.PrevalenceSummary) -> str:
@@ -210,14 +166,8 @@ def _cmd_repeats(args) -> int:
 
 # ---------------------------------------------------------------- diagnose
 
-def _profile_from_row(row: dict) -> diagnostics.ConsistencyProfile:
-    row.pop("routing", None)  # derived by diagnose --route, not a profile field
-    return records.from_row(diagnostics.ConsistencyProfile, row)
-
-
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
-    profiles = _read_rows(path, diagnostics.ConsistencyProfile)
-    return {p.annotator_id: p for p in profiles}
+    return {p.annotator_id: p for p in records.read_rows(path, diagnostics.ConsistencyProfile)}
 
 
 def _cmd_diagnose(args) -> int:
@@ -311,7 +261,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- ratio
 
 def load_ratio_records(path: str | Path) -> list[ratio.RatioRecord]:
-    return _read_rows(path, ratio.RatioRecord)
+    return records.read_rows(path, ratio.RatioRecord)
 
 
 def render_population(report: ratio.PopulationReport) -> str:
@@ -863,9 +813,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    # ``python -m prefaudit.cli`` runs this file as ``__main__``; run the package's own
-    # module instead, so that its row builders are ``prefaudit.cli.*`` and the files
-    # they read keep their sidecars (see ``records._rows_key``), as under ``prefaudit``
-    from prefaudit.cli import main as package_main
-
-    package_main()
+    main()

@@ -65,6 +65,11 @@ class ConsistencyProfile:
 
     __post_init__ = check_domains  # the declared domains are its only rule
 
+    @staticmethod
+    def _read_row(row: dict) -> dict:
+        """A row without the ``routing`` column that ``diagnose --route`` adds, which is no field."""
+        return {k: v for k, v in row.items() if k != "routing"} if "routing" in row else row
+
     def components(self) -> dict[str, float]:
         out = {}
         for name in ("temp", "frame", "order", "cross"):

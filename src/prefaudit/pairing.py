@@ -17,7 +17,9 @@ from typing import Annotated, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataFormatError, InsufficientSupportError
-from .records import COSINE, FINITE, NONNEGATIVE, AnnotationRecord, Dataset, check_domains, codes, score_value
+from .records import (
+    COSINE, FINITE, NONNEGATIVE, AnnotationRecord, Dataset, check_domains, codes, frozen_row, score_value,
+)
 
 PAIR_KINDS = ("identical", "equivalent", "directional")
 
@@ -25,7 +27,7 @@ IDENTICAL_SIM = 1.0 - 1e-9
 MAX_EXACT_ITEMS = 20_000
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class PromptPair:
     """Two items linked by semantic similarity (or one repeated item)."""
 
@@ -51,12 +53,17 @@ class PromptPair:
         elif self.expected_direction is not None:
             raise DataFormatError("identical pairs carry no expected_direction")
 
+    @staticmethod
+    def _read_row(row: dict) -> dict:
+        """An analyst-coded file may leave out ``pair_id``; it reads as ``item_a|item_b``."""
+        return row if row.get("pair_id") else {**row, "pair_id": f"{row.get('item_a')}|{row.get('item_b')}"}
+
     @property
     def is_self_pair(self) -> bool:
         return self.item_a == self.item_b
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class InconsistencyFlag:
     """One (annotator, pair) whose ratings diverge beyond the threshold."""
 

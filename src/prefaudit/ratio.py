@@ -26,7 +26,7 @@ from typing import Annotated, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSupportError
-from .records import COUNT, NONNEGATIVE, Dataset, check_domains, score_value
+from .records import COUNT, NONNEGATIVE, Dataset, check_domains, frozen_row, score_value
 from .stats import TestResult, one_sample_t, pearson_r, seeded_sampler, welch_t
 
 _RESAMPLE_CHUNK_CELLS = 50_000_000
@@ -43,7 +43,7 @@ class RatioConfig:
     exclude_theme_from_history: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class RatioRecord:
     """One scored (annotator, theme) cell.
 

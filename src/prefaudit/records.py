@@ -28,7 +28,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, islice, product, repeat, starmap
 from json.encoder import encode_basestring_ascii
@@ -82,7 +82,25 @@ UNIT = Domain(lambda v: 0.0 <= v <= 1.0, "{name} must be a finite number in [0, 
 COSINE = Domain(lambda v: -1.0 <= v <= 1.0, "{name} must be a finite number in [-1, 1], got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_row(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass, the form of every immutable row type.
+    Setting or deleting any attribute raises FrozenInstanceError: the methods that
+    ``dataclass`` generates name the class that ``slots=True`` replaces, so for a name
+    that is not a field they raised TypeError instead."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    return cls
+
+
+@frozen_row
 class AnnotationRecord:
     """One (annotator, item, condition, score) observation.
 
@@ -220,7 +238,7 @@ class EmbeddingTable:
         return self.entries[item_id]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class ItemMetadata:
     """Analyst- or model-assigned codes for one item."""
 
@@ -461,7 +479,12 @@ def from_row(cls: type, row: dict):
     cast only on a miss. An unknown field, a missing or null required field and a
     value that cannot be cast raise DataFormatError; ``row`` is left as given. This
     is the one home of the casts and of every reject text: a parse builds its rows
-    a chunk at a time (see ``_build_rows``) and runs this on a chunk it refuses."""
+    a chunk at a time (see ``_build_rows``) and runs this on a chunk it refuses. A row
+    type's read rule, a staticmethod ``_read_row(row)`` that returns the row to build
+    from (``PromptPair``'s fills in a missing ``pair_id``), runs first, as in ``_chunk_columns``."""
+    read = cls.__dict__.get("_read_row")  # a staticmethod, callable; a getattr miss would cost an AttributeError
+    if read is not None:
+        row = read(row)
     admitted, required, containers = _row_schema(cls)
     if not row.keys() <= admitted.keys():
         raise DataFormatError(f"unknown fields: {sorted(row.keys() - admitted.keys())}")
@@ -580,17 +603,14 @@ class _Hashed(io.RawIOBase):
         super().close()
 
 
-def _open_text(path: str | Path | io.TextIOBase, newline: Optional[str] = None, digest=None):
-    """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a byte that
-    is not UTF-8 reads as a lone surrogate (see ``_undecodable``). ``digest``, when
-    given, is fed every byte read. A text stream that is already open is read on
-    from where it stands, and left open for its opener to close."""
+def _open_text(path: str | Path | io.TextIOBase, raw: Callable = io.FileIO):
+    """``path`` opened as UTF-8 text, its bytes read through ``raw(path)`` (``_cached_load``
+    hashes them), a leading byte-order mark skipped; a byte that is not UTF-8 reads
+    as a lone surrogate (see ``_undecodable``). A text stream that is already open is
+    read on from where it stands, and left open for its opener to close."""
     if isinstance(path, io.TextIOBase):
         return nullcontext(path)
-    if digest is None:
-        return Path(path).open(encoding="utf-8-sig", errors="surrogateescape", newline=newline)
-    raw = io.BufferedReader(_Hashed(io.FileIO(path), digest), 1 << 16)
-    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
+    return io.TextIOWrapper(io.BufferedReader(raw(os.fspath(path)), 1 << 16), "utf-8-sig", "surrogateescape")
 
 
 _SURROGATE = re.compile("[\udc80-\udcff]")
@@ -615,15 +635,14 @@ def read_text(path: str | Path) -> str:
 
 
 def iter_jsonl(
-    path: str | Path | io.TextIOBase, rejects: Optional[list[RejectedRow]] = None, digest=None
+    path: str | Path | io.TextIOBase, rejects: Optional[list[RejectedRow]] = None
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
 
     A ``{"#config": ...}`` header line, as the CLI writes one, is skipped. A
     line that is not UTF-8, not JSON or not an object raises DataFormatError
     naming the line, or, when ``rejects`` is given, is appended there instead.
-    Equal string values of the file's rows are one shared object. ``digest``
-    is fed the bytes read, as in ``_open_text``.
+    Equal string values of the file's rows are one shared object.
 
     Each stripped line goes straight to the C scanner that ``json.loads`` runs,
     which skips the checks ``json.loads`` makes on every call. A row is kept
@@ -631,7 +650,7 @@ def iter_jsonl(
     which fails on it with the reject text it always gave.
     """
     strings: dict[str, str] = {}
-    with _open_text(path, digest=digest) as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -684,7 +703,7 @@ def _from_cell(cell: str, admitted: tuple):
 
 
 def _iter_csv(
-    path: str | Path | io.TextIOBase, cls: type, rejects: Optional[list[RejectedRow]] = None, digest=None
+    path: str | Path | io.TextIOBase, cls: type, rejects: Optional[list[RejectedRow]] = None
 ) -> Iterator[tuple[int, dict]]:
     """``iter_jsonl`` for CSV: an optional ``CONFIG_PREFIX`` line, a header row,
     then one row per line. Cells are read as ``cls``'s field types; an empty
@@ -692,10 +711,11 @@ def _iter_csv(
     not UTF-8 is rejected, as there."""
     admitted = _cell_types(cls)
     strings: dict[str, str] = {}
-    with _open_text(path, newline="", digest=digest) as fh:
+    with _open_text(path) as fh:
+        fh.reconfigure(newline="")  # as ``csv`` reads: each line end kept as it is, and none translated
         first = fh.readline()
         skipped = first.startswith(CONFIG_PREFIX)
-        reader = csv.DictReader(fh if skipped else chain([first], fh))  # no seek: ``digest`` sees each byte once
+        reader = csv.DictReader(fh if skipped else chain([first], fh))  # no seek: a hash sees each byte once
         if reader.fieldnames is None:
             raise DataFormatError("empty CSV file")
         reason = _undecodable("".join(reader.fieldnames))
@@ -714,40 +734,35 @@ def _iter_csv(
             _reject(rejects, line_no, reason, json.dumps(row))
 
 
-def read_rows(
-    path: str | Path,
-    cls: type,
-    build: Optional[Callable[[dict], object]] = None,
-    unique: Optional[str] = None,
-) -> list:
-    """``build`` (by default ``from_row`` for ``cls``) of each row of a JSONL file, or
-    of a CSV file whose first line starts with ``CONFIG_PREFIX`` as the CLI's CSV
-    outputs do. A bad row, and a row whose string field ``unique`` repeats an earlier
-    row's, raise one DataFormatError naming the file and the line (and the earlier one).
+def read_rows(path: str | Path, cls: type, unique: Optional[str] = None) -> list:
+    """The ``cls`` objects of a row file the CLI writes: JSONL, or CSV whose first line
+    starts with ``CONFIG_PREFIX`` as the CLI's CSV outputs do. Each row is read as
+    ``from_row`` reads it, read rule included; a row of a type with a field that
+    holds a row object gives that object's fields in its place (see ``_nested_reader``).
+    A bad row, and a row whose string field ``unique`` repeats an earlier row's,
+    raise one DataFormatError naming the file and the line (and the earlier one).
 
     A regular file's objects are kept in its sidecar (see ``_cached_load``) as
-    columns (see ``_row_columns``), under a key naming ``build`` and ``cls`` (see
-    ``_rows_key``); a later read of the same bytes builds them from the columns that
-    ``_rows_from_columns`` passes, ``unique`` included, instead of parsing. ``build``
-    must return a ``cls``.
+    columns (see ``_row_columns``), under a key naming ``cls`` (see ``_rows_key``);
+    a later read of the same bytes builds them from the columns that
+    ``_rows_from_columns`` passes, ``unique`` included, instead of parsing.
     """
     path = Path(path)
-    return _cached_load(
-        path, _rows_key(cls, build), partial(_rows_from_columns, cls, unique=unique),
-        partial(_parse_rows, path, cls, build, unique), partial(_row_columns, cls),
-    )
+    return _cached_load(path, _rows_key(cls), partial(_rows_from_columns, cls, unique=unique),
+                        partial(_parse_rows, path, cls, unique), partial(_row_columns, cls))
 
 
-def _parse_rows(path: Path, cls: type, build: Optional[Callable], unique: Optional[str], digest) -> list:
-    """``read_rows`` by a parse of the file, whose bytes are fed to ``digest`` when given."""
+def _parse_rows(path: Path, cls: type, unique: Optional[str], fh: TextIO, build: Optional[Callable] = None) -> list:
+    """``read_rows`` by a parse of ``fh``, the open file ``path``. ``build``, when given,
+    builds each row instead (``load_embeddings``' checks a vector against the rows before)."""
     try:
         # one stream, peeked and then parsed, so a pipe loses no line to the peek
-        with _open_text(path, newline="", digest=digest) as fh:
-            head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
-            is_csv = head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK)
-            rows = _iter_csv(fh, cls) if is_csv else iter_jsonl(fh)
-            chunked = None if build else lambda chunk: _rows_from_columns(cls, _chunk_columns(cls, chunk), unique)
-            return _build_rows(rows, build or partial(from_row, cls), unique, None, chunked)
+        head = fh.buffer.peek(len(_CSV_MARK) + len(codecs.BOM_UTF8))
+        rows = _iter_csv(fh, cls) if head.removeprefix(codecs.BOM_UTF8).startswith(_CSV_MARK) else iter_jsonl(fh)
+        if build is None and _nested_rows(cls):
+            build = _nested_reader(cls)
+        chunked = None if build else lambda chunk: _rows_from_columns(cls, _chunk_columns(cls, chunk), unique)
+        return _build_rows(rows, build or partial(from_row, cls), unique, None, chunked)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -841,7 +856,6 @@ def write_jsonl(
     header: Optional[dict] = None,
     nulls: bool = True,
     kept: bool = False,
-    build: Optional[Callable[[dict], object]] = None,
 ) -> None:
     """Each of ``rows`` as one JSON object on a line of its own, its keys sorted, to the
     file ``path`` or, for ``-``, to standard output; ``header``, when given, is the first
@@ -854,17 +868,17 @@ def write_jsonl(
     or, with ``nulls`` False, its key is left out, as ``record_to_obj`` leaves it. The
     rows are encoded ``_CHUNK_ROWS`` at a time, a column at a time.
 
-    ``kept`` leaves a file the sidecar that ``read_rows(path, cls, build)`` keeps, so
-    its next read builds no row: the columns (see ``_row_columns``) of ``rows``, which
-    are then ``cls`` objects, under the SHA-256 of the bytes as they are written.
-    ``build`` must read each row back as the object it was written from. Standard
-    output or another path that is not a regular file, a write that raises, and a
-    value that a parse refuses leave no sidecar. With neither ``cls`` nor ``columns``
-    a row has no keys, and TypeError is raised before the file is opened."""
+    ``kept`` leaves a file the sidecar that ``read_rows(path, cls)`` keeps, so its
+    next read builds no row: the columns (see ``_row_columns``) of ``rows``, which are
+    then ``cls`` objects, under the SHA-256 of the bytes as they are written. Each row
+    must read back as the object it was written from. Standard output or another
+    path that is not a regular file, a write that raises, and a value that a parse
+    refuses leave no sidecar. With neither ``cls`` nor ``columns`` a row has no keys,
+    and TypeError is raised before the file is opened."""
     if cls is None and not columns:
         raise TypeError("write_jsonl needs a row type or columns to lay each row out")
     layout = _row_layout(cls, columns or {})
-    key = _rows_key(cls, build) if kept and path != "-" else None
+    key = _rows_key(cls) if kept and path != "-" else None
     digest = None if key is None else hashlib.sha256()
     if key is not None:
         rows = list(rows)  # read twice: written, then kept
@@ -1041,12 +1055,11 @@ def load_records(
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
 
-    def parse(digest) -> tuple[list[AnnotationRecord], list[RejectedRow], str]:
+    def parse(fh: TextIO) -> tuple[list[AnnotationRecord], list[RejectedRow], str]:
         # the reader's rejects and the record builder's land in one list, in line order
         rejects: list[RejectedRow] = []
         lenient = None if strict else rejects
-        rows = (iter_jsonl(path, lenient, digest) if fmt == "jsonl"
-                else _iter_csv(path, AnnotationRecord, lenient, digest))
+        rows = iter_jsonl(fh, lenient) if fmt == "jsonl" else _iter_csv(fh, AnnotationRecord, lenient)
         try:
             return records_from_rows(rows, scale_kind, strict, rejects)
         except DataFormatError as exc:
@@ -1113,28 +1126,24 @@ def _sidecar_header(key: tuple, digest: bytes) -> bytes:
     return marshal.dumps((sys.implementation.cache_tag, marshal.version, _source_digest(), key, digest), 2)
 
 
-def _rows_key(cls: type, build: Optional[Callable]) -> Optional[tuple]:
-    """``read_rows(path, cls, build)``'s sidecar key: ``build`` (None for ``from_row``)
-    and ``cls`` by name. None, for no sidecar, when either is defined outside this
-    package, whose source alone the header digests."""
-    reader = None if build is None else f"{getattr(build, '__module__', None)}.{getattr(build, '__qualname__', None)}"
+def _rows_key(cls: type) -> Optional[tuple]:
+    """``read_rows(path, cls)``'s sidecar key: ``cls`` by name. None, for no sidecar,
+    for a class defined outside this package, whose source alone the header digests."""
     row_type = f"{cls.__module__}.{cls.__qualname__}"
-    inside = all(name.startswith(f"{__package__}.") for name in filter(None, (reader, row_type)))
-    return ("read_rows", reader, row_type) if inside else None
+    return ("read_rows", row_type) if row_type.startswith(f"{__package__}.") else None
 
 
 def _cached_load(path: Path, key: Optional[tuple], decode: Callable, parse: Callable, keep: Callable):
     """``decode`` of the payload ``path``'s sidecar (a cache, never a second source of truth)
     keeps under ``key`` for the file's bytes (see ``_sidecar_header``); when the sidecar is
     missing, stale, unreadable or not the user's own (``_read_own_file``), or ``decode``
-    returns None or raises, ``parse(digest)``, which feeds ``digest`` the bytes it reads,
-    with ``keep`` of it kept in the sidecar. A ``key`` of None, an install without source
-    and a path that is not a regular file (hashing a pipe would consume what the parse
-    must read) keep no sidecar: ``parse(None)``."""
-    if key is None or _source_digest() is None or not path.is_file():
-        return parse(None)
+    returns None or raises, ``parse(fh)`` of the one stream ``_open_text`` opens on
+    ``path``, and ``keep`` of it kept in the sidecar under the SHA-256 of the bytes read.
+    A ``key`` of None, an install without source and a path that is not a regular file
+    (hashing a pipe would consume what the parse must read) keep no sidecar."""
+    kept = key is not None and _source_digest() is not None and path.is_file()
     try:
-        blob = _read_own_file(_sidecar_path(path))
+        blob = _read_own_file(_sidecar_path(path)) if kept else None
         if blob is not None:
             header = _sidecar_header(key, _file_sha256(path))
             if blob.startswith(header):
@@ -1144,8 +1153,10 @@ def _cached_load(path: Path, key: Optional[tuple], decode: Callable, parse: Call
     except Exception:  # a cache: whatever goes wrong reading it, the file is parsed instead
         pass
     digest = hashlib.sha256()
-    loaded = parse(digest)
-    _write_sidecar(path, key, digest.digest(), keep(loaded))
+    with _open_text(path, (lambda name: _Hashed(io.FileIO(name), digest)) if kept else io.FileIO) as fh:
+        loaded = parse(fh)
+    if kept:
+        _write_sidecar(path, key, digest.digest(), keep(loaded))
     return loaded
 
 
@@ -1220,8 +1231,33 @@ def _column_types(cls: type) -> dict[str, frozenset]:
 
 def _written_key(obj) -> tuple:
     """The reprs of ``obj``'s fields: two objects a writer wrote with one key read back as
-    one, as ``cli.load_flags`` shares the pair of rows whose pair fields' reprs match."""
+    one, as ``_nested_reader`` shares the object of rows whose nested cells' reprs match."""
     return tuple(map(repr, map(getattr, repeat(obj), _field_names(type(obj)))))
+
+
+def _nested_reader(cls: type) -> Callable[[dict], object]:
+    """The builder of one file's ``cls`` objects, a row at a time, for a ``cls`` whose
+    field holds a row object (``_nested_rows``: a flag's pair), whose cells a row gives in
+    its place. Rows whose nested cells are equal in name and order, type and value share
+    one object, built and checked by ``from_row`` from the first such row: ``true`` is
+    not ``1.0``, and ``-0.0`` is not ``0.0``. Each row looks it up by the repr of those
+    cells, which tells their names and order and, for a value read from JSON or CSV,
+    its type and value; a miss builds it."""
+    (name, nested), = _nested_rows(cls).items()
+    own = [field_name for field_name in _field_names(cls) if field_name != name]
+    built: dict[str, object] = {}
+
+    def build(row: dict):
+        # the row's own fields leave it first, so the nested object sees only its own
+        cells = {key: row.pop(key) for key in own if key in row}
+        key = repr(row)
+        obj = built.get(key)
+        if obj is None:
+            obj = built[key] = from_row(nested, row)
+        cells[name] = obj
+        return from_row(cls, cells)
+
+    return build
 
 
 def _row_columns(cls: type, objects: list, key: Callable = id) -> tuple:
@@ -1296,10 +1332,13 @@ def _row_fields(cls: type) -> tuple[tuple[str, object, frozenset], ...]:
 
 def _chunk_columns(cls: type, rows: tuple[dict, ...]) -> Optional[tuple]:
     """The columns (see ``_row_columns``) of the ``cls`` objects ``from_row`` would build
-    from ``rows``: new tuples, each value cast as ``from_row`` casts it and each field
-    a row leaves out its default. None when a row names an unknown field or leaves
-    out a required one, or a value cannot be cast; ``_rows_from_columns`` checks the
-    rest, as it checks a sidecar's."""
+    from ``rows``, read rule included: new tuples, each value cast as ``from_row``
+    casts it and each field a row leaves out its default. None when a row names an
+    unknown field or leaves out a required one, or a value cannot be cast;
+    ``_rows_from_columns`` checks the rest, as it checks a sidecar's."""
+    read = cls.__dict__.get("_read_row")
+    if read is not None:
+        rows = tuple(map(read, rows))
     admitted, _, containers = _row_schema(cls)
     named = set().union(*rows)
     if not named <= admitted.keys():
@@ -1448,7 +1487,7 @@ def save_records(dataset: Dataset, path: str | Path, fmt: str = "jsonl") -> int:
     return len(dataset.records)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class _EmbeddingRow:
     item_id: str
     vector: list[float]
@@ -1474,8 +1513,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             return None
 
     _, table = _cached_load(
-        file, _rows_key(_EmbeddingRow, add), decode,
-        lambda digest: (_parse_rows(file, _EmbeddingRow, add, "item_id", digest), table),
+        file, _rows_key(_EmbeddingRow), decode,
+        lambda fh: (_parse_rows(file, _EmbeddingRow, "item_id", fh, add), table),
         lambda loaded: _row_columns(_EmbeddingRow, loaded[0]),
     )
     if not table.entries:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, get_args, get_origin
 
 from .errors import AllEndpointsFailedError, DataFormatError, ProtocolError, TransportError
-from .records import Dataset, ItemMetadata, from_row, read_text
+from .records import Dataset, ItemMetadata, from_row, frozen_row, read_text
 
 PROMPT_TEMPLATE = """You are an expert researcher annotating prompts using a predefined harmfulness framework.
 
@@ -41,7 +41,7 @@ Return ONLY valid JSON with exactly these keys:
 }}"""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_row
 class EndpointConfig:
     endpoint_id: str
     base_url: str

@@ -10,6 +10,7 @@ import marshal
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -450,14 +451,19 @@ def test_a_csv_copy_of_a_flags_file_loads_equal_to_it(tmp_path, monkeypatch):
 
 def test_loading_repeats_flags_builds_each_distinct_pair_once(tmp_path, monkeypatch):
     """A flags file holds many flags per pair; building a pair per flag would cost
-    a ``_pair_from_row`` each."""
+    a ``from_row`` of a ``PromptPair`` each."""
     _smoke_corpus("jury-dense", tmp_path, monkeypatch)
     path = tmp_path / "flags.jsonl"
     _sidecar(path).unlink()  # a parse, not a read of the sidecar ``repeats`` left
     distinct = {json.loads(line)["pair_id"] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
     calls = []
-    build = cli._pair_from_row
-    monkeypatch.setattr(cli, "_pair_from_row", lambda row: calls.append(1) or build(row))
+    build = records.from_row
+
+    def counted(cls, row):
+        calls.extend([cls] if cls is PromptPair else [])
+        return build(cls, row)
+
+    monkeypatch.setattr(records, "from_row", counted)
     flags = load_flags(path)
     assert len(flags) > len(distinct)
     assert 0 < len(calls) <= len(distinct)
@@ -849,6 +855,56 @@ def test_ratio_and_simulate_pipeline(dataset_path, metadata_path, tmp_path):
     assert code == 0
     flips_payload = json.loads(flips.read_text())["result"]
     assert flips_payload["n_eligible"] == 4
+
+
+@pytest.mark.parametrize("argv", [["diagnose", "--pairs"], ["classify", "--flags"], ["weights", "--profiles"],
+                                  ["simulate", "--ratios"], ["validate", "--metadata"]], ids=lambda argv: argv[1])
+def test_a_missing_input_file_is_named_as_given(dataset_path, tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.jsonl")
+    assert run([argv[0], "--input", str(dataset_path), argv[1], missing, "--output", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"runtime error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+def _report_rows(path, title):
+    """Each row of the one table of a ``--format report`` file, its first cell -> its second."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith(records.CONFIG_PREFIX) and lines[1] == title
+    return dict(re.split(r"\s{2,}", line) for line in lines[4:])
+
+
+def test_the_population_report_shows_the_json_result_of_the_same_run(dataset_path, metadata_path, tmp_path):
+    argv = ["ratio", "--input", str(dataset_path), "--metadata", str(metadata_path),
+            "--output", str(tmp_path / "ratios.jsonl")]
+    assert run([*argv, "--stats-output", str(tmp_path / "stats.json")]) == 0
+    assert run([*argv, "--format", "report", "--stats-output", str(tmp_path / "stats.txt")]) == 0
+    result = json.loads((tmp_path / "stats.json").read_text())["result"]
+    t, split = result["t_vs_one"], result["median_split"]
+    assert split is not None and result["pearson_r_ratio_vs_rating"] is not None
+    assert _report_rows(tmp_path / "stats.txt", "Inconsistency-ratio population statistics") == {
+        "annotators with ratios": str(result["n_annotators"]),
+        "median annotator ratio": f"{result['median_ratio']:.4f}",
+        "t vs 1.0": f"{t['statistic']:.2f} (p={t['p_value']:.3g})",
+        "median-split t": f"{split['statistic']:.2f} (p={split['p_value']:.3g})",
+        "mean diff (low - high)": f"{result['mean_diff_low_minus_high']:.2f}",
+        "Pearson r (ratio vs rating)": f"{result['pearson_r_ratio_vs_rating']:.2f}",
+    }
+
+
+def test_the_flips_report_shows_the_json_result_of_the_same_run(dataset_path, metadata_path, tmp_path):
+    ratios = tmp_path / "ratios.jsonl"
+    assert run(["ratio", "--input", str(dataset_path), "--metadata", str(metadata_path), "--output", str(ratios)]) == 0
+    argv = ["simulate", "--input", str(dataset_path), "--ratios", str(ratios), "--sample-size", "3"]
+    assert run([*argv, "--output", str(tmp_path / "flips.json")]) == 0
+    assert run([*argv, "--format", "report", "--output", str(tmp_path / "flips.txt")]) == 0
+    result = json.loads((tmp_path / "flips.json").read_text())["result"]
+    assert result["n_eligible"] > 0
+    assert _report_rows(tmp_path / "flips.txt", "Majority-flip simulation") == {
+        "eligible prompts": str(result["n_eligible"]),
+        "flips (low-inconsistency pool)": str(result["n_flips_low"]),
+        "flips (high-inconsistency pool)": str(result["n_flips_high"]),
+        "pct flips (low)": f"{result['pct_flips']:.1f}%",
+        "skipped prompts": str(len(result["skipped"])),
+    }
 
 
 def test_simulate_leaves_numpy_ma_unimported(dataset_path, metadata_path, tmp_path):

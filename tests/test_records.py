@@ -680,22 +680,16 @@ class _OutsideRow:
     n: int = 0
 
 
-def test_a_read_rows_of_a_class_or_build_from_outside_the_package_keeps_no_sidecar(tmp_path):
-    """The sidecar header digests the package's own source, so a row type or a
-    builder defined elsewhere, whose source it does not cover, keeps no sidecar."""
+def test_a_read_rows_of_a_class_from_outside_the_package_keeps_no_sidecar(tmp_path):
+    """The sidecar header digests the package's own source, so a row type defined
+    elsewhere, whose source it does not cover, keeps no sidecar."""
     path = tmp_path / "rows.jsonl"
     path.write_text('{"item_id": "i1"}\n{"item_id": "i2"}\n', encoding="utf-8")
-
-    def build(row):
-        return records_module.from_row(ItemMetadata, row)
-
-    reads = [(_OutsideRow, None), (ItemMetadata, build), (ItemMetadata, partial(records_module.from_row, ItemMetadata))]
-    for cls, reader in reads:
-        assert records_module._rows_key(cls, reader) is None
-        for _ in range(2):
-            assert [row.item_id for row in records_module.read_rows(path, cls, reader)] == ["i1", "i2"]
-            assert not _sidecar(path).exists()
-    assert records_module._rows_key(ItemMetadata, None) == ("read_rows", None, "prefaudit.records.ItemMetadata")
+    assert records_module._rows_key(_OutsideRow) is None
+    for _ in range(2):
+        assert [row.item_id for row in records_module.read_rows(path, _OutsideRow)] == ["i1", "i2"]
+        assert not _sidecar(path).exists()
+    assert records_module._rows_key(ItemMetadata) == ("read_rows", "prefaudit.records.ItemMetadata")
     meta = tmp_path / "meta.jsonl"
     meta.write_text('{"item_id": "i1"}\n', encoding="utf-8")
     assert load_metadata(meta) == {"i1": ItemMetadata("i1")}
@@ -925,6 +919,18 @@ def test_the_record_twin_matches_annotation_records_layout(cls):
         setattr(obj, name, value)  # not frozen
     obj.__class__ = cls
     assert obj == expected and to_row(obj) == to_row(expected)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in (*ROW_TYPES, EndpointConfig) if cls.__module__.startswith("prefaudit.")
+                                 and cls.__dataclass_params__.frozen], ids=lambda cls: cls.__name__)
+def test_a_frozen_row_refuses_to_set_or_delete_any_attribute(cls):
+    obj = records_module.from_row(cls, CLEAN[cls])
+    for name in (next(iter(CLEAN[cls])), "extra"):  # a field, and a name that is none
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, 1)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+    assert obj == records_module.from_row(cls, CLEAN[cls])
 
 
 def test_strict_and_lenient_loads_of_a_clean_file_share_the_sidecar(tmp_path, monkeypatch):
@@ -1176,13 +1182,62 @@ def test_a_file_a_writer_left_a_sidecar_beside_reads_without_parsing(tmp_path, m
     assert repr(load(path)) == repr(parsed)
 
 
-def test_a_sidecar_serves_only_the_reader_that_kept_it(tmp_path):
-    path = tmp_path / "pairs.jsonl"
-    _write_jsonl(path, [{"item_a": "i1", "item_b": "i2"}])  # no pair_id, which ``load_pairs`` fills in
-    assert cli.load_pairs(path)[0].pair_id == "i1|i2"
-    assert _sidecar(path).is_file()
-    with pytest.raises(DataFormatError, match="line 1: missing required field 'pair_id'"):
-        records_module.read_rows(path, PromptPair)
+_FLAG_CELLS = {"annotator_id": "a0", "score_a": 10.0, "score_b": 40.0, "delta": 30.0, "threshold_used": 15.0}
+
+# Each CLI loader as a list, its row type, and rows that the type's read rule changes:
+# a pair without ``pair_id``, and a profile with ``diagnose --route``'s routing column.
+LOADED = {
+    "flags": (cli.load_flags, InconsistencyFlag,
+              [{**_FLAG_CELLS, "item_a": "i1", "item_b": "i2"}, {**_FLAG_CELLS, "item_a": "i1", "item_b": "i2",
+                                                                 "annotator_id": "a1", "pair_id": ""}]),
+    "pairs": (cli.load_pairs, PromptPair,
+              [{"item_a": "i1", "item_b": "i2"}, {"pair_id": "", "item_a": "i2", "item_b": "i3", "similarity": 0.5}]),
+    "profiles": (lambda path: list(cli.load_profiles(path).values()), ConsistencyProfile,
+                 [{"annotator_id": "a0", "temp": 0.5, "routing": "use_as_signal"},
+                  {"annotator_id": "a1", "routing": None}]),
+    "ratios": (cli.load_ratio_records, RatioRecord,
+               [{"annotator_id": "a0", "theme": "harm", "n_items": 5, "var_within": 1, "baseline": 2.0, "ratio": 0.5,
+                 "resamples_used": 100, "seed": 7}]),
+}
+
+
+@pytest.mark.parametrize("first", ["loader", "read_rows"])
+@pytest.mark.parametrize("kind", LOADED)
+def test_read_rows_gives_what_the_cli_loader_gives_from_one_sidecar(tmp_path, monkeypatch, kind, first):
+    """Whichever reads a file first parses it and keeps the sidecar that the other
+    then reads, unchanged; and each reads a writer's sidecar as the other does."""
+    load, cls, rows = LOADED[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    _write_jsonl(path, [{"#config": {}}, *rows])
+    reads = [load, lambda path: records_module.read_rows(path, cls)]
+    parse, hit = reads if first == "loader" else reversed(reads)
+    with monkeypatch.context() as patch:
+        if kind != "flags":  # a flat type's rows build by chunk, read rule included
+            patch.setattr(records_module, "from_row", _refuse)
+        parsed = parse(path)
+    sidecar = _sidecar(path).read_bytes()
+    (tmp_path / "written").mkdir()
+    written = WRITTEN[kind][0](tmp_path / "written")
+    monkeypatch.setattr(records_module, "iter_jsonl", _refuse)
+    monkeypatch.setattr(records_module, "from_row", _refuse)
+    assert repr(hit(path)) == repr(parsed)
+    assert _sidecar(path).read_bytes() == sidecar
+    assert repr(load(written)) == repr(records_module.read_rows(written, cls))  # the writer's sidecar
+
+
+def test_flags_over_one_pair_share_it_across_chunks(tmp_path):
+    """A parse builds flags a row at a time and shares a pair across the whole file,
+    as does a read of the sidecar that it, or the writer, keeps."""
+    n = 2 * records_module._CHUNK_ROWS + 1
+    path = tmp_path / "flags.jsonl"
+    _write_jsonl(path, [{"#config": {}}, *({**_FLAG_CELLS, "annotator_id": f"a{i}", "pair_id": "i1|i2",
+                                            "item_a": "i1", "item_b": "i2"} for i in range(n))])
+    written = tmp_path / "written.jsonl"  # a new pair object per flag, all equal
+    flags = [InconsistencyFlag(f"a{i}", PromptPair("i1|i2", "i1", "i2"), 10.0, 40.0, 30.0, 15.0) for i in range(n)]
+    cli._write_jsonl(str(written), {}, flags, InconsistencyFlag, kept=True)
+    for read in (path, path, written):  # a parse, then its sidecar; the writer's sidecar
+        flags = cli.load_flags(read)
+        assert len(flags) == n and len({id(flag.pair) for flag in flags}) == 1
 
 
 # A forgery of each written sidecar that passes every check, but is not the file's.
