@@ -167,7 +167,7 @@ def _cmd_repeats(args) -> int:
 # ---------------------------------------------------------------- diagnose
 
 def load_profiles(path: str | Path) -> dict[str, diagnostics.ConsistencyProfile]:
-    return {p.annotator_id: p for p in records.read_rows(path, diagnostics.ConsistencyProfile)}
+    return {p.annotator_id: p for p in records.read_rows(path, diagnostics.ConsistencyProfile, "annotator_id")}
 
 
 def _cmd_diagnose(args) -> int:

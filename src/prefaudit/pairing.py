@@ -27,6 +27,22 @@ IDENTICAL_SIM = 1.0 - 1e-9
 MAX_EXACT_ITEMS = 20_000
 
 
+def _pair_fault(similarity: float, kind: str, expected_direction: Optional[str]) -> Optional[str]:
+    """Why a pair's ``kind`` disagrees with its similarity or direction, or None. An
+    equivalent pair's direction is ``"equal"``, which its constructor fills in."""
+    if kind == "identical":
+        if abs(similarity - 1.0) > 1e-9:
+            return "identical pairs must have similarity 1"
+        if expected_direction is not None:
+            return "identical pairs carry no expected_direction"
+    elif kind == "directional":
+        if expected_direction not in ("a_more", "b_more"):
+            return "directional pairs need expected_direction a_more or b_more"
+    elif expected_direction != "equal":
+        return "equivalent pairs imply expected_direction 'equal'"
+    return None
+
+
 @frozen_row
 class PromptPair:
     """Two items linked by semantic similarity (or one repeated item)."""
@@ -39,24 +55,22 @@ class PromptPair:
     expected_direction: Optional[str] = None
     rationale_tag: Optional[str] = None
 
+    _rules = ((("similarity", "kind", "expected_direction"), _pair_fault),)
+
     def __post_init__(self):
-        check_domains(self)
-        if self.kind == "identical" and abs(self.similarity - 1.0) > 1e-9:
-            raise DataFormatError("identical pairs must have similarity 1")
-        if self.kind == "directional":
-            if self.expected_direction not in ("a_more", "b_more"):
-                raise DataFormatError("directional pairs need expected_direction a_more or b_more")
-        elif self.kind == "equivalent":
-            if self.expected_direction not in (None, "equal"):
-                raise DataFormatError("equivalent pairs imply expected_direction 'equal'")
+        if self.kind == "equivalent" and self.expected_direction is None:
             object.__setattr__(self, "expected_direction", "equal")
-        elif self.expected_direction is not None:
-            raise DataFormatError("identical pairs carry no expected_direction")
+        check_domains(self)
 
     @staticmethod
     def _read_row(row: dict) -> dict:
-        """An analyst-coded file may leave out ``pair_id``; it reads as ``item_a|item_b``."""
-        return row if row.get("pair_id") else {**row, "pair_id": f"{row.get('item_a')}|{row.get('item_b')}"}
+        """An analyst-coded file may leave out ``pair_id``, which reads as ``item_a|item_b``,
+        and an equivalent pair's ``expected_direction``, which reads as ``"equal"``."""
+        if not row.get("pair_id"):
+            row = {**row, "pair_id": f"{row.get('item_a')}|{row.get('item_b')}"}
+        if row.get("expected_direction") is None and row.get("kind", "equivalent") == "equivalent":
+            row = {**row, "expected_direction": "equal"}
+        return row
 
     @property
     def is_self_pair(self) -> bool:

@@ -33,7 +33,7 @@ from functools import cache, cached_property, partial
 from itertools import chain, islice, product, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 from typing import get_args, get_origin, get_type_hints
@@ -100,6 +100,75 @@ def frozen_row(cls: type) -> type:
     return cls
 
 
+# The score's domain, which depends on the scale: ``AnnotationRecord``'s rule.
+BINARY_SCORES = ("A", "B")
+SCORE_RANGES = {SCALE_CONTINUOUS: (0.0, 100.0), SCALE_LIKERT: (1.0, 5.0)}
+
+
+def _score_fault(score: Score, scale_kind: str) -> Optional[str]:
+    """Why ``score`` is outside ``scale_kind``'s domain, or None when it is inside."""
+    if scale_kind == SCALE_BINARY:
+        return None if score in BINARY_SCORES else f"binary_pair score must be 'A' or 'B', got {score!r}"
+    if isinstance(score, str):
+        return f"{scale_kind} score must be numeric, got {score!r}"
+    lo, hi = SCORE_RANGES[scale_kind]
+    if lo <= score <= hi:  # NaN and inf fall outside
+        return None
+    if not math.isfinite(score):
+        return f"score must be finite, got {score!r}"
+    return f"score {score} outside [{lo:g}, {hi:g}] for {scale_kind}"
+
+
+@cache
+def field_domains(cls: type) -> dict[str, Domain]:
+    """Each field of ``cls`` whose annotation declares a ``Domain`` -> that domain, in
+    the order ``check_domains`` checks them: the string fields (the codes) first, so
+    an unknown code is named before a number out of range, then the rest, each in
+    field order."""
+    hints = get_type_hints(cls, include_extras=True)
+    declared = [f.name for f in fields(cls) if get_origin(hints[f.name]) is Annotated]
+    declared.sort(key=lambda name: str not in _row_schema(cls)[0][name])
+    return {name: hints[name].__metadata__[0] for name in declared}
+
+
+def _domain_fault(name: str, domain: Domain, optional: bool) -> Callable[[object], Optional[str]]:
+    """``domain``'s check of field ``name`` as a fault; None passes where ``optional``."""
+    ok, why = domain
+
+    def fault(value) -> Optional[str]:
+        return None if (value is None and optional) or ok(value) else why.format(name=name, value=value)
+
+    return fault
+
+
+@cache
+def row_checks(cls: type) -> tuple[tuple[tuple[str, ...], Callable[..., Optional[str]], attrgetter, Callable], ...]:
+    """The checks a ``cls`` object must pass, in order, as ``(field names, fault, their
+    attrgetter, ok)``: ``fault(*values)`` is None when they pass, else the reject text.
+    Each declared domain (``field_domains``) checks its field, and a value other than None
+    that its ``ok`` passes needs no ``fault``; each rule declared as ``_rules``, ``((field
+    names, fault), ...)``, has no ``ok`` and runs right after the last domain among its fields."""
+    admitted = _row_schema(cls)[0]
+    order = {name: at for at, name in enumerate(field_domains(cls))}
+    checks = [((at, 0), (name,), _domain_fault(name, domain, type(None) in admitted[name]), domain.ok)
+              for at, (name, domain) in enumerate(field_domains(cls).items())]
+    checks += [((max(map(order.get, names, repeat(-1))), 1), names, fault, None)  # after its fields' last domain
+               for names, fault in getattr(cls, "_rules", ())]
+    return tuple((names, fault, attrgetter(*names), ok) for _, names, fault, ok in sorted(checks, key=itemgetter(0)))
+
+
+def check_domains(obj) -> None:
+    """Raise DataFormatError with the reject text of the first of ``row_checks`` that
+    ``obj`` fails. Each row type that the CLI reads runs this as, or from, its
+    ``__post_init__``."""
+    for names, fault, get, ok in row_checks(type(obj)):
+        value = get(obj)
+        if ok is None or value is None or not ok(value):
+            why = fault(*value) if len(names) > 1 else fault(value)
+            if why is not None:
+                raise DataFormatError(why)
+
+
 @frozen_row
 class AnnotationRecord:
     """One (annotator, item, condition, score) observation.
@@ -123,11 +192,8 @@ class AnnotationRecord:
     condition_tag: Optional[str] = None
     weight: Annotated[Optional[float], NONNEGATIVE] = None
 
-    def __post_init__(self):
-        # the score first, as its domain is the scale's; ``check_domains`` names an unknown scale
-        if self.scale_kind in SCALE_KINDS:
-            _check_score(self.score, self.scale_kind)
-        check_domains(self)
+    _rules = ((("score", "scale_kind"), _score_fault),)  # the score's domain is its scale's
+    __post_init__ = check_domains
 
 
 @cache
@@ -146,33 +212,6 @@ def _twin(cls: type) -> type:
     scope: dict = {}
     exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    self.{n} = {n}\n" for n in names), scope)
     return type(f"_{cls.__name__}Twin", (), {"__slots__": slots, "__init__": scope["__init__"]})
-
-
-# The score's domain, which depends on the scale: ``AnnotationRecord.__post_init__``
-# checks it one record at a time and ``_columns_in_domain`` one sidecar column at a time.
-BINARY_SCORES = ("A", "B")
-SCORE_RANGES = {SCALE_CONTINUOUS: (0.0, 100.0), SCALE_LIKERT: (1.0, 5.0)}
-
-
-def _score_ok(score: Score, scale_kind: str) -> bool:
-    if scale_kind == SCALE_BINARY:
-        return score in BINARY_SCORES
-    lo, hi = SCORE_RANGES[scale_kind]
-    return not isinstance(score, str) and lo <= score <= hi  # NaN and inf fall outside
-
-
-def _check_score(score: Score, scale_kind: str) -> None:
-    """Raise, saying why, when ``score`` is outside ``scale_kind``'s domain (``_score_ok``)."""
-    if _score_ok(score, scale_kind):
-        return
-    if scale_kind == SCALE_BINARY:
-        raise DataFormatError(f"binary_pair score must be 'A' or 'B', got {score!r}")
-    if isinstance(score, str):
-        raise DataFormatError(f"{scale_kind} score must be numeric, got {score!r}")
-    if not math.isfinite(score):
-        raise DataFormatError(f"score must be finite, got {score!r}")
-    lo, hi = SCORE_RANGES[scale_kind]
-    raise DataFormatError(f"score {score} outside [{lo:g}, {hi:g}] for {scale_kind}")
 
 
 def score_value(record: AnnotationRecord) -> float:
@@ -421,41 +460,6 @@ def _row_schema(cls: type) -> tuple[dict[str, tuple], tuple[str, ...], dict[str,
     return admitted, required, containers
 
 
-@cache
-def field_domains(cls: type) -> dict[str, Domain]:
-    """Each field of ``cls`` whose annotation declares a ``Domain`` -> that domain, in
-    the order ``check_domains`` checks them: the string fields (the codes) first, so
-    an unknown code is named before a number out of range, then the rest, each in
-    field order."""
-    hints = get_type_hints(cls, include_extras=True)
-    declared = [f.name for f in fields(cls) if get_origin(hints[f.name]) is Annotated]
-    declared.sort(key=lambda name: str not in _row_schema(cls)[0][name])
-    return {name: hints[name].__metadata__[0] for name in declared}
-
-
-# A class -> its ``field_domains`` as flat ``(name, ok, why, optional)``, cheap to look
-# up and loop over per object; ``optional`` when the field's type admits None.
-_DOMAIN_CHECKS: dict[type, tuple[tuple[str, Callable[[object], bool], str, bool], ...]] = {}
-
-
-def check_domains(obj) -> None:
-    """Raise DataFormatError for the first field of ``obj``, in ``field_domains``
-    order, whose value is outside its declared domain; None passes where the
-    field's type admits it. Each row type that the CLI reads runs this as, or
-    from, its ``__post_init__``."""
-    cls = type(obj)
-    checks = _DOMAIN_CHECKS.get(cls)
-    if checks is None:
-        admitted = _row_schema(cls)[0]
-        checks = _DOMAIN_CHECKS[cls] = tuple(
-            (name, ok, why, type(None) in admitted[name]) for name, (ok, why) in field_domains(cls).items()
-        )
-    for name, ok, why, optional in checks:
-        value = getattr(obj, name)
-        if (value is not None or not optional) and not ok(value):
-            raise DataFormatError(why.format(name=name, value=value))
-
-
 def _cast(name: str, value, admitted: tuple, container: Optional[_Container] = None):
     """``value``, whose own type ``admitted`` lacks, as a type it holds: an int as
     a float, an integral float as an int, a list as ``container`` (a ``frozenset[X]``
@@ -496,17 +500,6 @@ def from_row(cls: type, row: dict):
         if type(value) not in admitted[key]:
             cast[key] = _cast(key, value, admitted[key], containers[key])
     return cls(**{**row, **cast}) if cast else cls(**row)
-
-
-# Each ``__post_init__`` whose every rule ``_rows_from_columns`` checks itself, a column
-# at a time -> its rules beyond the declared domains, as ``(ok, field names)``.
-# ItemMetadata's frozenset() is the list cast of ``_cast_column``; any other
-# ``__post_init__`` runs on each built object.
-_INLINED_POST_INITS = {
-    check_domains: (),
-    ItemMetadata.__post_init__: (),
-    AnnotationRecord.__post_init__: ((_score_ok, ("score", "scale_kind")),),
-}
 
 
 def record_to_obj(record: AnnotationRecord) -> dict:
@@ -1363,11 +1356,12 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     """The ``cls`` objects whose fields ``columns`` holds (see ``_row_columns``), checked
     as a parse checks each row: every value of a type its field admits, container
     entries included, and a None column only where None is admitted; every column of
-    one length and every index into a nested table an int in range; the declared
-    domains and inlined rules (``_columns_in_domain``); ``unique`` distinct. None when
-    a check fails. Each object is built as ``_twin(cls)`` and given the class; a
-    ``__post_init__`` with rules of its own (``PromptPair``'s) then runs on it, and
-    None is returned should it raise. A ``cls`` without slots raises TypeError."""
+    one length and every index into a nested table an int in range; each check of
+    ``row_checks`` (``_columns_in_domain``); ``unique`` distinct. None when a check
+    fails. Each object is built as ``_twin(cls)`` and given the class, running no
+    ``__post_init__``: a parse's columns come through the type's read rule and a
+    sidecar's from built objects, so each object is as its constructor would leave it.
+    A ``cls`` without slots raises TypeError."""
     twin, names = _twin(cls), _field_names(cls)
     if type(columns) is not tuple or len(columns) != len(names):
         return None
@@ -1401,34 +1395,24 @@ def _rows_from_columns(cls: type, columns, unique: Optional[str] = None) -> Opti
     objects = list(map(twin, *(repeat(None, n) if col is None else col for col in values.values())))
     for obj in objects:
         obj.__class__ = cls
-    if _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) is None:
-        try:
-            for obj in objects:
-                obj.__post_init__()
-        except DataFormatError:
-            return None
     return objects
 
 
 def _columns_in_domain(cls: type, columns: dict[str, Optional[tuple]], n: int) -> bool:
     """Whether each of the ``n`` objects of ``columns`` (field name -> values, None for a
-    field no object sets), all of whose values have admitted types, passes what
-    ``cls.__post_init__`` checks and a generated builder inlines: each column's
-    distinct values against its field's declared domain (``field_domains``), and then
-    each rule of ``_INLINED_POST_INITS`` (a record's score against its scale) over
-    the distinct combinations of the values of the fields it reads."""
-    rules = _INLINED_POST_INITS.get(getattr(cls, "__post_init__", check_domains)) or ()
-    distinct = {name: set(columns[name] or (None,)) for name in chain(field_domains(cls), *(a for _, a in rules))}
-    for name, (ok, _) in field_domains(cls).items():
-        if not all(map(ok, distinct[name] - {None})):
-            return False
-    for ok, args in rules:
-        # the combinations of distinct values, unless two fields vary, whose pairs are fewer
-        if sum(len(distinct[name]) > 1 for name in args) > 1:
-            combinations = set(zip(*((None,) * n if columns[name] is None else columns[name] for name in args)))
+    field no object sets), all of whose values have admitted types, passes each of
+    ``row_checks(cls)``, in order: over the distinct values of the fields it reads, or
+    over their distinct combinations."""
+    checks = row_checks(cls)
+    read = {name for names, *_ in checks for name in names}
+    distinct = {name: {None} if columns[name] is None else set(columns[name]) for name in read}
+    for names, fault, *_ in checks:
+        # the combinations of distinct values, unless two fields vary, whose rows are fewer
+        if sum(len(distinct[name]) > 1 for name in names) > 1:
+            combinations = set(zip(*((None,) * n if columns[name] is None else columns[name] for name in names)))
         else:
-            combinations = product(*(distinct[name] for name in args))
-        if not all(starmap(ok, combinations)):
+            combinations = product(*(distinct[name] for name in names))
+        if any(starmap(fault, combinations)):
             return False
     return True
 

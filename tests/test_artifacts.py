@@ -236,7 +236,7 @@ WRITTEN = {
                      temp=odd_optional_unit, frame=odd_optional_unit, order=odd_optional_unit, cross=odd_optional_unit,
                      n_temp_pairs=odd_counts, n_frame_pairs=odd_counts, n_order_pairs=odd_counts,
                      n_cross_items=odd_counts, reliability=odd_optional_unit, tau_used=odd_nonnegative,
-                 ), max_size=5), load_profiles),
+                 ), max_size=5, unique_by=lambda profile: profile.annotator_id), load_profiles),  # one per annotator
     "ratios": (RatioRecord, lambda objs: True,
                st.lists(st.builds(
                    RatioRecord, annotator_id=odd_ids, theme=odd_ids, n_items=odd_counts,

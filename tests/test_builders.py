@@ -9,7 +9,8 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, get_origin
 
 import pytest
@@ -157,7 +158,8 @@ def _shown(obj) -> tuple:
 # Lines a reader refuses: not JSON, not an object; blank lines it skips.
 READER_FAULTS = st.sampled_from(["{", "[1]", '"text"', ""])
 # Each row type read through ``read_rows`` with no ``build`` of its own, and the field
-# its loader keeps unique. Flags are read by ``cli``'s flags builder, a row at a time.
+# its loader keeps unique. Flags are read by ``read_rows``' nested reader, a row at a time,
+# and are left out: ``rows`` draws a flag's pair as a ``PromptPair`` object, not its cells.
 READ_ROWS = {cls: "item_id" if cls in (ItemMetadata, records._EmbeddingRow) else None
              for cls in ROW_TYPES if cls is not InconsistencyFlag}
 
@@ -271,6 +273,48 @@ def test_a_parse_builds_rejects_and_raises_as_from_row_a_row_at_a_time(tmp_path_
             for strict in (False, True):
                 expected = _records_outcome(_reference_records, path, as_csv, strict)
                 assert _records_outcome(records_from_rows, path, as_csv, strict) == expected
+
+
+def _file_row(data, cls, item):
+    """A drawn row as a file gives it: a flag's pair as the cells of a drawn pair row."""
+    if cls is not InconsistencyFlag or isinstance(item, str):
+        return item
+    names = records._row_schema(PromptPair)[0]
+    valid = st.fixed_dictionaries({name: _valid_values(PromptPair, name) for name in names})
+    cells = data.draw(valid | rows(PromptPair))
+    return {**{k: v for k, v in item.items() if k != "pair"}, **{k: v for k, v in cells.items() if v is not DROP}}
+
+
+@pytest.mark.parametrize("cls", ROW_TYPES, ids=lambda cls: cls.__name__)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_object_a_column_build_gives_is_a_fixed_point_of_its_constructor(tmp_path_factory, cls, data):
+    """``_rows_from_columns`` runs no ``__post_init__``, so each object it builds from a
+    parsed chunk or a sidecar must be one its constructor leaves as it is."""
+    items = [_file_row(data, cls, item) for item in data.draw(lines(cls))]
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    _write(path, cls, items, data.draw(st.booleans()))
+    built, build = [], records._rows_from_columns
+
+    def spy(*args, **kwargs):
+        objects = build(*args, **kwargs)
+        built.extend(objects or ())
+        return objects
+
+    loads = [partial(read_rows, path, cls, unique=READ_ROWS.get(cls))]
+    if cls is AnnotationRecord:
+        loads.append(partial(load_records, path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_CHUNK_ROWS", 3)
+        patch.setattr(records, "_rows_from_columns", spy)
+        for load in loads:
+            for _ in range(2):  # a parse, then its sidecar, if kept
+                try:
+                    load()
+                except DataFormatError:
+                    pass
+    for obj in built:
+        assert obj == replace(obj)
 
 
 # A row per type whose every value the chunk path takes without a cast, or with one

@@ -275,6 +275,17 @@ def test_a_repeated_item_id_is_a_data_error_naming_both_lines(dataset_path, tmp_
     assert capsys.readouterr().err == f"data error: {table}: line 5: item_id 'i2' repeats line 2\n"
 
 
+def test_a_repeated_profile_annotator_is_a_data_error_naming_both_lines(dataset_path, tmp_path, capsys):
+    """Two profiles of one annotator are refused, not read as the last of them."""
+    profiles = tmp_path / "profiles.jsonl"
+    _write_jsonl(profiles, [{"annotator_id": "a0", "reliability": 0.9}, {"annotator_id": "a0", "reliability": 0.1}])
+    code = run(["weights", "--input", str(dataset_path), "--profiles", str(profiles),
+                "--output", str(tmp_path / "w.jsonl"), "--summary-output", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {profiles}: line 2: annotator_id 'a0' repeats line 1\n"
+    assert not (tmp_path / "w.jsonl").exists()
+
+
 def test_weights_with_both_outputs_on_stdout_is_a_usage_error(tmp_path, capsys):
     # exits before the input is read: a missing input would exit 3
     assert run(["weights", "--input", str(tmp_path / "absent.jsonl")]) == 1
@@ -616,8 +627,8 @@ def test_the_stage_after_a_writer_decodes_no_line_of_the_file_it_left(tmp_path, 
 
 
 def test_python_dash_m_leaves_the_sidecar_the_console_script_leaves(dataset_path, tmp_path, monkeypatch):
-    """``python -m prefaudit.cli`` names its row builders as the package does, so the
-    flags file it writes keeps the sidecar that an in-process ``load_flags`` reads."""
+    """A sidecar key names the row type alone, so the flags file that ``python -m
+    prefaudit.cli`` writes keeps the sidecar that an in-process ``load_flags`` reads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     flags = tmp_path / "flags_m.jsonl"

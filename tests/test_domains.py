@@ -89,7 +89,7 @@ def test_a_value_outside_its_declared_domain_exits_2_naming_the_file_line_and_fi
 UNDECLARED = {
     # any integer clock reading, whatever its epoch; only its order within a session is checked
     (AnnotationRecord, "timestamp"),
-    # its domain depends on scale_kind, so it is the cross-field rule ``records._check_score``
+    # its domain depends on scale_kind, so it is ``AnnotationRecord``'s declared rule ``records._score_fault``
     (AnnotationRecord, "score"),
     # echoed configuration: the exact baseline draws nothing, and any integer is a seed
     (RatioRecord, "resamples_used"),

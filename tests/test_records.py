@@ -1266,6 +1266,8 @@ WRITTEN_FORGERIES = {
         "negative pair index": _set_pair_index(-1),
         "True as a pair index": _set_pair_index(True),
         "identical pair of similarity 0.5": _in_pair_table(_set_cell(PromptPair, "similarity", 0.5, at=1)),
+        "directional pair with no direction": _in_pair_table(lambda c: _set_cell(PromptPair, "kind", "directional")(
+            _set_cell(PromptPair, "expected_direction", None)(c))),
         "mistyped column": _set_cell(InconsistencyFlag, "score_a", "10.0", at=-1),
         "negative delta": _set_cell(InconsistencyFlag, "delta", -1.0),
         "short column": _set_cell(InconsistencyFlag, "delta", (), at=slice(0, 1)),
@@ -1273,6 +1275,9 @@ WRITTEN_FORGERIES = {
     "pairs": {
         "identical pair of similarity 0.5": lambda c: _set_cell(PromptPair, "kind", "identical")(
             _set_cell(PromptPair, "similarity", 0.5)(c)),
+        "directional pair with no direction": lambda c: _set_cell(PromptPair, "kind", "directional")(
+            _set_cell(PromptPair, "expected_direction", None)(c)),
+        "equivalent pair with no direction": _set_cell(PromptPair, "expected_direction", None),
         "mistyped column": _set_cell(PromptPair, "similarity", 1, at=-1),
         "unknown pair kind": _set_cell(PromptPair, "kind", "opposite"),
     },
