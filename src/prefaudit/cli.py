@@ -423,6 +423,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_synth(args) -> int:
     ipa = args.items_per_annotator
+    if ipa < 1:
+        raise ValueError(f"--items-per-annotator must be >= 1, got {ipa}")
     total = args.per_type * 4
     plan = planner.TierPlan(
         tier=1,

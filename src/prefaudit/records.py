@@ -109,11 +109,12 @@ def _score_fault(score: Score, scale_kind: str) -> Optional[str]:
     """Why ``score`` is outside ``scale_kind``'s domain, or None when it is inside."""
     if scale_kind == SCALE_BINARY:
         return None if score in BINARY_SCORES else f"binary_pair score must be 'A' or 'B', got {score!r}"
-    if isinstance(score, str):
-        return f"{scale_kind} score must be numeric, got {score!r}"
     lo, hi = SCORE_RANGES[scale_kind]
-    if lo <= score <= hi:  # NaN and inf fall outside
-        return None
+    try:
+        if lo <= score <= hi:  # NaN and inf fall outside
+            return None
+    except TypeError:  # a string, None or any other score that does not compare with a number
+        return f"{scale_kind} score must be numeric, got {score!r}"
     if not math.isfinite(score):
         return f"score must be finite, got {score!r}"
     return f"score {score} outside [{lo:g}, {hi:g}] for {scale_kind}"

@@ -17,15 +17,15 @@ while artifact and non-attitude corruption does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Union
 
 import numpy as np
 
 from .diagnostics import build_profile
 from .errors import InfeasiblePlanError
 from .planner import TierPlan
-from .records import SCALE_CONTINUOUS, AnnotationRecord, Dataset
+from .records import SCALE_CONTINUOUS, AnnotationRecord, Dataset, _rows_from_columns
 from .stats import seeded_sampler
 from .taxonomy import (
     ROUTE_ELICIT,
@@ -76,34 +76,27 @@ class SyntheticDataset:
     clamp_count: int
 
 
-class _Rater:
-    """Draws one annotator's ratings according to their latent type."""
-
-    def __init__(self, latent: LatentAnnotator, rng: np.random.Generator):
-        self.latent = latent
-        self.rng = rng
-        self.offsets: dict[tuple[str, Optional[str]], float] = {}
-        self.clamps = 0
-
-    def _clamp(self, value: float) -> float:
-        if value < 0.0 or value > 100.0:
-            self.clamps += 1
-        return float(min(100.0, max(0.0, value)))
-
-    def rate(self, item_id: str, mu: float, framing_id: Optional[str], is_anchor: bool) -> float:
-        p = self.latent.params
-        kind = self.latent.latent_type
-        if kind == "non_attitude":
-            return float(self.rng.uniform(0.0, 100.0))
-        if kind == "artifact" and self.rng.random() < p.artifact_rate:
-            return float(self.rng.uniform(0.0, 100.0))
-        value = mu + self.rng.normal(0.0, p.noise_sd)
-        if kind == "constructed" and not is_anchor:
-            key = (item_id, framing_id)
-            if key not in self.offsets:
-                self.offsets[key] = float(self.rng.normal(0.0, p.framing_offset_sd))
-            value += self.offsets[key]
-        return self._clamp(value)
+def _scores(latent: LatentAnnotator, rng: np.random.Generator, mus: np.ndarray,
+            noise_at: np.ndarray, shifted: np.ndarray, offset_at: np.ndarray) -> tuple[list[float], int]:
+    """One annotator's scores for presentations of latent means ``mus``, clamped to
+    [0, 100], and how many were clamped. ``rng`` is drawn in presentation order, as a
+    draw per presentation would draw it. A constructed annotator draws one standard
+    normal stream: each presentation's noise at ``noise_at``, and each presentation
+    ``shifted`` (every one off the anchors) adds the framing offset at ``offset_at``,
+    drawn right after the noise of the first presentation of its (item, framing)."""
+    p, kind = latent.params, latent.latent_type
+    if kind == "non_attitude":
+        values = rng.uniform(0.0, 100.0, size=len(mus))
+    elif kind == "genuine":
+        values = mus + rng.normal(0.0, p.noise_sd, size=len(mus))
+    elif kind == "constructed":  # ``normal(0.0, sd)`` is ``0.0 + sd * z``, which adds as ``sd * z`` does
+        z = rng.standard_normal(size=1 + max(noise_at.max(), offset_at.max()))
+        values = mus + p.noise_sd * z[noise_at]
+        values[shifted] += p.framing_offset_sd * z[offset_at]
+    else:  # whether a uniform or a normal follows each ``random()``: no bulk draw gives this stream
+        random, uniform, normal, rate, sd = rng.random, rng.uniform, rng.normal, p.artifact_rate, p.noise_sd
+        values = np.array([uniform(0.0, 100.0) if random() < rate else mu + normal(0.0, sd) for mu in mus.tolist()])
+    return np.clip(values, 0.0, 100.0).tolist(), int(np.count_nonzero((values < 0.0) | (values > 100.0)))
 
 
 def _per_type_counts(n_annotators_per_type: Union[int, dict[str, int]]) -> dict[str, int]:
@@ -131,9 +124,16 @@ def generate(
     session, the next ``n_framing_pairs`` items are presented once per
     session under two framing variants, and every annotator rates the
     shared anchor set once. Identical (parameters, seed) give bit-identical
-    datasets; each annotator draws from an independent keyed substream.
+    datasets; each annotator draws from an independent keyed substream, in
+    presentation order. A negative annotator, repeat or anchor count raises
+    ValueError naming it, before any draw.
     """
     counts = _per_type_counts(n_annotators_per_type)
+    given = {f"{t} annotator count": n for t, n in counts.items()}
+    given.update(n_repeats_per_annotator=plan.n_repeats_per_annotator, n_anchors=n_anchors)
+    for name, value in given.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no annotators requested")
@@ -153,8 +153,8 @@ def generate(
     item_ids = [f"item-{i:0{width}d}" for i in range(n_items)]
     anchor_ids = [f"anchor-{i:03d}" for i in range(n_anchors)]
     mu_rng = seeded_sampler(seed, "synth|mu")
-    mu = dict(zip(item_ids, mu_rng.uniform(10.0, 90.0, size=n_items)))
-    anchor_mu = dict(zip(anchor_ids, mu_rng.uniform(10.0, 90.0, size=n_anchors)))
+    mu = mu_rng.uniform(10.0, 90.0, size=n_items)
+    anchor_mu = mu_rng.uniform(10.0, 90.0, size=n_anchors)
 
     annotators: list[LatentAnnotator] = []
     index = 0
@@ -163,56 +163,53 @@ def generate(
             annotators.append(LatentAnnotator(f"{latent_type}-{index:04d}", latent_type, params))
             index += 1
 
-    records: list[AnnotationRecord] = []
+    # Each annotator's presentations, the same for every one: its chunk in s1, the first
+    # ``repeats`` plain and the next ``n_framing_pairs`` as framing "a"; the anchors in
+    # s1; then the repeats again, and the framed items as framing "b", in s2.
+    repeats, n_rerated = plan.n_repeats_per_annotator, plan.n_repeats_per_annotator + n_framing_pairs
+    n_s1 = ipa + n_anchors
+    framings = (None,) * repeats + ("a",) * n_framing_pairs + (None,) * (n_s1 - n_rerated)
+    framings += (None,) * repeats + ("b",) * n_framing_pairs
+    # A constructed annotator's draws: a noise and an offset for each of the chunk, a noise
+    # for each anchor and repeat, then a noise and an offset for each framed item in s2.
+    # Every presentation off the anchors adds an offset, a repeat its s1 presentation's.
+    pairs_at = 2 * ipa + n_anchors + repeats
+    noise_at = np.r_[0 : 2 * ipa : 2, 2 * ipa : pairs_at, pairs_at : pairs_at + 2 * n_framing_pairs : 2]
+    shifted = np.r_[0:ipa, n_s1 : n_s1 + n_rerated]
+    offset_at = 1 + np.r_[noise_at[:ipa], noise_at[:repeats], noise_at[n_s1 + repeats :]]
+
+    columns: dict[str, list] = {"annotator_id": [], "item_id": [], "score": [], "session_id": []}
     clamp_count = 0
-    record_no = 0
-
-    def emit(rater, annotator_id, item_id, mu_x, session, position, framing, is_anchor):
-        nonlocal record_no
-        score = rater.rate(item_id, mu_x, framing, is_anchor)
-        records.append(
-            AnnotationRecord(
-                record_id=f"r{record_no:07d}",
-                annotator_id=annotator_id,
-                item_id=item_id,
-                prompt_text=f"prompt for {item_id}",
-                score=score,
-                scale_kind=SCALE_CONTINUOUS,
-                session_id=f"{annotator_id}-{session}",
-                position_index=position,
-                framing_id=framing,
-            )
-        )
-        record_no += 1
-
     for a_idx, latent in enumerate(annotators):
-        rater = _Rater(latent, seeded_sampler(seed, f"synth|{latent.annotator_id}"))
-        chunk = item_ids[a_idx * ipa : (a_idx + 1) * ipa]
-        repeats = chunk[: plan.n_repeats_per_annotator]
-        framed = chunk[plan.n_repeats_per_annotator : plan.n_repeats_per_annotator + n_framing_pairs]
-        framed_set = set(framed)
-
-        position = 0
-        for item in chunk:
-            framing = "a" if item in framed_set else None
-            emit(rater, latent.annotator_id, item, mu[item], "s1", position, framing, False)
-            position += 1
-        for item in anchor_ids:
-            emit(rater, latent.annotator_id, item, anchor_mu[item], "s1", position, None, True)
-            position += 1
-        for item in repeats:
-            emit(rater, latent.annotator_id, item, mu[item], "s2", position, None, False)
-            position += 1
-        for item in framed:
-            emit(rater, latent.annotator_id, item, mu[item], "s2", position, "b", False)
-            position += 1
-        clamp_count += rater.clamps
+        aid, lo = latent.annotator_id, a_idx * ipa
+        chunk = item_ids[lo : lo + ipa]
+        mus = np.concatenate((mu[lo : lo + ipa], anchor_mu, mu[lo : lo + n_rerated]))
+        scores, clamps = _scores(latent, seeded_sampler(seed, f"synth|{aid}"), mus, noise_at, shifted, offset_at)
+        clamp_count += clamps
+        columns["annotator_id"] += (aid,) * len(scores)
+        columns["item_id"] += chunk + anchor_ids + chunk[:n_rerated]
+        columns["score"] += scores
+        columns["session_id"] += (f"{aid}-s1",) * n_s1 + (f"{aid}-s2",) * n_rerated
+    n = len(columns["score"])
+    columns.update(
+        record_id=[f"r{i:07d}" for i in range(n)],
+        prompt_text=[f"prompt for {item}" for item in columns["item_id"]],
+        scale_kind=(SCALE_CONTINUOUS,) * n,
+        position_index=list(range(len(framings))) * len(annotators),
+        framing_id=framings * len(annotators),
+    )
+    names = [f.name for f in fields(AnnotationRecord)]
+    table = tuple(None if name not in columns else tuple(columns[name]) for name in names)
+    # a fault the column checks find (none, for clamped scores) raises as the constructor raises it
+    records = _rows_from_columns(AnnotationRecord, table) or [
+        AnnotationRecord(**dict(zip(columns, row))) for row in zip(*columns.values())
+    ]
 
     dataset = Dataset(records=records, scale_kind=SCALE_CONTINUOUS)
     return SyntheticDataset(
         dataset=dataset,
         truth={a.annotator_id: a.latent_type for a in annotators},
-        anchor_scores={k: float(v) for k, v in anchor_mu.items()},
+        anchor_scores=dict(zip(anchor_ids, anchor_mu.tolist())),
         seed=seed,
         clamp_count=clamp_count,
     )

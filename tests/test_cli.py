@@ -1160,6 +1160,24 @@ def test_synth_subcommand_writes_dataset_and_truth(tmp_path):
     assert len(truth["anchor_scores"]) == 4
 
 
+_SYNTH_SHAPE = ["--per-type", "1", "--items-per-annotator", "30", "--repeats", "3", "--framing-pairs", "5",
+                "--anchors", "2"]
+
+
+@pytest.mark.parametrize("flag, value, why", [
+    ("--repeats", "-1", "n_repeats_per_annotator must be >= 0, got -1"),
+    ("--per-type", "-1", "genuine annotator count must be >= 0, got -1"),
+    ("--anchors", "-3", "n_anchors must be >= 0, got -3"),
+    ("--items-per-annotator", "0", "--items-per-annotator must be >= 1, got 0"),
+])
+def test_synth_refuses_a_count_out_of_range_as_a_usage_error_naming_it(flag, value, why, tmp_path, capsys):
+    argv = _SYNTH_SHAPE[:]
+    argv[argv.index(flag) + 1] = value
+    assert run(["synth", *argv, "--output-dir", str(tmp_path / "synth")]) == 1
+    assert capsys.readouterr().err == f"usage error: {why}\n"
+    assert not (tmp_path / "synth").exists()
+
+
 def test_themes_subcommand_fixture_transport(dataset_path, tmp_path):
     labels_file = tmp_path / "labels.txt"
     labels_file.write_text("Privacy\nChild Harm\n", encoding="utf-8")

@@ -128,3 +128,11 @@ def test_none_passes_a_domain_only_where_the_field_type_admits_it():
         RatioRecord("a1", "harm", 5, None, 1.0, 1.0, 0, 0)
     with pytest.raises(DataFormatError, match="unknown pair kind None"):
         PromptPair("p", "a", "b", 0.5, None)
+
+
+@pytest.mark.parametrize("scale", ["continuous_0_100", "likert_5"])
+@pytest.mark.parametrize("score", [None, "50", [50.0], {"score": 50.0}], ids=["none", "text", "list", "dict"])
+def test_a_score_that_does_not_compare_with_a_number_is_refused_as_not_numeric(scale, score):
+    with pytest.raises(DataFormatError) as raised:
+        AnnotationRecord("r", "a", "i", "p", score, scale)
+    assert str(raised.value) == f"{scale} score must be numeric, got {score!r}"
